@@ -1,17 +1,22 @@
 // google-benchmark microbenchmarks of the CPU substrate itself: emulated
-// mixed-precision GEMM, format conversions, Bessel K_nu, covariance tile
-// generation and the task-graph machinery. These measure *this library's*
-// throughput (the numeric path accuracy experiments run through), not the
-// simulated GPUs.
+// mixed-precision GEMM and the TRSM/SYRK tile kernels, format conversions,
+// Bessel K_nu, covariance tile generation and the task-graph machinery.
+// These measure *this library's* throughput (the numeric path accuracy
+// experiments run through), not the simulated GPUs. Kernel rows report
+// FLOP/s as items_per_second and are labelled with the kernel variant that
+// ran (precision/simd_kernels.hpp); nb = 256 is the factor-sqexp tile.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/mp_cholesky.hpp"
 #include "core/tiled_covariance.hpp"
+#include "linalg/blas.hpp"
 #include "precision/convert.hpp"
 #include "precision/mixed_gemm.hpp"
+#include "precision/simd_kernels.hpp"
 #include "runtime/executor.hpp"
 #include "stats/besselk.hpp"
 #include "stats/covariance.hpp"
@@ -34,12 +39,69 @@ void BM_MixedGemm(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(2 * n * n * n));
+  state.SetLabel(to_string(active_kernel_variant()));
 }
 BENCHMARK(BM_MixedGemm)
     ->Args({int(Precision::FP64), 128})
     ->Args({int(Precision::FP32), 128})
     ->Args({int(Precision::FP16_32), 128})
-    ->Args({int(Precision::FP16), 128});
+    ->Args({int(Precision::FP16), 128})
+    ->Args({int(Precision::FP64), 256})
+    ->Args({int(Precision::FP32), 256})
+    ->Args({int(Precision::FP16_32), 256})
+    ->Args({int(Precision::FP16), 256});
+
+// The tile Cholesky's panel solve X * L^T = B (nb x nb), at FP64 (arg 0) and
+// FP32 (arg 1). B is restored from a pristine copy every iteration so the
+// repeated in-place solves never drift into subnormals.
+template <class T>
+void trsm_bench(benchmark::State& state, std::size_t n) {
+  std::vector<T> l(n * n, T(0)), b0(n * n);
+  Rng rng(4);
+  for (std::size_t j = 0; j < n; ++j) {
+    l[j + j * n] = T(1) + T(rng.uniform(0.0, 1.0));
+    for (std::size_t i = j + 1; i < n; ++i)
+      l[i + j * n] = T(rng.uniform(-0.5, 0.5) / double(n));
+  }
+  for (auto& x : b0) x = T(rng.uniform(-1, 1));
+  std::vector<T> b = b0;
+  for (auto _ : state) {
+    std::copy(b0.begin(), b0.end(), b.begin());
+    trsm_right_lower_trans<T>(n, n, T(1), l.data(), n, b.data(), n);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n * n * n));
+  state.SetLabel(to_string(active_kernel_variant()));
+}
+
+void BM_Trsm(benchmark::State& state) {
+  const std::size_t n = std::size_t(state.range(1));
+  if (state.range(0) == 0) {
+    trsm_bench<double>(state, n);
+  } else {
+    trsm_bench<float>(state, n);
+  }
+}
+BENCHMARK(BM_Trsm)->Args({0, 128})->Args({1, 128})->Args({0, 256})->Args(
+    {1, 256});
+
+// The tile Cholesky's diagonal update C -= A * A^T (FP64, nb x nb, k = nb).
+void BM_Syrk(benchmark::State& state) {
+  const std::size_t n = std::size_t(state.range(0));
+  Rng rng(5);
+  std::vector<double> a(n * n), c(n * n, 0.0);
+  for (auto& x : a) x = rng.uniform(-1, 1);
+  for (auto _ : state) {
+    syrk_lower_notrans<double>(n, n, -1.0, a.data(), n, 1.0, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(n * (n + 1) * n));
+  state.SetLabel(to_string(active_kernel_variant()));
+}
+BENCHMARK(BM_Syrk)->Arg(128)->Arg(256);
 
 void BM_ConvertFp64ToFp16(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));

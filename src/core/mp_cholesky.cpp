@@ -710,13 +710,13 @@ void forward_solve_tiled(const TileMatrix& l, std::vector<double>& z,
     for (std::size_t k = 0; k < m; ++k) {
       const AnyTile& t = l.tile(m, k);
       const auto buf =
-          cached_operand(cache, t, 0, PackLayout::Widened, Precision::FP64);
+          cached_operand(cache, t, 0, Precision::FP64);
       gemv_notrans<double>(rows, t.cols(), -1.0, buf->data(), rows,
                            z.data() + k * nb, 1.0, zm);
     }
     const AnyTile& diag = l.tile(m, m);
     const auto lbuf =
-        cached_operand(cache, diag, 0, PackLayout::Widened, Precision::FP64);
+        cached_operand(cache, diag, 0, Precision::FP64);
     trsm_left_lower_notrans<double>(rows, 1, 1.0, lbuf->data(), rows, zm,
                                     rows);
   }
@@ -771,13 +771,11 @@ void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
       }
       const AnyTile& t = l.tile(m, k);
       if (k < m) {
-        const auto buf = cached_operand(nullptr, t, 0, PackLayout::Widened,
-                                        Precision::FP64);
+        const auto buf = cached_operand(nullptr, t, 0, Precision::FP64);
         gemv_notrans<double>(rows, t.cols(), -1.0, buf->data(), rows,
                              z.data() + k * nb, 1.0, zm);
       } else {
-        const auto lbuf = cached_operand(nullptr, t, 0, PackLayout::Widened,
-                                         Precision::FP64);
+        const auto lbuf = cached_operand(nullptr, t, 0, Precision::FP64);
         trsm_left_lower_notrans<double>(rows, 1, 1.0, lbuf->data(), rows, zm,
                                         rows);
       }

@@ -18,7 +18,7 @@ std::vector<double> symv_tiled(const TileMatrix& a, std::span<const double> x,
     for (std::size_t k = 0; k <= m; ++k) {
       const AnyTile& t = a.tile(m, k);
       const auto buf =
-          cached_operand(cache, t, 0, PackLayout::Widened, Precision::FP64);
+          cached_operand(cache, t, 0, Precision::FP64);
       const std::size_t rows = t.rows();
       const std::size_t cols = t.cols();
       // y_m += T x_k
@@ -53,7 +53,7 @@ void cholesky_solve_tiled(const TileMatrix& l, std::vector<double>& b,
     for (std::size_t p = m + 1; p < nt; ++p) {
       const AnyTile& t = l.tile(p, m);
       const auto buf =
-          cached_operand(cache, t, 0, PackLayout::Widened, Precision::FP64);
+          cached_operand(cache, t, 0, Precision::FP64);
       for (std::size_t j = 0; j < t.cols(); ++j) {
         double acc = 0.0;
         for (std::size_t i = 0; i < t.rows(); ++i) {
@@ -64,7 +64,7 @@ void cholesky_solve_tiled(const TileMatrix& l, std::vector<double>& b,
     }
     const AnyTile& diag = l.tile(m, m);
     const auto lbuf =
-        cached_operand(cache, diag, 0, PackLayout::Widened, Precision::FP64);
+        cached_operand(cache, diag, 0, Precision::FP64);
     trsm_left_lower_trans<double>(rows, 1, 1.0, lbuf->data(), rows, bm, rows);
   }
 }

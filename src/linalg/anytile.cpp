@@ -36,36 +36,12 @@ std::vector<double> AnyTile::to_double() const {
   return out;
 }
 
-void AnyTile::to_double_transposed(std::span<double> out) const {
-  MPGEO_REQUIRE(out.size() == size(),
-                "AnyTile::to_double_transposed: size mismatch");
-  std::visit(
-      [&](const auto& v) {
-        for (std::size_t i = 0; i < rows_; ++i)
-          for (std::size_t j = 0; j < cols_; ++j)
-            out[j + i * cols_] = static_cast<double>(v[i + j * rows_]);
-      },
-      buf_);
-}
-
 void AnyTile::to_float(std::span<float> out) const {
   MPGEO_REQUIRE(out.size() == size(), "AnyTile::to_float: size mismatch");
   std::visit(
       [&](const auto& v) {
         for (std::size_t i = 0; i < v.size(); ++i)
           out[i] = static_cast<float>(v[i]);
-      },
-      buf_);
-}
-
-void AnyTile::to_float_transposed(std::span<float> out) const {
-  MPGEO_REQUIRE(out.size() == size(),
-                "AnyTile::to_float_transposed: size mismatch");
-  std::visit(
-      [&](const auto& v) {
-        for (std::size_t i = 0; i < rows_; ++i)
-          for (std::size_t j = 0; j < cols_; ++j)
-            out[j + i * cols_] = static_cast<float>(v[i + j * rows_]);
       },
       buf_);
 }

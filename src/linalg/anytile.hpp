@@ -35,21 +35,12 @@ class AnyTile {
   void to_double(std::span<double> out) const;
   std::vector<double> to_double() const;
 
-  /// Copy out the transpose (cols x rows, column-major), widening exactly to
-  /// double: out[j + i*cols] = (*this)(i, j). This is the shared layout of
-  /// both GEMM operand packs, produced in one fused pass over storage.
-  void to_double_transposed(std::span<double> out) const;
-
   /// Copy out in float: out[i + j*rows] = float((*this)(i, j)). Exact for
   /// FP32/FP16 storage; for FP64 storage the cast rounds to nearest float —
   /// which is precisely the first rounding step of every sub-FP64
   /// `round_inputs` chain, so a float pack rounded in float domain is
   /// bit-identical (after widening) to the double pack for those formats.
   void to_float(std::span<float> out) const;
-
-  /// Transposed float copy-out: out[j + i*cols] = float((*this)(i, j)).
-  /// Same rounding contract as to_float.
-  void to_float_transposed(std::span<float> out) const;
 
   /// Copy in, rounding through the tile's storage format.
   void from_double(std::span<const double> in);

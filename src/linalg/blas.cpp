@@ -1,9 +1,11 @@
 #include "linalg/blas.hpp"
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 
@@ -26,14 +28,15 @@ int potrf_lower(std::size_t n, T* a, std::size_t lda) {
   return 0;
 }
 
+namespace portable {
+
 template <class T>
 void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
                             std::size_t ldl, T* b, std::size_t ldb) {
   MPGEO_REQUIRE(ldl >= n || n == 0, "trsm: ldl too small");
   MPGEO_REQUIRE(ldb >= m || m == 0, "trsm: ldb too small");
-  // Solve X * L^T = alpha * B column by column of X (i.e. row of L):
-  // X(:,j) = (alpha*B(:,j) - sum_{p>j} X(:,p) L(p,j)... careful with order.
-  // X L^T = B  =>  for j = 0..n-1: X(:,j) = (B(:,j) - sum_{p<j} X(:,p)*L(j,p)) / L(j,j)
+  // X L^T = B  =>  for j = 0..n-1:
+  //   X(:,j) = (alpha*B(:,j) - sum_{p<j} X(:,p)*L(j,p)) / L(j,j)
   for (std::size_t j = 0; j < n; ++j) {
     const T ljj = l[j + j * ldl];
     MPGEO_REQUIRE(ljj != T{0}, "trsm: singular triangular factor");
@@ -43,6 +46,37 @@ void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
       b[i + j * ldb] = v / ljj;
     }
   }
+}
+
+template <class T>
+void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
+                        std::size_t lda, T beta, T* c, std::size_t ldc) {
+  MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
+  MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j; i < n; ++i) {
+      T acc{};
+      for (std::size_t p = 0; p < k; ++p)
+        acc += a[i + p * lda] * a[j + p * lda];
+      c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
+    }
+  }
+}
+
+}  // namespace portable
+
+template <class T>
+void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
+                            std::size_t ldl, T* b, std::size_t ldb) {
+  if (active_kernel_variant() != KernelVariant::Avx2) {
+    return portable::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
+  }
+  MPGEO_REQUIRE(ldl >= n || n == 0, "trsm: ldl too small");
+  MPGEO_REQUIRE(ldb >= m || m == 0, "trsm: ldb too small");
+  for (std::size_t j = 0; j < n; ++j) {
+    MPGEO_REQUIRE(l[j + j * ldl] != T{0}, "trsm: singular triangular factor");
+  }
+  avx2::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
 }
 
 template <class T>
@@ -79,70 +113,29 @@ void trsm_left_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
   }
 }
 
-// Packed + register-tiled BLAS-3 below. Both kernels keep one accumulator
-// per output element sweeping p in ascending order, so results are
-// bit-identical to the textbook triple loop (no reassociation) — packing
-// only turns the `lda`-strided operand walks into stride-1 streams, and the
-// 4-wide register tiles reuse each packed column across a block of outputs
-// instead of refetching it from cache per element.
+template <class T>
+void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
+                        std::size_t lda, T beta, T* c, std::size_t ldc) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (active_kernel_variant() == KernelVariant::Avx2) {
+      MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
+      MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
+      return avx2::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
+    }
+  }
+  portable::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
+}
+
+// Packed + register-tiled GEMM below. Each output element keeps one
+// accumulator sweeping p in ascending order, so results are bit-identical
+// to the textbook triple loop (no reassociation) — packing only turns the
+// `lda`-strided operand walks into stride-1 streams, and the 4-wide register
+// tiles reuse each packed column across a block of outputs instead of
+// refetching it from cache per element.
 
 /// Problems smaller than this run the unpacked loop: the O(mk + kn) packing
 /// pass is pure overhead when the whole working set already fits in L1.
 constexpr std::size_t kPackThresholdFlops = 4096;
-
-template <class T>
-void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
-                        std::size_t lda, T beta, T* c, std::size_t ldc) {
-  MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
-  MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
-  if (n * n * k < kPackThresholdFlops) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t i = j; i < n; ++i) {
-        T acc{};
-        for (std::size_t p = 0; p < k; ++p)
-          acc += a[i + p * lda] * a[j + p * lda];
-        c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
-      }
-    }
-    return;
-  }
-
-  // Pack A row-major (row i contiguous in p) so every inner product below
-  // is stride-1 on both operands.
-  thread_local std::vector<T> at;
-  at.resize(n * k);
-  for (std::size_t p = 0; p < k; ++p)
-    for (std::size_t i = 0; i < n; ++i) at[p + i * k] = a[i + p * lda];
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const T* aj = &at[j * k];
-    std::size_t i = j;
-    for (; i + 4 <= n; i += 4) {
-      const T* a0 = &at[(i + 0) * k];
-      const T* a1 = &at[(i + 1) * k];
-      const T* a2 = &at[(i + 2) * k];
-      const T* a3 = &at[(i + 3) * k];
-      T acc0{}, acc1{}, acc2{}, acc3{};
-      for (std::size_t p = 0; p < k; ++p) {
-        const T bj = aj[p];
-        acc0 += a0[p] * bj;
-        acc1 += a1[p] * bj;
-        acc2 += a2[p] * bj;
-        acc3 += a3[p] * bj;
-      }
-      c[i + 0 + j * ldc] = alpha * acc0 + beta * c[i + 0 + j * ldc];
-      c[i + 1 + j * ldc] = alpha * acc1 + beta * c[i + 1 + j * ldc];
-      c[i + 2 + j * ldc] = alpha * acc2 + beta * c[i + 2 + j * ldc];
-      c[i + 3 + j * ldc] = alpha * acc3 + beta * c[i + 3 + j * ldc];
-    }
-    for (; i < n; ++i) {
-      const T* ai = &at[i * k];
-      T acc{};
-      for (std::size_t p = 0; p < k; ++p) acc += ai[p] * aj[p];
-      c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
-    }
-  }
-}
 
 template <class T>
 void gemm(char transa, char transb, std::size_t m, std::size_t n,
@@ -310,5 +303,15 @@ void symmetrize_from_lower(std::size_t n, T* a, std::size_t lda) {
 MPGEO_INSTANTIATE(double)
 MPGEO_INSTANTIATE(float)
 #undef MPGEO_INSTANTIATE
+
+#define MPGEO_INSTANTIATE_PORTABLE(T)                                          \
+  template void portable::trsm_right_lower_trans<T>(                           \
+      std::size_t, std::size_t, T, const T*, std::size_t, T*, std::size_t);    \
+  template void portable::syrk_lower_notrans<T>(                               \
+      std::size_t, std::size_t, T, const T*, std::size_t, T, T*, std::size_t);
+
+MPGEO_INSTANTIATE_PORTABLE(double)
+MPGEO_INSTANTIATE_PORTABLE(float)
+#undef MPGEO_INSTANTIATE_PORTABLE
 
 }  // namespace mpgeo

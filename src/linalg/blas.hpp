@@ -20,7 +20,10 @@ template <class T>
 int potrf_lower(std::size_t n, T* a, std::size_t lda);
 
 /// B := alpha * B * inv(L)^T where L is n x n lower triangular (non-unit) and
-/// B is m x n. The TRSM flavour used by the tile Cholesky panel update.
+/// B is m x n. The TRSM flavour used by the tile Cholesky panel update. Per
+/// element: v = alpha*b, then v = v - x(i,p)*L(j,p) for p ascending, then
+/// x(i,j) = v / L(j,j). Runs active_kernel_variant()
+/// (precision/simd_kernels.hpp); every variant keeps that sequence.
 template <class T>
 void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
                             std::size_t ldl, T* b, std::size_t ldb);
@@ -38,6 +41,9 @@ void trsm_left_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
                            std::size_t ldl, T* x, std::size_t ldx);
 
 /// Lower triangle of C := alpha * A * A^T + beta * C; A is n x k, C n x n.
+/// Per element: acc = acc + a(i,p)*a(j,p) for p ascending from 0, then
+/// alpha*acc + beta*c. Runs active_kernel_variant() for double, the
+/// portable loop for float.
 template <class T>
 void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
                         std::size_t lda, T beta, T* c, std::size_t ldc);
@@ -64,5 +70,17 @@ double frobenius_norm(std::size_t m, std::size_t n, const T* a, std::size_t lda)
 /// Mirror the strictly-lower triangle into the upper one (make symmetric).
 template <class T>
 void symmetrize_from_lower(std::size_t n, T* a, std::size_t lda);
+
+// The textbook loops behind trsm_right_lower_trans and syrk_lower_notrans:
+// one accumulator per output, the fallback on CPUs without AVX2/FMA/F16C
+// and the oracle the vector kernels are tested against.
+namespace portable {
+template <class T>
+void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
+                            std::size_t ldl, T* b, std::size_t ldb);
+template <class T>
+void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
+                        std::size_t lda, T beta, T* c, std::size_t ldc);
+}  // namespace portable
 
 }  // namespace mpgeo

@@ -233,65 +233,49 @@ void OperandCache::publish(MetricsRegistry& reg) const {
   reg.gauge("operand_cache.compressed_bytes").set(double(s.compressed_bytes));
 }
 
-void pack_operand(const AnyTile& t, PackLayout layout, Precision prec,
-                  std::span<double> dst) {
+void pack_operand(const AnyTile& t, Precision prec, std::span<double> dst) {
   MPGEO_REQUIRE(dst.size() == t.size(), "pack_operand: size mismatch");
-  switch (layout) {
-    case PackLayout::Widened:
-      t.to_double(dst);
-      break;
-    case PackLayout::PackedTrans:
-      t.to_double_transposed(dst);
-      break;
-  }
+  t.to_double(dst);
   round_inputs(dst, prec);
   count_operand_conversion();
 }
 
-void pack_operand_f32(const AnyTile& t, PackLayout layout, Precision prec,
+void pack_operand_f32(const AnyTile& t, Precision prec,
                       std::span<float> dst) {
   MPGEO_REQUIRE(dst.size() == t.size(), "pack_operand_f32: size mismatch");
   MPGEO_REQUIRE(prec != Precision::FP64,
                 "pack_operand_f32: FP64 operands need double packs");
-  switch (layout) {
-    case PackLayout::Widened:
-      t.to_float(dst);
-      break;
-    case PackLayout::PackedTrans:
-      t.to_float_transposed(dst);
-      break;
-  }
+  t.to_float(dst);
   round_inputs(dst, prec);
   count_operand_conversion();
 }
 
 OperandCache::Buffer cached_operand(OperandCache* cache, const AnyTile& t,
-                                    std::uint64_t version, PackLayout layout,
-                                    Precision prec) {
+                                    std::uint64_t version, Precision prec) {
   const auto fill = [&](std::span<double> dst) {
-    pack_operand(t, layout, prec, dst);
+    pack_operand(t, prec, dst);
   };
   if (cache == nullptr) {
     auto buf = std::make_shared<std::vector<double>>(t.size());
     fill(std::span<double>(*buf));
     return buf;
   }
-  return cache->get(OperandKey{&t, version, layout, prec}, t.size(), fill);
+  return cache->get(OperandKey{&t, version, prec}, t.size(), fill);
 }
 
 OperandCache::BufferF32 cached_operand_f32(OperandCache* cache,
                                            const AnyTile& t,
                                            std::uint64_t version,
-                                           PackLayout layout, Precision prec) {
+                                           Precision prec) {
   const auto fill = [&](std::span<float> dst) {
-    pack_operand_f32(t, layout, prec, dst);
+    pack_operand_f32(t, prec, dst);
   };
   if (cache == nullptr) {
     auto buf = std::make_shared<std::vector<float>>(t.size());
     fill(std::span<float>(*buf));
     return buf;
   }
-  return cache->get_f32(OperandKey{&t, version, layout, prec}, t.size(), fill);
+  return cache->get_f32(OperandKey{&t, version, prec}, t.size(), fill);
 }
 
 }  // namespace mpgeo

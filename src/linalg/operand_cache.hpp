@@ -6,16 +6,18 @@
 // equivalent waste is operand *preparation*: each GEMM/SYRK widens,
 // transposes and input-rounds its panel tiles privately, so a panel tile with
 // ~NT-k consumers is converted ~NT-k times — O(NT^3) conversion passes for
-// O(NT^2) tiles. This cache memoizes, per logical datum, the packed +
-// input-rounded working-precision operand a kernel actually consumes, keyed
-// by (datum identity, data version, layout, compute precision). The first
-// consumer fills the entry; later consumers reuse it read-only.
+// O(NT^2) tiles. This cache memoizes, per logical datum, the input-rounded
+// working-precision operand a kernel actually consumes, keyed by (datum
+// identity, data version, compute precision). Every pack is the tile widened
+// column-major — the layout GEMM, TRSM and SYRK all read — so one entry of a
+// panel tile serves its SYRK and both GEMM operand roles. The first consumer
+// fills the entry; later consumers reuse it read-only.
 //
 // Bit-identity contract: a cached pack holds exactly the bytes
-// `pack_a_transposed` / `pack_b` (or a plain widen) would produce from the
-// tile's current payload — widening any storage format to double is exact
-// and `round_inputs` is deterministic, so consuming a cached pack is
-// bit-identical to re-preparing the operand. Tests pin this.
+// `pack_gemm_operand` would produce from the tile's current payload —
+// widening any storage format to double is exact and `round_inputs` is
+// deterministic, so consuming a cached pack is bit-identical to re-preparing
+// the operand. Tests pin this.
 //
 // Versioning: the data version comes from the task graph's sequential
 // dependence analysis (the version counter of the last writer). A write to a
@@ -56,20 +58,9 @@ namespace mpgeo {
 
 class MetricsRegistry;
 
-/// Memory layout of a cached operand.
-enum class PackLayout : std::uint8_t {
-  /// Column-major widen to double (SYRK/TRSM read-only operands).
-  Widened,
-  /// Transposed widen (k x rows, stride-1 inner dimension) + input rounding:
-  /// both the A-pack ('N' side) and the B-pack ('T' side) of a GEMM tile,
-  /// which coincide for the trailing update's Cmk * Cnk^T.
-  PackedTrans,
-};
-
 struct OperandKey {
   const void* datum = nullptr;  ///< stable identity of the logical tile
   std::uint64_t version = 0;    ///< data version at the consumer's launch
-  PackLayout layout = PackLayout::Widened;
   Precision prec = Precision::FP64;  ///< input-rounding format of the pack
 
   bool operator==(const OperandKey&) const = default;
@@ -85,7 +76,6 @@ struct OperandKeyHash {
     };
     mix(reinterpret_cast<std::uintptr_t>(k.datum));
     mix(k.version);
-    mix(static_cast<std::uint64_t>(k.layout));
     mix(static_cast<std::uint64_t>(k.prec));
     return static_cast<std::size_t>(h);
   }
@@ -140,7 +130,7 @@ class OperandCache {
   BufferF32 get_f32(const OperandKey& key, std::size_t count,
                     const FillF32& fill);
 
-  /// Drop every entry of `datum`, any version/layout/precision. Called when a
+  /// Drop every entry of `datum`, any version/precision. Called when a
   /// write to the datum retires; consumers of the new version use a new key
   /// anyway, so this only releases memory early (and is what keeps a *reused*
   /// datum pointer from resurrecting a dead pack after its allocator recycles
@@ -197,7 +187,7 @@ class OperandCache {
   const bool cold_tier_;
   mutable std::mutex mu_;
   std::unordered_map<OperandKey, std::shared_ptr<Entry>, OperandKeyHash> map_;
-  /// datum -> live keys for that datum (a handful: layouts x precisions).
+  /// datum -> live keys for that datum (a handful: one per precision).
   /// Keeps `invalidate` O(keys-of-datum); the retire hook calls it once per
   /// written datum of every task, so a map scan there would cost
   /// O(tasks x entries) under the lock.
@@ -207,28 +197,25 @@ class OperandCache {
   Stats stats_;
 };
 
-/// Fill `dst` with tile `t`'s operand bytes for `layout`, input-rounded to
-/// `prec` (pass Precision::FP64 for a plain widen). Bit-identical to the
-/// un-cached preparation path; counts one operand-conversion pass.
-void pack_operand(const AnyTile& t, PackLayout layout, Precision prec,
-                  std::span<double> dst);
+/// Fill `dst` with tile `t` widened column-major, input-rounded to `prec`
+/// (pass Precision::FP64 for a plain widen). Bit-identical to the un-cached
+/// preparation path; counts one operand-conversion pass.
+void pack_operand(const AnyTile& t, Precision prec, std::span<double> dst);
 
 /// Float-stored pack for sub-FP64 `prec`: each element widens to exactly the
-/// value the double pack would hold (see AnyTile::to_float_transposed).
-/// Requires prec != FP64; counts one operand-conversion pass.
-void pack_operand_f32(const AnyTile& t, PackLayout layout, Precision prec,
-                      std::span<float> dst);
+/// value the double pack would hold (see AnyTile::to_float). Requires
+/// prec != FP64; counts one operand-conversion pass.
+void pack_operand_f32(const AnyTile& t, Precision prec, std::span<float> dst);
 
 /// Fetch tile `t`'s operand from `cache` (filling on first use via
 /// `pack_operand`), or pack into a fresh buffer when `cache` is null.
 OperandCache::Buffer cached_operand(OperandCache* cache, const AnyTile& t,
-                                    std::uint64_t version, PackLayout layout,
-                                    Precision prec);
+                                    std::uint64_t version, Precision prec);
 
 /// Float-pack variant of `cached_operand` (sub-FP64 `prec` only).
 OperandCache::BufferF32 cached_operand_f32(OperandCache* cache,
                                            const AnyTile& t,
                                            std::uint64_t version,
-                                           PackLayout layout, Precision prec);
+                                           Precision prec);
 
 }  // namespace mpgeo

@@ -1,5 +1,6 @@
 #include "linalg/tile_kernels.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,21 +18,6 @@ std::vector<double>& c_scratch(std::size_t n) {
   thread_local std::vector<double> c;
   c.resize(n);
   return c;
-}
-
-void trsm_solve(Precision prec, std::size_t m, std::size_t n, const double* l,
-                double* b) {
-  if (prec == Precision::FP64) {
-    trsm_right_lower_trans<double>(m, n, 1.0, l, n, b, m);
-    return;
-  }
-  thread_local std::vector<float> lf, bf;
-  lf.resize(n * n);
-  bf.resize(m * n);
-  for (std::size_t i = 0; i < n * n; ++i) lf[i] = static_cast<float>(l[i]);
-  for (std::size_t i = 0; i < m * n; ++i) bf[i] = static_cast<float>(b[i]);
-  trsm_right_lower_trans<float>(m, n, 1.0f, lf.data(), n, bf.data(), m);
-  for (std::size_t i = 0; i < m * n; ++i) b[i] = bf[i];
 }
 
 }  // namespace
@@ -62,11 +48,19 @@ void trsm_tile(Precision prec, TileOperand ckk, AnyTile& cmk,
   MPGEO_REQUIRE(cmk.cols() == ckk.tile->rows(), "trsm_tile: shape mismatch");
   const std::size_t m = cmk.rows();
   const std::size_t n = cmk.cols();
-  const auto l = cached_operand(cache, *ckk.tile, ckk.version,
-                                PackLayout::Widened, Precision::FP64);
   auto& b = c_scratch(m * n);
-  cmk.to_double(b);
-  trsm_solve(prec, m, n, l->data(), b.data());
+  if (prec == Precision::FP64) {
+    const auto l = cached_operand(cache, *ckk.tile, ckk.version, prec);
+    cmk.to_double(b);
+    trsm_right_lower_trans<double>(m, n, 1.0, l->data(), n, b.data(), m);
+  } else {
+    const auto l = cached_operand_f32(cache, *ckk.tile, ckk.version, prec);
+    thread_local std::vector<float> bf;
+    bf.resize(m * n);
+    cmk.to_float(bf);
+    trsm_right_lower_trans<float>(m, n, 1.0f, l->data(), n, bf.data(), m);
+    std::copy(bf.begin(), bf.end(), b.begin());
+  }
   cmk.from_double(b);
 }
 
@@ -79,8 +73,8 @@ void syrk_tile(TileOperand cmk, AnyTile& cmm, OperandCache* cache) {
   MPGEO_REQUIRE(cmk.tile->rows() == cmm.rows(), "syrk_tile: shape mismatch");
   const std::size_t n = cmm.rows();
   const std::size_t k = cmk.tile->cols();
-  const auto a = cached_operand(cache, *cmk.tile, cmk.version,
-                                PackLayout::Widened, Precision::FP64);
+  const auto a =
+      cached_operand(cache, *cmk.tile, cmk.version, Precision::FP64);
   auto& c = c_scratch(n * n);
   cmm.to_double(c);
   syrk_lower_notrans<double>(n, k, -1.0, a->data(), n, 1.0, c.data(), n);
@@ -120,27 +114,23 @@ void gemm_tile(Precision prec, TileOperand cmk, TileOperand cnk, AnyTile& cmn,
   const std::size_t m = cmn.rows();
   const std::size_t n = cmn.cols();
   const std::size_t k = cmk.tile->cols();
-  // The A-pack of Cmk and the B-pack of Cnk are both "tile transposed +
-  // input rounding", so one cache entry per (tile, version, prec) serves
-  // either operand role of the trailing update.
+  // Both operands are read as their column-major packs (Cmk as A, Cnk as
+  // B^T), so one cache entry per (tile, version, prec) serves either operand
+  // role of the trailing update — and, at FP64, the panel's SYRK too.
   auto& c = c_scratch(m * n);
   cmn.to_double(c);
   if (prec == Precision::FP64) {
-    const auto at = cached_operand(cache, *cmk.tile, cmk.version,
-                                   PackLayout::PackedTrans, prec);
-    const auto bp = cached_operand(cache, *cnk.tile, cnk.version,
-                                   PackLayout::PackedTrans, prec);
-    mixed_gemm_prepacked(prec, m, n, k, -1.0, at->data(), bp->data(), 1.0,
-                         c.data(), m);
+    const auto a = cached_operand(cache, *cmk.tile, cmk.version, prec);
+    const auto b = cached_operand(cache, *cnk.tile, cnk.version, prec);
+    mixed_gemm_packed(prec, m, n, k, -1.0, a->data(), b->data(), 1.0,
+                      c.data(), m);
   } else {
     // Sub-FP64 operands live in float packs: bit-identical after widening,
     // half the cache bytes and kernel read traffic.
-    const auto at = cached_operand_f32(cache, *cmk.tile, cmk.version,
-                                       PackLayout::PackedTrans, prec);
-    const auto bp = cached_operand_f32(cache, *cnk.tile, cnk.version,
-                                       PackLayout::PackedTrans, prec);
-    mixed_gemm_prepacked(prec, m, n, k, -1.0, at->data(), bp->data(), 1.0,
-                         c.data(), m);
+    const auto a = cached_operand_f32(cache, *cmk.tile, cmk.version, prec);
+    const auto b = cached_operand_f32(cache, *cnk.tile, cnk.version, prec);
+    mixed_gemm_packed(prec, m, n, k, -1.0, a->data(), b->data(), 1.0,
+                      c.data(), m);
   }
   cmn.from_double(c);
 }

@@ -190,8 +190,8 @@ inline float round_to_tf32(float f) {
 /// and re-adds 112<<23; since the rebias constant is a multiple of 2^13 it
 /// commutes with the mask, leaving (u + 0xFFF + odd) & ~0x1FFF. Subnormal,
 /// overflow, Inf and NaN inputs take the exact two-converter chain. This is
-/// the per-block rounding of the FP16 GEMM accumulator — the single hottest
-/// conversion in the codebase.
+/// the per-block rounding of the portable FP16 GEMM accumulator (the AVX2
+/// kernel performs the same two roundings with vcvtpd2ps + F16C).
 inline double through_half(double d) {
   const float f = static_cast<float>(d);
   const std::uint32_t u = detail::float_bits(f);

@@ -1,26 +1,27 @@
 #include "precision/mixed_gemm.hpp"
 
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "precision/convert.hpp"
 #include "precision/float16.hpp"
+#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 namespace {
 
-// Single-dot accumulation policies for the register-blocked kernel. Blocked
-// evaluation only interleaves chains that never interact, so each output
-// element's operation sequence — and hence its bits — is unchanged relative
-// to a per-dot loop over the same policy.
+// One-accumulator policies of the portable kernel, one per operation
+// sequence documented in mixed_gemm.hpp. x and y are input-rounded operands
+// widened to double, so every product below is exact in double.
 //
-// AccFP64: IEEE double throughout. AccFP32: products round to float before
-// accumulating. AccTC32: FP32 accumulation of exact products (tensor-core
-// TF32/FP16_32/BF16_32 accumulate mode; inputs already rounded by packing).
-// AccFP16: binary16 block FMA — per 4-wide block the products and their sum
-// with the running accumulator are exact, then the block result rounds to
-// binary16 (Blanchard, Higham, Lopez, Mary, Pranesh 2020, eq. (2.1)); a
-// trailing partial block rounds the same way.
+// AccTC32 rounds the double sum acc + x*y to float: double holds the exact
+// product and 53 >= 2*24 + 2 makes the sum's double rounding innocuous, so
+// this equals the float fma(x, y, acc) of the vector kernel. AccFP16 keeps
+// the pending block sum s = acc + up to 4 products in double and rounds it
+// through binary16 (Blanchard, Higham, Lopez, Mary, Pranesh 2020,
+// eq. (2.1)); a trailing partial block rounds the same way.
 struct AccFP64 {
   double acc = 0.0;
   void step(double x, double y) { acc += x * y; }
@@ -41,7 +42,7 @@ struct AccTC32 {
 
 struct AccFP16 {
   double acc = 0.0;   // last block-rounded value
-  double s = 0.0;     // pending exact block sum (acc + up to 4 products)
+  double s = 0.0;     // pending block sum (acc + up to 4 products)
   unsigned pending = 0;
   void step(double x, double y) {
     if (pending == 0) s = acc;
@@ -63,167 +64,157 @@ inline double round_output(Precision prec, double out) {
   }
 }
 
-// 2x4 register-blocked GEMM over packed operands. The serial dependence of
-// each dot's accumulator chain (~4-5 cycle add latency per step) is the
-// bottleneck of a per-dot loop at small tiles; running 8 independent chains
-// in the inner loop hides it without changing any chain's op sequence.
-//
-// T is the pack element type: double, or float for sub-FP64 precisions
-// (input-rounded values are exactly float-representable, so a float pack
-// widened at load is bit-identical at half the memory traffic).
 template <class Acc, class T>
-void gemm_register_blocked(Precision prec, std::size_t m, std::size_t n,
-                           std::size_t k, double alpha, const T* at,
-                           const T* bp, double beta, double* c,
-                           std::size_t ldc) {
-  constexpr std::size_t MR = 2, NR = 4;
-  std::size_t j = 0;
-  for (; j + NR <= n; j += NR) {
-    const T* y0 = bp + (j + 0) * k;
-    const T* y1 = bp + (j + 1) * k;
-    const T* y2 = bp + (j + 2) * k;
-    const T* y3 = bp + (j + 3) * k;
-    std::size_t i = 0;
-    for (; i + MR <= m; i += MR) {
-      const T* x0 = at + (i + 0) * k;
-      const T* x1 = at + (i + 1) * k;
-      Acc a00, a01, a02, a03, a10, a11, a12, a13;
+void gemm_one_accumulator(Precision prec, std::size_t m, std::size_t n,
+                          std::size_t k, double alpha, const T* a, const T* b,
+                          double beta, double* c, std::size_t ldc) {
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      Acc acc;
       for (std::size_t p = 0; p < k; ++p) {
-        const double xv0 = static_cast<double>(x0[p]);
-        const double xv1 = static_cast<double>(x1[p]);
-        const double yv0 = static_cast<double>(y0[p]);
-        const double yv1 = static_cast<double>(y1[p]);
-        const double yv2 = static_cast<double>(y2[p]);
-        const double yv3 = static_cast<double>(y3[p]);
-        a00.step(xv0, yv0);
-        a01.step(xv0, yv1);
-        a02.step(xv0, yv2);
-        a03.step(xv0, yv3);
-        a10.step(xv1, yv0);
-        a11.step(xv1, yv1);
-        a12.step(xv1, yv2);
-        a13.step(xv1, yv3);
+        acc.step(static_cast<double>(a[i + p * m]),
+                 static_cast<double>(b[j + p * n]));
       }
-      double* c0 = c + i + (j + 0) * ldc;
-      double* c1 = c + i + (j + 1) * ldc;
-      double* c2 = c + i + (j + 2) * ldc;
-      double* c3 = c + i + (j + 3) * ldc;
-      c0[0] = round_output(prec, alpha * a00.value() + beta * c0[0]);
-      c0[1] = round_output(prec, alpha * a10.value() + beta * c0[1]);
-      c1[0] = round_output(prec, alpha * a01.value() + beta * c1[0]);
-      c1[1] = round_output(prec, alpha * a11.value() + beta * c1[1]);
-      c2[0] = round_output(prec, alpha * a02.value() + beta * c2[0]);
-      c2[1] = round_output(prec, alpha * a12.value() + beta * c2[1]);
-      c3[0] = round_output(prec, alpha * a03.value() + beta * c3[0]);
-      c3[1] = round_output(prec, alpha * a13.value() + beta * c3[1]);
-    }
-    for (; i < m; ++i) {
-      const T* x = at + i * k;
-      Acc a0, a1, a2, a3;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double xv = static_cast<double>(x[p]);
-        a0.step(xv, static_cast<double>(y0[p]));
-        a1.step(xv, static_cast<double>(y1[p]));
-        a2.step(xv, static_cast<double>(y2[p]));
-        a3.step(xv, static_cast<double>(y3[p]));
-      }
-      double* ci = c + i;
-      ci[(j + 0) * ldc] = round_output(prec, alpha * a0.value() + beta * ci[(j + 0) * ldc]);
-      ci[(j + 1) * ldc] = round_output(prec, alpha * a1.value() + beta * ci[(j + 1) * ldc]);
-      ci[(j + 2) * ldc] = round_output(prec, alpha * a2.value() + beta * ci[(j + 2) * ldc]);
-      ci[(j + 3) * ldc] = round_output(prec, alpha * a3.value() + beta * ci[(j + 3) * ldc]);
+      double& out = c[i + j * ldc];
+      out = round_output(prec, alpha * acc.value() + beta * out);
     }
   }
-  for (; j < n; ++j) {
-    const T* y = bp + j * k;
-    for (std::size_t i = 0; i < m; ++i) {
-      Acc a;
-      const T* x = at + i * k;
-      for (std::size_t p = 0; p < k; ++p)
-        a.step(static_cast<double>(x[p]), static_cast<double>(y[p]));
-      c[i + j * ldc] = round_output(prec, alpha * a.value() + beta * c[i + j * ldc]);
-    }
+}
+
+template <class T>
+void portable_gemm(Precision prec, std::size_t m, std::size_t n, std::size_t k,
+                   double alpha, const T* a, const T* b, double beta,
+                   double* c, std::size_t ldc) {
+  switch (prec) {
+    case Precision::FP64:
+      return gemm_one_accumulator<AccFP64>(prec, m, n, k, alpha, a, b, beta, c,
+                                           ldc);
+    case Precision::FP32:
+      return gemm_one_accumulator<AccFP32>(prec, m, n, k, alpha, a, b, beta, c,
+                                           ldc);
+    case Precision::TF32:
+    case Precision::BF16_32:
+    case Precision::FP16_32:
+      return gemm_one_accumulator<AccTC32>(prec, m, n, k, alpha, a, b, beta, c,
+                                           ldc);
+    case Precision::FP16:
+      return gemm_one_accumulator<AccFP16>(prec, m, n, k, alpha, a, b, beta, c,
+                                           ldc);
+  }
+  MPGEO_ASSERT(false);
+}
+
+/// Shared argument checks of every mixed_gemm_packed entry point. Double
+/// packs carry FP64 operands only, float packs sub-FP64 ones: FP64 operands
+/// must not round through float, and the vector kernels read sub-FP64
+/// operands as float.
+template <class T>
+bool packed_args_ok(Precision prec, std::size_t m, std::size_t n,
+                    std::size_t ldc) {
+  MPGEO_REQUIRE(ldc >= m, "mixed_gemm_packed: ldc too small");
+  if constexpr (std::is_same_v<T, double>) {
+    MPGEO_REQUIRE(prec == Precision::FP64,
+                  "mixed_gemm_packed: double packs carry FP64 operands");
+  } else {
+    MPGEO_REQUIRE(prec != Precision::FP64,
+                  "mixed_gemm_packed: FP64 operands need double packs");
+  }
+  return m > 0 && n > 0;
+}
+
+template <class T>
+void dispatch_packed(Precision prec, std::size_t m, std::size_t n,
+                     std::size_t k, double alpha, const T* a, const T* b,
+                     double beta, double* c, std::size_t ldc) {
+  if (!packed_args_ok<T>(prec, m, n, ldc)) return;
+  if (active_kernel_variant() == KernelVariant::Avx2) {
+    avx2::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
+  } else {
+    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
   }
 }
 
 }  // namespace
 
-void pack_a_transposed(char transa, std::size_t m, std::size_t k,
-                       const double* a, std::size_t lda, Precision prec,
-                       std::vector<double>& at) {
-  at.resize(m * k);
-  if (transa == 'N') {
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t p = 0; p < k; ++p) at[p + i * k] = a[i + p * lda];
+namespace portable {
+
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const double* a,
+                       const double* b, double beta, double* c,
+                       std::size_t ldc) {
+  if (packed_args_ok<double>(prec, m, n, ldc))
+    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
+}
+
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const float* a,
+                       const float* b, double beta, double* c,
+                       std::size_t ldc) {
+  if (packed_args_ok<float>(prec, m, n, ldc))
+    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
+}
+
+}  // namespace portable
+
+template <class T>
+void pack_gemm_operand(char trans, std::size_t rows, std::size_t k,
+                       const double* x, std::size_t ldx, Precision prec,
+                       std::vector<T>& out) {
+  out.resize(rows * k);
+  if (trans == 'N') {
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t i = 0; i < rows; ++i)
+        out[i + p * rows] = static_cast<T>(x[i + p * ldx]);
   } else {
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t p = 0; p < k; ++p) at[p + i * k] = a[p + i * lda];
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t p = 0; p < k; ++p)
+        out[i + p * rows] = static_cast<T>(x[p + i * ldx]);
   }
-  round_inputs(at, prec);
+  round_inputs(std::span<T>(out), prec);
   count_operand_conversion();
 }
 
-void pack_b(char transb, std::size_t n, std::size_t k, const double* b,
-            std::size_t ldb, Precision prec, std::vector<double>& bp) {
-  bp.resize(k * n);
-  if (transb == 'N') {
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t p = 0; p < k; ++p) bp[p + j * k] = b[p + j * ldb];
-  } else {
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t p = 0; p < k; ++p) bp[p + j * k] = b[j + p * ldb];
-  }
-  round_inputs(bp, prec);
-  count_operand_conversion();
+template void pack_gemm_operand<double>(char, std::size_t, std::size_t,
+                                        const double*, std::size_t, Precision,
+                                        std::vector<double>&);
+template void pack_gemm_operand<float>(char, std::size_t, std::size_t,
+                                       const double*, std::size_t, Precision,
+                                       std::vector<float>&);
+
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const double* a,
+                       const double* b, double beta, double* c,
+                       std::size_t ldc) {
+  dispatch_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
+}
+
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const float* a,
+                       const float* b, double beta, double* c,
+                       std::size_t ldc) {
+  dispatch_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
 }
 
 namespace {
 
 template <class T>
-void prepacked_dispatch(Precision prec, std::size_t m, std::size_t n,
-                        std::size_t k, double alpha, const T* at, const T* bp,
-                        double beta, double* c, std::size_t ldc) {
-  MPGEO_REQUIRE(ldc >= m, "mixed_gemm_prepacked: ldc too small");
-  if (m == 0 || n == 0) return;
-
-  switch (prec) {
-    case Precision::FP64:
-      return gemm_register_blocked<AccFP64>(prec, m, n, k, alpha, at, bp, beta,
-                                            c, ldc);
-    case Precision::FP32:
-      return gemm_register_blocked<AccFP32>(prec, m, n, k, alpha, at, bp, beta,
-                                            c, ldc);
-    case Precision::TF32:
-    case Precision::BF16_32:
-    case Precision::FP16_32:
-      return gemm_register_blocked<AccTC32>(prec, m, n, k, alpha, at, bp, beta,
-                                            c, ldc);
-    case Precision::FP16:
-      return gemm_register_blocked<AccFP16>(prec, m, n, k, alpha, at, bp, beta,
-                                            c, ldc);
-  }
-  MPGEO_ASSERT(false);
+void pack_and_multiply(Precision prec, char transa, char transb,
+                       std::size_t m, std::size_t n, std::size_t k,
+                       double alpha, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double beta,
+                       double* c, std::size_t ldc) {
+  // Grow-only thread-local scratch: tile kernels call this once per task on
+  // a worker thread, and reallocating the pack buffers per call dominated
+  // small-tile runtime. resize() never shrinks capacity, so each worker
+  // settles at its largest tile and stops touching the allocator.
+  thread_local std::vector<T> ap, bp;
+  pack_gemm_operand(transa, m, k, a, lda, prec, ap);
+  // op(B)^T is B itself for transb == 'T' and B^T for 'N'.
+  pack_gemm_operand(transb == 'N' ? 'T' : 'N', n, k, b, ldb, prec, bp);
+  mixed_gemm_packed(prec, m, n, k, alpha, ap.data(), bp.data(), beta, c, ldc);
 }
 
 }  // namespace
-
-void mixed_gemm_prepacked(Precision prec, std::size_t m, std::size_t n,
-                          std::size_t k, double alpha, const double* at,
-                          const double* bp, double beta, double* c,
-                          std::size_t ldc) {
-  prepacked_dispatch(prec, m, n, k, alpha, at, bp, beta, c, ldc);
-}
-
-void mixed_gemm_prepacked(Precision prec, std::size_t m, std::size_t n,
-                          std::size_t k, double alpha, const float* at,
-                          const float* bp, double beta, double* c,
-                          std::size_t ldc) {
-  // Float packs only carry sub-FP64 operands (FP64 operands are exact
-  // doubles and must not round through float).
-  MPGEO_REQUIRE(prec != Precision::FP64,
-                "mixed_gemm_prepacked: FP64 operands need double packs");
-  prepacked_dispatch(prec, m, n, k, alpha, at, bp, beta, c, ldc);
-}
 
 void mixed_gemm(Precision prec, char transa, char transb, std::size_t m,
                 std::size_t n, std::size_t k, double alpha, const double* a,
@@ -235,17 +226,13 @@ void mixed_gemm(Precision prec, char transa, char transb, std::size_t m,
   MPGEO_REQUIRE(ldb >= (transb == 'N' ? k : n), "mixed_gemm: ldb too small");
   MPGEO_REQUIRE(ldc >= m, "mixed_gemm: ldc too small");
   if (m == 0 || n == 0) return;
-
-  // Grow-only thread-local scratch: tile kernels call this once per task on
-  // a worker thread, and reallocating the pack buffers per call dominated
-  // small-tile runtime. resize() never shrinks capacity, so each worker
-  // settles at its largest tile and stops touching the allocator.
-  thread_local std::vector<double> at, bp;
-  pack_a_transposed(transa, m, k, a, lda, prec, at);
-  pack_b(transb, n, k, b, ldb, prec, bp);
-
-  mixed_gemm_prepacked(prec, m, n, k, alpha, at.data(), bp.data(), beta, c,
-                       ldc);
+  if (prec == Precision::FP64) {
+    pack_and_multiply<double>(prec, transa, transb, m, n, k, alpha, a, lda, b,
+                              ldb, beta, c, ldc);
+  } else {
+    pack_and_multiply<float>(prec, transa, transb, m, n, k, alpha, a, lda, b,
+                             ldb, beta, c, ldc);
+  }
 }
 
 double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {

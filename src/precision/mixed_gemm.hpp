@@ -13,18 +13,29 @@
 //              binary16 running sum per 4-wide block-FMA step, matching the
 //              tensor-core model of Blanchard et al. (SISC 2020).
 //
-// All entry points take double buffers: callers materialize tile storage to
-// double (exact) and the emulation applies the format's rounding. This keeps
-// one code path per precision and makes the accuracy experiments (Fig 1,
-// Figs 5-7) reflect format semantics rather than storage plumbing.
+// Every output element's operation sequence is fixed, whichever kernel
+// variant (precision/simd_kernels.hpp) runs it. With acc the running sum,
+// p ascending over the inner dimension and x, y the input-rounded operands:
 //
-// Operand preparation (transpose-pack + input rounding) is split out so the
-// operand cache can hoist it: `pack_a_transposed`/`pack_b` produce the packed
-// panels and `mixed_gemm_prepacked` consumes them. `mixed_gemm` composes the
-// two and is bit-identical to the prepacked path — each output element's
-// floating-point operation sequence is the same; the prepacked kernel only
-// interleaves *independent* accumulator chains (2x4 register blocking) for
-// instruction-level parallelism.
+//   FP64                  acc = acc + x*y in double (multiply, then add).
+//   FP32                  acc = acc + x*y in float (multiply, then add).
+//   TF32/BF16_32/FP16_32  acc = fma(x, y, acc) in float: the product of two
+//                         inputs of at most 11 significant bits is exact, so
+//                         the fused form is the FP32 accumulation of exact
+//                         products.
+//   FP16                  per block of 4 products, s = fma(x, y, s) in
+//                         double from s = acc (binary16 products are exact
+//                         in double), then acc = through_half(s); a trailing
+//                         partial block rounds the same way.
+//
+// and finally out = alpha*acc + beta*c in double, rounded to the output
+// format (float below FP64, through_half for FP16).
+//
+// All entry points take double buffers: callers materialize tile storage to
+// double (exact) and the emulation applies the format's rounding. Operand
+// preparation (layout + input rounding) is split out so the operand cache
+// can hoist it: `pack_gemm_operand` produces the packs `mixed_gemm_packed`
+// consumes, in the column-major layout of the cache's Widened entries.
 #pragma once
 
 #include <cstddef>
@@ -34,34 +45,30 @@
 
 namespace mpgeo {
 
-/// Pack op(A)^T into `at` (k x m, column i holds the k inputs of C's row i),
-/// rounded to the input format of `prec`, so the GEMM inner loop is stride-1.
-void pack_a_transposed(char transa, std::size_t m, std::size_t k,
-                       const double* a, std::size_t lda, Precision prec,
-                       std::vector<double>& at);
+/// Pack op(X) — rows x k; X is rows x k (ld `ldx`) for trans 'N', k x rows
+/// for 'T' — column-major into `out` (leading dimension `rows`), rounded to
+/// the input format of `prec`. GEMM reads A as op(A) (m x k) and B as
+/// op(B)^T (n x k) in this layout. T is double, or float for sub-FP64
+/// `prec` (input-rounded values are exactly float-representable).
+template <class T>
+void pack_gemm_operand(char trans, std::size_t rows, std::size_t k,
+                       const double* x, std::size_t ldx, Precision prec,
+                       std::vector<T>& out);
 
-/// Pack op(B) into `bp` (k x n, column-major), rounded to the input format of
-/// `prec`.
-void pack_b(char transb, std::size_t n, std::size_t k, const double* b,
-            std::size_t ldb, Precision prec, std::vector<double>& bp);
-
-/// GEMM over operands already packed by `pack_a_transposed` / `pack_b`
-/// (or an operand-cache entry holding the same bytes). `at` is k x m packed
-/// transposed, `bp` is k x n packed; C is m x n column-major with leading
-/// dimension ldc. Bit-identical to `mixed_gemm` on the unpacked operands.
-void mixed_gemm_prepacked(Precision prec, std::size_t m, std::size_t n,
-                          std::size_t k, double alpha, const double* at,
-                          const double* bp, double beta, double* c,
-                          std::size_t ldc);
-
-/// Same kernel over float-stored packs, for sub-FP64 precisions only (their
-/// input-rounded values are exactly float-representable, so the kernel sees
-/// identical doubles after widening each load — bit-identical results at
-/// half the operand memory traffic). Requires prec != FP64.
-void mixed_gemm_prepacked(Precision prec, std::size_t m, std::size_t n,
-                          std::size_t k, double alpha, const float* at,
-                          const float* bp, double beta, double* c,
-                          std::size_t ldc);
+/// C := alpha * A * B^T + beta * C over packed operands: `a` is m x k and
+/// `b` is n x k, both column-major with leading dimension equal to their row
+/// count (pack_gemm_operand's output, or an operand-cache Widened entry
+/// holding the same bytes); C is m x n with leading dimension ldc. Double
+/// packs carry FP64 operands, float packs input-rounded sub-FP64 operands.
+/// Runs active_kernel_variant() (precision/simd_kernels.hpp).
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const double* a,
+                       const double* b, double beta, double* c,
+                       std::size_t ldc);
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const float* a,
+                       const float* b, double beta, double* c,
+                       std::size_t ldc);
 
 /// Emulated-precision GEMM, column-major. op(X) selected by trans flags
 /// ('N' or 'T'). Dimensions: C is m x n, op(A) m x k, op(B) k x n.
@@ -74,5 +81,18 @@ void mixed_gemm(Precision prec, char transa, char transb, std::size_t m,
 /// Number of flops a GEMM of these dimensions performs (2mnk + 2mn for the
 /// beta/alpha application), used by benchmarks.
 double gemm_flops(std::size_t m, std::size_t n, std::size_t k);
+
+// The portable variant behind mixed_gemm_packed, for tests and benchmarks
+// that run it explicitly (simd_kernels.hpp declares the AVX2 one).
+namespace portable {
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const double* a,
+                       const double* b, double beta, double* c,
+                       std::size_t ldc);
+void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
+                       std::size_t k, double alpha, const float* a,
+                       const float* b, double beta, double* c,
+                       std::size_t ldc);
+}  // namespace portable
 
 }  // namespace mpgeo

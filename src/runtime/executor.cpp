@@ -444,20 +444,24 @@ class WorkStealingRun {
     return remaining_.load(std::memory_order_acquire) == 0;
   }
 
-  /// Park until a wake signal, unless work or termination became visible
-  /// while enlisting (checked under park_mu_, so a pusher either sees this
-  /// sleeper in the lot or the sleeper sees the pusher's queued_ increment).
+  /// Park until a wake signal, unless work or termination became visible.
+  /// The worker enlists in the lot *before* it re-checks its shard's queued
+  /// counter: a pusher increments the counter and then reads num_sleepers_
+  /// (both seq_cst), so either the pusher sees this sleeper and wakes it, or
+  /// this check sees the pushed task and the worker de-enlists.
   void park(std::size_t self) {
     WorkerState& ws = workers_[self];
     std::unique_lock lk(park_mu_);
-    // Only this worker's own shard counter matters: work queued on another
-    // shard is work this worker may not take, so it must not keep it awake.
-    if (done() ||
-        shards_[shard_of(self)].queued.load(std::memory_order_seq_cst) > 0) {
-      return;
-    }
+    if (done()) return;
     sleepers_.push_back(self);
     num_sleepers_.store(sleepers_.size(), std::memory_order_seq_cst);
+    // Only this worker's own shard counter matters: work queued on another
+    // shard is work this worker may not take, so it must not keep it awake.
+    if (shards_[shard_of(self)].queued.load(std::memory_order_seq_cst) > 0) {
+      sleepers_.pop_back();  // still last: park_mu_ has been held throughout
+      num_sleepers_.store(sleepers_.size(), std::memory_order_seq_cst);
+      return;
+    }
     ws.wake_signal = false;
     metrics_.parks.add_sharded(1, self);
     ws.park_cv.wait(lk, [&ws] { return ws.wake_signal; });

@@ -215,12 +215,23 @@ struct ExecutorSession::Impl {
     }
   }
 
+  /// Park until a wake signal. The worker enlists as a sleeper *before* it
+  /// re-checks `queued`: a producer increments `queued` and then reads
+  /// `num_sleepers` (both seq_cst), so either the producer sees this sleeper
+  /// and signals it, or this check sees the producer's item and the worker
+  /// de-enlists. Checking first would leave a window where a push lands
+  /// between the check and the enlisting and is never signalled.
   void park(std::size_t self) {
     WorkerState& ws = workers[self];
     std::unique_lock lk(park_mu);
-    if (stopping || queued.load(std::memory_order_seq_cst) > 0) return;
+    if (stopping) return;
     sleepers.push_back(self);
     num_sleepers.store(sleepers.size(), std::memory_order_seq_cst);
+    if (queued.load(std::memory_order_seq_cst) > 0) {
+      sleepers.pop_back();  // still last: park_mu has been held throughout
+      num_sleepers.store(sleepers.size(), std::memory_order_seq_cst);
+      return;
+    }
     ws.wake_signal = false;
     metrics.parks.add_sharded(1, self);
     ws.park_cv.wait(lk, [&ws] { return ws.wake_signal; });

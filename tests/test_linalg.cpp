@@ -1,8 +1,12 @@
-// Tests for src/linalg: BLAS kernels vs naive oracles, Cholesky reference,
+// Tests for src/linalg: BLAS kernels vs naive oracles (TRSM and SYRK bit
+// for bit, for every kernel variant the CPU offers), Cholesky reference,
 // AnyTile storage semantics, tile kernels against dense equivalents.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,6 +17,7 @@
 #include "linalg/reference.hpp"
 #include "linalg/tile_kernels.hpp"
 #include "precision/convert.hpp"
+#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 namespace {
@@ -122,6 +127,181 @@ TEST(Blas, FloatInstantiationWorks) {
   for (std::size_t i = 0; i < 3; ++i) a(i, i) = 4.0f;
   EXPECT_EQ(potrf_lower(std::size_t{3}, a.data(), 3), 0);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(a(i, i), 2.0f);
+}
+
+// ---------------------------------------------------------------------------
+// TRSM and SYRK variants vs their textbook loops, bit for bit
+// ---------------------------------------------------------------------------
+
+template <class T>
+bool same_bits(T a, T b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The TRSM textbook loop: v = alpha*b; v = v - x(i,p)*L(j,p), p ascending;
+/// x(i,j) = v / L(j,j).
+template <class T>
+void trsm_oracle(std::size_t m, std::size_t n, T alpha, const T* l,
+                 std::size_t ldl, T* b, std::size_t ldb) {
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      T v = alpha * b[i + j * ldb];
+      for (std::size_t p = 0; p < j; ++p) {
+        const T prod = b[i + p * ldb] * l[j + p * ldl];
+        v = v - prod;
+      }
+      b[i + j * ldb] = v / l[j + j * ldl];
+    }
+  }
+}
+
+/// The SYRK textbook loop over the lower triangle.
+template <class T>
+void syrk_oracle(std::size_t n, std::size_t k, T alpha, const T* a,
+                 std::size_t lda, T beta, T* c, std::size_t ldc) {
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j; i < n; ++i) {
+      T acc = 0;
+      for (std::size_t p = 0; p < k; ++p) {
+        const T prod = a[i + p * lda] * a[j + p * lda];
+        acc = acc + prod;
+      }
+      c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
+    }
+  }
+}
+
+std::vector<KernelVariant> available_variants() {
+  std::vector<KernelVariant> out{KernelVariant::Portable};
+  if (kernel_variant_available(KernelVariant::Avx2)) {
+    out.push_back(KernelVariant::Avx2);
+  }
+  return out;
+}
+
+/// Random value of magnitude ~`scale` with a random significand and sign.
+template <class T>
+T draw(Rng& rng, double scale) {
+  const double v = scale * rng.uniform(1.0, 2.0);
+  return static_cast<T>(rng.uniform() < 0.5 ? -v : v);
+}
+
+/// Every variant of trsm_right_lower_trans against the textbook loop on a
+/// unit-lower-ish L (diagonal in [1, 2)) with a padded leading dimension;
+/// `scale` sets the magnitude of B. Returns the mismatch count.
+template <class T>
+std::size_t check_trsm(std::size_t m, std::size_t n, double scale, Rng& rng) {
+  const std::size_t ldl = n + 3, ldb = m + 2;
+  std::vector<T> l(ldl * n, T(0)), b(ldb * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    l[j + j * ldl] = static_cast<T>(rng.uniform(1.0, 2.0));
+    for (std::size_t i = j + 1; i < n; ++i) {
+      l[i + j * ldl] = static_cast<T>(rng.uniform(-0.5, 0.5) / double(n));
+    }
+  }
+  for (auto& x : b) x = draw<T>(rng, scale);
+  std::vector<T> want = b;
+  const T alpha = T(1.5);
+  trsm_oracle(m, n, alpha, l.data(), ldl, want.data(), ldb);
+  std::size_t bad = 0;
+  for (const KernelVariant v : available_variants()) {
+    std::vector<T> got = b;
+    if (v == KernelVariant::Avx2) {
+      avx2::trsm_right_lower_trans(m, n, alpha, l.data(), ldl, got.data(),
+                                   ldb);
+    } else {
+      portable::trsm_right_lower_trans(m, n, alpha, l.data(), ldl, got.data(),
+                                       ldb);
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!same_bits(got[i], want[i]) && ++bad <= 3) {
+        ADD_FAILURE() << to_string(v) << " m=" << m << " n=" << n
+                      << " elem " << i << ": got " << got[i] << " want "
+                      << want[i];
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(BlasVariants, TrsmMatchesTextbookLoopBitForBit) {
+  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
+  Rng rng(91);
+  std::size_t bad = 0;
+  for (const std::size_t m : dims) {
+    for (const std::size_t n : dims) {
+      bad += check_trsm<double>(m, n, 1.0, rng);
+      bad += check_trsm<float>(m, n, 1.0, rng);
+    }
+  }
+  // Subnormal and overflow edges of each format.
+  for (const double scale : {std::ldexp(1.0, -1070), std::ldexp(1.0, 1020)}) {
+    bad += check_trsm<double>(17, 33, scale, rng);
+  }
+  for (const double scale : {std::ldexp(1.0, -145), std::ldexp(1.0, 126)}) {
+    bad += check_trsm<float>(17, 33, scale, rng);
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+/// Every variant of syrk_lower_notrans against the textbook loop, with
+/// padded leading dimensions; the strict upper triangle must stay untouched.
+template <class T>
+std::size_t check_syrk(std::size_t n, std::size_t k, double scale, Rng& rng) {
+  const std::size_t lda = n + 1, ldc = n + 5;
+  std::vector<T> a(lda * k), c(ldc * n);
+  for (auto& x : a) x = draw<T>(rng, scale);
+  for (auto& x : c) x = draw<T>(rng, 1.0);
+  std::vector<T> want = c;
+  const T alpha = T(-1), beta = T(1);
+  syrk_oracle(n, k, alpha, a.data(), lda, beta, want.data(), ldc);
+  std::size_t bad = 0;
+  for (const KernelVariant v : available_variants()) {
+    std::vector<T> got = c;
+    if (v == KernelVariant::Portable) {
+      portable::syrk_lower_notrans(n, k, alpha, a.data(), lda, beta,
+                                   got.data(), ldc);
+    } else if constexpr (std::is_same_v<T, double>) {
+      avx2::syrk_lower_notrans(n, k, alpha, a.data(), lda, beta, got.data(),
+                               ldc);
+    } else {
+      continue;  // no float AVX2 SYRK
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!same_bits(got[i], want[i]) && ++bad <= 3) {
+        ADD_FAILURE() << to_string(v) << " n=" << n << " k=" << k << " elem "
+                      << i << ": got " << got[i] << " want " << want[i];
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(BlasVariants, SyrkMatchesTextbookLoopBitForBit) {
+  // Float SYRK has only the portable variant (the tile Cholesky's SYRK is
+  // FP64); it is checked all the same.
+  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
+  Rng rng(92);
+  std::size_t bad = 0;
+  for (const std::size_t n : dims) {
+    for (const std::size_t k : dims) {
+      bad += check_syrk<double>(n, k, 1.0, rng);
+      bad += check_syrk<float>(n, k, 1.0, rng);
+    }
+  }
+  for (const double scale : {std::ldexp(1.0, -540), std::ldexp(1.0, 510)}) {
+    bad += check_syrk<double>(33, 17, scale, rng);
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(BlasVariants, DispatchedTrsmRejectsSingularFactor) {
+  std::vector<double> l = {1.0, 0.5, 0.0, 0.0};  // L(1,1) == 0
+  std::vector<double> b(4, 1.0);
+  EXPECT_THROW(trsm_right_lower_trans<double>(2, 2, 1.0, l.data(), 2, b.data(),
+                                              2),
+               Error);
 }
 
 TEST(Reference, LogdetMatchesProductOfEigenvaluesForDiagonal) {

@@ -3,8 +3,9 @@
 //   * cache mechanics — hit/miss, fill-once under contention, LRU eviction
 //     against the byte budget, per-datum invalidation;
 //   * pack semantics — cached packs hold exactly the bytes the uncached
-//     pack_a_transposed/pack_b preparation would produce, and float-stored
-//     packs widen to exactly the double packs for every sub-FP64 precision;
+//     pack_gemm_operand preparation would produce for either GEMM operand
+//     role, and float-stored packs widen to exactly the double packs for
+//     every sub-FP64 precision;
 //   * converter properties — the branch-minimal half converters, the fused
 //     through_half and the batched 4-wide kernels are pinned bit-for-bit to
 //     the branchy reference implementations across normals, subnormals,
@@ -65,7 +66,7 @@ AnyTile random_tile(std::size_t rows, std::size_t cols, Storage s,
 
 TEST(OperandCache, HitMissAndFillOnce) {
   OperandCache cache;
-  const OperandKey key{&cache, 3, PackLayout::Widened, Precision::FP32};
+  const OperandKey key{&cache, 3, Precision::FP32};
   int fills = 0;
   const auto fill = [&](std::span<double> dst) {
     ++fills;
@@ -82,7 +83,7 @@ TEST(OperandCache, HitMissAndFillOnce) {
 
 TEST(OperandCache, ConcurrentGettersFillOnce) {
   OperandCache cache;
-  const OperandKey key{&cache, 0, PackLayout::Widened, Precision::FP64};
+  const OperandKey key{&cache, 0, Precision::FP64};
   std::atomic<int> fills{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
@@ -110,20 +111,17 @@ TEST(OperandCache, LruEvictionRespectsByteBudget) {
   };
   int data[4] = {};
   for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, PackLayout::Widened, Precision::FP64},
-              64, fill);
+    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill);
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 4u);
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_LE(s.bytes, cache.byte_budget());
   EXPECT_EQ(s.peak_bytes, 4u * 64 * sizeof(double));
   // The evicted entry was &data[0] (least recently used): re-fetch misses.
-  cache.get(OperandKey{&data[0], 0, PackLayout::Widened, Precision::FP64}, 64,
-            fill);
+  cache.get(OperandKey{&data[0], 0, Precision::FP64}, 64, fill);
   EXPECT_EQ(cache.stats().misses, 5u);
   // &data[3] is still resident.
-  cache.get(OperandKey{&data[3], 0, PackLayout::Widened, Precision::FP64}, 64,
-            fill);
+  cache.get(OperandKey{&data[3], 0, Precision::FP64}, 64, fill);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -133,7 +131,7 @@ TEST(OperandCache, ZeroBudgetDisablesCaching) {
   OperandCache cache(0);
   EXPECT_FALSE(cache.enabled());
   int datum = 0, fills = 0;
-  const OperandKey key{&datum, 0, PackLayout::Widened, Precision::FP64};
+  const OperandKey key{&datum, 0, Precision::FP64};
   const auto fill = [&](std::span<double> dst) {
     ++fills;
     for (auto& x : dst) x = 3.0;
@@ -169,8 +167,7 @@ TEST(OperandCache, ColdTierDemotesAndRestoresBitExactly) {
     };
   };
   for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, PackLayout::Widened, Precision::FP64},
-              64, fill_for(i));
+    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill_for(i));
   {
     const auto s = cache.stats();
     EXPECT_EQ(fills, 4);
@@ -183,8 +180,7 @@ TEST(OperandCache, ColdTierDemotesAndRestoresBitExactly) {
   }
   // &data[0] was demoted first: this get restores it without re-filling.
   const auto buf = cache.get(
-      OperandKey{&data[0], 0, PackLayout::Widened, Precision::FP64}, 64,
-      fill_for(0));
+      OperandKey{&data[0], 0, Precision::FP64}, 64, fill_for(0));
   EXPECT_EQ(fills, 4);  // restore, not a re-pack
   for (std::size_t i = 0; i < 64; ++i)
     EXPECT_EQ((*buf)[i], double(0) + double(i) / 64.0);
@@ -207,15 +203,13 @@ TEST(OperandCache, ColdTierEvictsForRealWhenCompressedBytesOverflow) {
     for (auto& x : dst) x = rng.uniform(-1.0, 1.0);
   };
   for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, PackLayout::Widened, Precision::FP64},
-              64, fill);
+    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill);
   const auto s = cache.stats();
   EXPECT_GE(s.demotions, 1u);
   EXPECT_GE(s.cold_evictions, 1u);
   EXPECT_LE(s.bytes, cache.byte_budget());
   // &data[0] went cold first and was dropped first: a re-get is a miss.
-  cache.get(OperandKey{&data[0], 0, PackLayout::Widened, Precision::FP64}, 64,
-            fill);
+  cache.get(OperandKey{&data[0], 0, Precision::FP64}, 64, fill);
   EXPECT_EQ(cache.stats().misses, 5u);
 }
 
@@ -228,9 +222,8 @@ TEST(OperandCache, InvalidateDropsColdEntries) {
   const auto fill = [](std::span<double> dst) {
     for (auto& x : dst) x = 1.0;
   };
-  cache.get(OperandKey{&datum, 0, PackLayout::Widened, Precision::FP64}, 64,
-            fill);
-  cache.get(OperandKey{&other, 0, PackLayout::Widened, Precision::FP64}, 64,
+  cache.get(OperandKey{&datum, 0, Precision::FP64}, 64, fill);
+  cache.get(OperandKey{&other, 0, Precision::FP64}, 64,
             fill);  // demotes &datum's pack
   ASSERT_GE(cache.stats().demotions, 1u);
   ASSERT_GT(cache.stats().compressed_bytes, 0u);
@@ -239,8 +232,7 @@ TEST(OperandCache, InvalidateDropsColdEntries) {
   EXPECT_EQ(s.invalidations, 1u);
   EXPECT_EQ(s.compressed_bytes, 0u);
   // The cold entry is gone: re-getting the key is a miss, not a restore.
-  cache.get(OperandKey{&datum, 0, PackLayout::Widened, Precision::FP64}, 64,
-            fill);
+  cache.get(OperandKey{&datum, 0, Precision::FP64}, 64, fill);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().restores, 0u);
 }
@@ -255,13 +247,12 @@ TEST(OperandCache, ColdTierRestoresFloatPacksBitExactly) {
     ++fills;
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = float(i & 3);
   };
-  cache.get_f32(OperandKey{&datum, 0, PackLayout::Widened, Precision::FP32},
-                64, fill);
-  cache.get_f32(OperandKey{&other, 0, PackLayout::Widened, Precision::FP32},
+  cache.get_f32(OperandKey{&datum, 0, Precision::FP32}, 64, fill);
+  cache.get_f32(OperandKey{&other, 0, Precision::FP32},
                 64, fill);  // demotes &datum's pack
   ASSERT_GE(cache.stats().demotions, 1u);
   const auto buf = cache.get_f32(
-      OperandKey{&datum, 0, PackLayout::Widened, Precision::FP32}, 64, fill);
+      OperandKey{&datum, 0, Precision::FP32}, 64, fill);
   EXPECT_EQ(fills, 2);  // restored, not re-filled
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ((*buf)[i], float(i & 3));
   EXPECT_EQ(cache.stats().restores, 1u);
@@ -273,21 +264,16 @@ TEST(OperandCache, InvalidateDropsEveryKeyOfDatum) {
   const auto fill = [](std::span<double> dst) {
     for (auto& x : dst) x = 1.0;
   };
-  cache.get(OperandKey{&datum, 0, PackLayout::Widened, Precision::FP64}, 16,
-            fill);
-  cache.get(OperandKey{&datum, 0, PackLayout::PackedTrans, Precision::FP32},
-            16, fill);
-  cache.get(OperandKey{&other, 0, PackLayout::Widened, Precision::FP64}, 16,
-            fill);
+  cache.get(OperandKey{&datum, 0, Precision::FP64}, 16, fill);
+  cache.get(OperandKey{&datum, 0, Precision::FP32}, 16, fill);
+  cache.get(OperandKey{&other, 0, Precision::FP64}, 16, fill);
   cache.invalidate(&datum);
   EXPECT_EQ(cache.stats().invalidations, 2u);
   EXPECT_EQ(cache.stats().bytes, 16 * sizeof(double));  // `other` survives
   // Both keys of `datum` are gone; `other` still hits.
-  cache.get(OperandKey{&datum, 0, PackLayout::Widened, Precision::FP64}, 16,
-            fill);
+  cache.get(OperandKey{&datum, 0, Precision::FP64}, 16, fill);
   EXPECT_EQ(cache.stats().misses, 4u);
-  cache.get(OperandKey{&other, 0, PackLayout::Widened, Precision::FP64}, 16,
-            fill);
+  cache.get(OperandKey{&other, 0, Precision::FP64}, 16, fill);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -295,8 +281,7 @@ TEST(OperandCache, BufferSurvivesInvalidation) {
   OperandCache cache;
   int datum = 0;
   const auto buf = cache.get(
-      OperandKey{&datum, 0, PackLayout::Widened, Precision::FP64}, 4,
-      [](std::span<double> dst) {
+      OperandKey{&datum, 0, Precision::FP64}, 4, [](std::span<double> dst) {
         for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = double(i);
       });
   cache.invalidate(&datum);
@@ -315,19 +300,26 @@ TEST(OperandPack, MatchesGemmPackReference) {
          {Precision::FP64, Precision::FP32, Precision::TF32,
           Precision::BF16_32, Precision::FP16_32, Precision::FP16}) {
       std::vector<double> pack(t.size());
-      pack_operand(t, PackLayout::PackedTrans, p, pack);
-      // The PackedTrans entry serves both GEMM operand roles: A of a
-      // 'N'-side ("tile as is") and B of a 'T'-side consumer.
-      std::vector<double> at, bp;
-      pack_a_transposed('N', t.rows(), t.cols(), widened.data(), t.rows(), p,
-                        at);
-      pack_b('T', t.rows(), t.cols(), widened.data(), t.rows(), p, bp);
-      ASSERT_EQ(pack.size(), at.size());
-      EXPECT_EQ(std::memcmp(pack.data(), at.data(),
+      pack_operand(t, p, pack);
+      // One column-major entry serves both GEMM operand roles: A of an
+      // 'N'-side consumer (the tile as is) and B of a 'T'-side one, whose
+      // op(B)^T is the tile again; the 'T' packing of the stored transpose
+      // must agree too.
+      std::vector<double> as_is, from_t;
+      pack_gemm_operand('N', t.rows(), t.cols(), widened.data(), t.rows(), p,
+                        as_is);
+      std::vector<double> transposed(t.size());
+      for (std::size_t i = 0; i < t.rows(); ++i)
+        for (std::size_t j = 0; j < t.cols(); ++j)
+          transposed[j + i * t.cols()] = widened[i + j * t.rows()];
+      pack_gemm_operand('T', t.rows(), t.cols(), transposed.data(), t.cols(),
+                        p, from_t);
+      ASSERT_EQ(pack.size(), as_is.size());
+      EXPECT_EQ(std::memcmp(pack.data(), as_is.data(),
                             pack.size() * sizeof(double)),
                 0)
           << "storage " << int(s) << " prec " << to_string(p);
-      EXPECT_EQ(std::memcmp(pack.data(), bp.data(),
+      EXPECT_EQ(std::memcmp(pack.data(), from_t.data(),
                             pack.size() * sizeof(double)),
                 0)
           << "storage " << int(s) << " prec " << to_string(p);
@@ -343,17 +335,14 @@ TEST(OperandPack, FloatPackWidensToDoublePackBits) {
     for (const Precision p :
          {Precision::FP32, Precision::TF32, Precision::BF16_32,
           Precision::FP16_32, Precision::FP16}) {
-      for (const PackLayout layout :
-           {PackLayout::Widened, PackLayout::PackedTrans}) {
-        std::vector<double> pd(t.size());
-        std::vector<float> pf(t.size());
-        pack_operand(t, layout, p, pd);
-        pack_operand_f32(t, layout, p, pf);
-        for (std::size_t i = 0; i < t.size(); ++i) {
-          EXPECT_EQ(bits_of(double(pf[i])), bits_of(pd[i]))
-              << "storage " << int(s) << " prec " << to_string(p)
-              << " elem " << i;
-        }
+      std::vector<double> pd(t.size());
+      std::vector<float> pf(t.size());
+      pack_operand(t, p, pd);
+      pack_operand_f32(t, p, pf);
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(bits_of(double(pf[i])), bits_of(pd[i]))
+            << "storage " << int(s) << " prec " << to_string(p) << " elem "
+            << i;
       }
     }
   }
@@ -466,8 +455,7 @@ TEST(OperandCacheGraph, WriterInvalidatesAndReadersSeeNewVersion) {
   OperandCache::Buffer before, after;
   const std::uint64_t v0 = graph.data_version(did);
   graph.add_task({.name = "read0"}, {{did, AccessMode::Read}}, [&] {
-    before = cached_operand(&cache, tile, v0, PackLayout::Widened,
-                            Precision::FP64);
+    before = cached_operand(&cache, tile, v0, Precision::FP64);
   });
   graph.add_task({.name = "write"}, {{did, AccessMode::ReadWrite}}, [&] {
     tile.set(0, 0, 2.0);
@@ -477,8 +465,7 @@ TEST(OperandCacheGraph, WriterInvalidatesAndReadersSeeNewVersion) {
   EXPECT_EQ(v1, 1u);
   const TaskId t3 = graph.add_task(
       {.name = "read1"}, {{did, AccessMode::Read}}, [&] {
-        after = cached_operand(&cache, tile, v1, PackLayout::Widened,
-                               Precision::FP64);
+        after = cached_operand(&cache, tile, v1, Precision::FP64);
       });
   // add_task stamps the dependence-analysis version on the access itself.
   EXPECT_EQ(graph.task(t3).accesses[0].version, 1u);

@@ -1,9 +1,15 @@
 // Tests for src/precision: bit-exact float16/bfloat16/TF32 semantics,
-// precision traits, buffer conversions, and mixed-GEMM error behaviour.
+// precision traits, buffer conversions, mixed-GEMM error behaviour, and the
+// GEMM rounding mixed_gemm.hpp documents, pinned bit for bit for every
+// kernel variant the CPU offers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,6 +18,7 @@
 #include "precision/float16.hpp"
 #include "precision/mixed_gemm.hpp"
 #include "precision/precision.hpp"
+#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 namespace {
@@ -290,6 +297,270 @@ TEST(MixedGemm, RejectsBadArguments) {
 
 TEST(MixedGemm, FlopCountFormula) {
   EXPECT_DOUBLE_EQ(gemm_flops(2, 3, 4), 2.0 * 2 * 3 * 4 + 2.0 * 2 * 3);
+}
+
+// ---------------------------------------------------------------------------
+// The documented GEMM rounding, bit for bit, for every kernel variant
+// ---------------------------------------------------------------------------
+
+constexpr Precision kAllPrecisions[] = {
+    Precision::FP64,    Precision::FP32,    Precision::TF32,
+    Precision::BF16_32, Precision::FP16_32, Precision::FP16};
+
+std::vector<KernelVariant> available_variants() {
+  std::vector<KernelVariant> out{KernelVariant::Portable};
+  if (kernel_variant_available(KernelVariant::Avx2)) {
+    out.push_back(KernelVariant::Avx2);
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  // NaN payloads are not part of the documented rounding (F16C and the
+  // software binary16 converter quiet NaNs differently).
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool representable(Precision prec, double v) {
+  if (std::isnan(v) || prec == Precision::FP64) return true;
+  if (prec == Precision::FP16) return through_half(v) == v;
+  return static_cast<double>(static_cast<float>(v)) == v;
+}
+
+/// One accumulator per output, written straight from the sequences in
+/// mixed_gemm.hpp, over the packed operands widened to double.
+template <class T>
+std::vector<double> oracle_gemm(Precision prec, std::size_t m, std::size_t n,
+                                std::size_t k, double alpha, const T* a,
+                                const T* b, double beta,
+                                std::vector<double> c) {
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto x = [&](std::size_t p) { return double(a[i + p * m]); };
+      const auto y = [&](std::size_t p) { return double(b[j + p * n]); };
+      double acc = 0.0;
+      switch (prec) {
+        case Precision::FP64:
+          for (std::size_t p = 0; p < k; ++p) acc = acc + x(p) * y(p);
+          break;
+        case Precision::FP32: {
+          float f = 0.0f;
+          for (std::size_t p = 0; p < k; ++p) {
+            const float prod = static_cast<float>(x(p) * y(p));
+            f = f + prod;
+          }
+          acc = f;
+          break;
+        }
+        case Precision::TF32:
+        case Precision::BF16_32:
+        case Precision::FP16_32: {
+          float f = 0.0f;
+          for (std::size_t p = 0; p < k; ++p) {
+            f = static_cast<float>(double(f) + x(p) * y(p));
+          }
+          acc = f;
+          break;
+        }
+        case Precision::FP16:
+          for (std::size_t p0 = 0; p0 < k; p0 += 4) {
+            double s = acc;
+            for (std::size_t p = p0; p < std::min(k, p0 + 4); ++p) {
+              s = s + x(p) * y(p);
+            }
+            acc = through_half(s);
+          }
+          break;
+      }
+      const double out = alpha * acc + beta * c[i + j * m];
+      c[i + j * m] = prec == Precision::FP64   ? out
+                     : prec == Precision::FP16 ? through_half(out)
+                                               : double(float(out));
+    }
+  }
+  return c;
+}
+
+template <class T>
+void run_variant(KernelVariant v, Precision prec, std::size_t m,
+                 std::size_t n, std::size_t k, double alpha, const T* a,
+                 const T* b, double beta, double* c) {
+  if (v == KernelVariant::Avx2) {
+    avx2::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, m);
+  } else {
+    portable::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, m);
+  }
+}
+
+/// Pack a and b (m x k and n x k, column-major) for `prec`, then require
+/// every variant — and the dispatching mixed_gemm — to reproduce the oracle
+/// bit for bit with every sub-FP64 output representable in its format.
+/// Returns the number of mismatching outputs.
+template <class T>
+std::size_t check_against_oracle(Precision prec, std::size_t m, std::size_t n,
+                                 std::size_t k, double alpha,
+                                 const std::vector<double>& a,
+                                 const std::vector<double>& b, double beta,
+                                 const std::vector<double>& c0) {
+  std::vector<T> ap, bp;
+  pack_gemm_operand('N', m, k, a.data(), m, prec, ap);
+  pack_gemm_operand('N', n, k, b.data(), n, prec, bp);
+  const std::vector<double> want =
+      oracle_gemm(prec, m, n, k, alpha, ap.data(), bp.data(), beta, c0);
+  std::size_t bad = 0;
+  const auto compare = [&](const std::vector<double>& got,
+                           const std::string& who) {
+    for (std::size_t i = 0; i < m * n; ++i) {
+      const bool ok = same_bits(got[i], want[i]) && representable(prec, got[i]);
+      if (!ok && ++bad <= 3) {
+        ADD_FAILURE() << who << " " << to_string(prec) << " m=" << m
+                      << " n=" << n << " k=" << k << " elem " << i << ": got "
+                      << got[i] << " want " << want[i];
+      }
+    }
+  };
+  for (const KernelVariant v : available_variants()) {
+    std::vector<double> c = c0;
+    run_variant(v, prec, m, n, k, alpha, ap.data(), bp.data(), beta,
+                c.data());
+    compare(c, to_string(v));
+  }
+  // The dispatching entry point on unpacked operands (B stored n x k, so
+  // op(B) = B^T).
+  std::vector<double> c = c0;
+  mixed_gemm(prec, 'N', 'T', m, n, k, alpha, a.data(), m, b.data(), n, beta,
+             c.data(), m);
+  compare(c, "mixed_gemm");
+  return bad;
+}
+
+std::size_t check_precision(Precision prec, std::size_t m, std::size_t n,
+                            std::size_t k, double alpha,
+                            const std::vector<double>& a,
+                            const std::vector<double>& b, double beta,
+                            const std::vector<double>& c0) {
+  return prec == Precision::FP64
+             ? check_against_oracle<double>(prec, m, n, k, alpha, a, b, beta,
+                                            c0)
+             : check_against_oracle<float>(prec, m, n, k, alpha, a, b, beta,
+                                           c0);
+}
+
+TEST(MixedGemmRounding, EveryVariantMatchesOracleOnRaggedShapes) {
+  // Ragged in every dimension, including k mod 4 != 0 (FP16's trailing
+  // partial block) and the factorization's 256 tile.
+  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
+  Rng rng(2024);
+  for (const Precision prec : kAllPrecisions) {
+    std::size_t bad = 0;
+    for (const std::size_t m : dims) {
+      for (const std::size_t n : dims) {
+        for (const std::size_t k : dims) {
+          std::vector<double> a(m * k), b(n * k), c(m * n);
+          for (auto& x : a) x = rng.uniform(-1.0, 1.0);
+          for (auto& x : b) x = rng.uniform(-1.0, 1.0);
+          for (auto& x : c) x = rng.uniform(-4.0, 4.0);
+          bad += check_precision(prec, m, n, k, -1.0, a, b, 1.0, c);
+        }
+      }
+    }
+    EXPECT_EQ(bad, 0u) << to_string(prec);
+  }
+}
+
+TEST(MixedGemmRounding, EveryVariantMatchesOracleAtFormatEdges) {
+  // Operands drawn from each input format's subnormal range, its smallest
+  // normals and its overflow edge (random significands and signs), so
+  // products underflow, sums overflow to infinity and FP16 blocks round
+  // through binary16 subnormals and past 65504.
+  const auto edges = [](Precision p) -> std::vector<double> {
+    switch (p) {
+      case Precision::FP64:
+        return {std::numeric_limits<double>::denorm_min(),
+                std::ldexp(1.0, -1060), std::ldexp(1.0, -1022),
+                std::ldexp(1.0, -600), 1.0, std::ldexp(1.0, 600),
+                std::ldexp(1.0, 1022), std::numeric_limits<double>::max()};
+      case Precision::FP16:
+      case Precision::FP16_32:
+        return {std::ldexp(1.0, -24), std::ldexp(1.0, -20),
+                std::ldexp(1.0, -14), std::ldexp(1.0, -7), 1.0, 256.0,
+                32768.0, 65504.0};
+      default:  // FP32, TF32, BF16_32: binary32 exponent range
+        return {std::ldexp(1.0, -149), std::ldexp(1.0, -140),
+                std::ldexp(1.0, -126), std::ldexp(1.0, -70), 1.0,
+                std::ldexp(1.0, 70), std::ldexp(1.0, 126),
+                double(std::numeric_limits<float>::max())};
+    }
+  };
+  Rng rng(77);
+  const std::size_t m = 17, n = 9, k = 33;
+  for (const Precision prec : kAllPrecisions) {
+    const std::vector<double> e = edges(prec);
+    const auto draw = [&] {
+      // Scale the format's largest value down, everything else up, so no
+      // input starts out infinite.
+      const std::size_t i = rng.uniform_index(e.size());
+      const double v =
+          e[i] * (i + 1 == e.size() ? rng.uniform(0.5, 1.0)
+                                    : rng.uniform(1.0, 2.0));
+      return rng.uniform() < 0.5 ? -v : v;
+    };
+    std::size_t bad = 0;
+    for (int rep = 0; rep < 6; ++rep) {
+      std::vector<double> a(m * k), b(n * k), c(m * n);
+      for (auto& x : a) x = draw();
+      for (auto& x : b) x = draw();
+      for (auto& x : c) x = rep % 2 ? draw() : rng.uniform(-1.0, 1.0);
+      const double alpha = rep < 3 ? -1.0 : 0.75;
+      const double beta = rep < 3 ? 1.0 : -1.5;
+      bad += check_precision(prec, m, n, k, alpha, a, b, beta, c);
+    }
+    EXPECT_EQ(bad, 0u) << to_string(prec);
+  }
+}
+
+TEST(MixedGemmRounding, SubFp64OutputsRepresentableAtTileSize) {
+  // The check that caught a GCC 12 -O2 SLP-vectorizer miscompile of the
+  // former register-blocked kernel, which left most FP16_32 outputs of a
+  // 256^3 product unrounded: every output of every sub-FP64 GEMM must be a
+  // value of its output format.
+  const std::size_t n = 256;
+  Rng rng(31);
+  std::vector<double> a(n * n), b(n * n);
+  for (auto& x : a) x = rng.uniform(-1.0, 1.0);
+  for (auto& x : b) x = rng.uniform(-1.0, 1.0);
+  for (const Precision prec : kAllPrecisions) {
+    if (prec == Precision::FP64) continue;
+    std::vector<double> c(n * n, 0.0);
+    mixed_gemm(prec, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
+               c.data(), n);
+    std::size_t unrounded = 0;
+    for (const double v : c) unrounded += !representable(prec, v);
+    EXPECT_EQ(unrounded, 0u) << to_string(prec);
+  }
+}
+
+TEST(MixedGemmRounding, PackedKernelsRejectMismatchedPackType) {
+  std::vector<double> d(4, 1.0), c(4, 0.0);
+  std::vector<float> f(4, 1.0f);
+  EXPECT_THROW(mixed_gemm_packed(Precision::FP32, 2, 2, 2, 1.0, d.data(),
+                                 d.data(), 0.0, c.data(), 2),
+               Error);
+  EXPECT_THROW(mixed_gemm_packed(Precision::FP64, 2, 2, 2, 1.0, f.data(),
+                                 f.data(), 0.0, c.data(), 2),
+               Error);
+}
+
+TEST(KernelVariants, ActiveVariantIsAvailableAndNamed) {
+  EXPECT_TRUE(kernel_variant_available(KernelVariant::Portable));
+  EXPECT_TRUE(kernel_variant_available(active_kernel_variant()));
+  EXPECT_EQ(active_kernel_variant(),
+            kernel_variant_available(KernelVariant::Avx2)
+                ? KernelVariant::Avx2
+                : KernelVariant::Portable);
+  EXPECT_STREQ(to_string(KernelVariant::Portable), "portable");
+  EXPECT_STREQ(to_string(KernelVariant::Avx2), "avx2");
 }
 
 }  // namespace

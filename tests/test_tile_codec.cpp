@@ -106,7 +106,9 @@ TEST(MantissaTruncationTest, KeepBitsForRoundoff) {
   for (double u : {1e-2, 1e-4, 1e-6, 1e-8}) {
     const int k = keep_bits_for_roundoff(u, Storage::FP64);
     EXPECT_LE(std::ldexp(1.0, -k), u);
-    if (k > 1) EXPECT_GT(std::ldexp(1.0, -(k - 1)), u);
+    if (k > 1) {
+      EXPECT_GT(std::ldexp(1.0, -(k - 1)), u);
+    }
   }
 }
 
