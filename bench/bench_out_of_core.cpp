@@ -3,8 +3,8 @@
 //
 //  1. Budgeted bit-identity: the mixed-precision Cholesky runs against the
 //     spill tier under a resident-byte budget below half the stored matrix,
-//     on both schedulers and in both paging modes (async prefetch / sync
-//     fault-on-access). Every configuration must produce the factor the
+//     in both paging modes (async prefetch / sync fault-on-access). Every
+//     configuration must produce the factor the
 //     fully-resident run produces, bit for bit, while the pager's peak
 //     residency stays below the full footprint and cold evictions prove the
 //     budget actually bit.
@@ -86,8 +86,8 @@ MpCholeskyOptions base_options(const AppConfig& app) {
   return opt;
 }
 
-/// Section 1: budget under half the matrix, both schedulers, both paging
-/// modes — all bit-identical to the fully-resident factor.
+/// Section 1: budget under half the matrix, both paging modes — each
+/// bit-identical to the fully-resident factor.
 bool budget_section(const TileMatrix& pristine, const AppConfig& app,
                     const MpCholeskyResult& ref, const TileMatrix& ref_factor,
                     std::size_t budget, JsonWriter* json) {
@@ -95,75 +95,66 @@ bool budget_section(const TileMatrix& pristine, const AppConfig& app,
             << mib(budget) << " MiB of " << mib(ref.stored_bytes)
             << " MiB stored (" << (100 * budget / ref.stored_bytes)
             << "%) --\n";
-  Table t({"scheduler", "paging", "peak MiB", "prefetch", "faults", "cold",
-           "identical"});
+  Table t({"paging", "peak MiB", "prefetch", "faults", "cold", "identical"});
 
   bool ok = true;
-  for (const bool ws : {true, false}) {
-    for (const bool async : {true, false}) {
-      TileMatrix a = pristine;
-      SpillOptions sopts;
-      sopts.enabled = true;
-      a.enable_spill(sopts);
-      a.spill_all();
+  for (const bool async : {true, false}) {
+    TileMatrix a = pristine;
+    SpillOptions sopts;
+    sopts.enabled = true;
+    a.enable_spill(sopts);
+    a.spill_all();
 
-      MpCholeskyOptions opt = base_options(app);
-      opt.use_work_stealing = ws;
-      opt.ooc.enabled = true;
-      opt.ooc.resident_byte_budget = budget;
-      opt.ooc.async = async;
-      const MpCholeskyResult r = mp_cholesky(a, opt);
-      if (r.info != 0) {
-        std::cerr << "out-of-core run failed to factor (info=" << r.info
-                  << ")\n";
-        return false;
-      }
-      a.restore_all();
+    MpCholeskyOptions opt = base_options(app);
+    opt.ooc.enabled = true;
+    opt.ooc.resident_byte_budget = budget;
+    opt.ooc.async = async;
+    const MpCholeskyResult r = mp_cholesky(a, opt);
+    if (r.info != 0) {
+      std::cerr << "out-of-core run failed to factor (info=" << r.info
+                << ")\n";
+      return false;
+    }
+    a.restore_all();
 
-      // Demand faults may overshoot the budget transiently and queued
-      // evictions lag behind urgent restores, so the peak is gated against
-      // the full stored footprint (never fully resident), not budget+slack.
-      bool row_ok = pmaps_identical(r.pmap, ref.pmap, a.num_tiles()) &&
-                    tiles_identical(a, ref_factor) &&
-                    r.ooc.peak_resident_bytes > 0 &&
-                    r.ooc.peak_resident_bytes < ref.stored_bytes &&
-                    r.ooc.cold_evictions > 0 && r.ooc.evictions > 0;
-      if (async) {
-        row_ok = row_ok && r.ooc.prefetches > 0;
-      } else {
-        row_ok = row_ok && r.ooc.prefetches == 0 && r.ooc.demand_faults > 0;
-      }
-      ok = ok && row_ok;
+    // Demand faults may overshoot the budget transiently and queued
+    // evictions lag behind urgent restores, so the peak is gated against
+    // the full stored footprint (never fully resident), not budget+slack.
+    bool row_ok = pmaps_identical(r.pmap, ref.pmap, a.num_tiles()) &&
+                  tiles_identical(a, ref_factor) &&
+                  r.ooc.peak_resident_bytes > 0 &&
+                  r.ooc.peak_resident_bytes < ref.stored_bytes &&
+                  r.ooc.cold_evictions > 0 && r.ooc.evictions > 0;
+    if (async) {
+      row_ok = row_ok && r.ooc.prefetches > 0;
+    } else {
+      row_ok = row_ok && r.ooc.prefetches == 0 && r.ooc.demand_faults > 0;
+    }
+    ok = ok && row_ok;
 
-      t.add_row({ws ? "work-steal" : "fifo", async ? "async" : "sync",
-                 mib(r.ooc.peak_resident_bytes),
-                 std::to_string(r.ooc.prefetches),
-                 std::to_string(r.ooc.demand_faults),
-                 std::to_string(r.ooc.cold_evictions),
-                 row_ok ? "yes" : "NO"});
-      if (json) {
-        JsonRecord& rec = json->add(
-            std::string("ooc/") + (ws ? "ws" : "fifo") + "/" +
-                (async ? "async" : "sync"),
-            "bytes");
-        rec.metrics.emplace_back("budget", double(budget));
-        rec.metrics.emplace_back("stored", double(ref.stored_bytes));
-        rec.metrics.emplace_back("peak_resident",
-                                 double(r.ooc.peak_resident_bytes));
-        rec.metrics.emplace_back("prefetches", double(r.ooc.prefetches));
-        rec.metrics.emplace_back("demand_faults", double(r.ooc.demand_faults));
-        rec.metrics.emplace_back("cold_evictions",
-                                 double(r.ooc.cold_evictions));
-        rec.metrics.emplace_back("bit_identical", row_ok ? 1.0 : 0.0);
-      }
+    t.add_row({async ? "async" : "sync", mib(r.ooc.peak_resident_bytes),
+               std::to_string(r.ooc.prefetches),
+               std::to_string(r.ooc.demand_faults),
+               std::to_string(r.ooc.cold_evictions), row_ok ? "yes" : "NO"});
+    if (json) {
+      JsonRecord& rec =
+          json->add(std::string("ooc/") + (async ? "async" : "sync"), "bytes");
+      rec.metrics.emplace_back("budget", double(budget));
+      rec.metrics.emplace_back("stored", double(ref.stored_bytes));
+      rec.metrics.emplace_back("peak_resident",
+                               double(r.ooc.peak_resident_bytes));
+      rec.metrics.emplace_back("prefetches", double(r.ooc.prefetches));
+      rec.metrics.emplace_back("demand_faults", double(r.ooc.demand_faults));
+      rec.metrics.emplace_back("cold_evictions", double(r.ooc.cold_evictions));
+      rec.metrics.emplace_back("bit_identical", row_ok ? 1.0 : 0.0);
     }
   }
   t.print(std::cout);
   if (!ok) std::cerr << "budgeted out-of-core gate FAILED\n";
   std::cout << "(Paging is invisible to the numerics: spill/restore is\n"
                "bit-exact and the task graph is unchanged, so every budget\n"
-               "and scheduler produces the fully-resident factor. Async\n"
-               "rows prefetch; sync rows fault on access.)\n\n";
+               "produces the fully-resident factor. Async rows prefetch;\n"
+               "sync rows fault on access.)\n\n";
   return ok;
 }
 
@@ -185,11 +176,6 @@ bool prefetch_section(const TileMatrix& pristine, const AppConfig& app,
       a.spill_all();
 
       MpCholeskyOptions opt = base_options(app);
-      // The lookahead ranks tiles by task insertion id; the FIFO scheduler
-      // executes in that order, so this A/B isolates the prefetcher from
-      // scheduler-order noise (work stealing runs high-id tasks early and
-      // blunts an id-ordered lookahead — section 1 covers that combination).
-      opt.use_work_stealing = false;
       opt.ooc.enabled = true;
       opt.ooc.resident_byte_budget = budget;
       opt.ooc.async = async;

@@ -1,9 +1,8 @@
-// Scheduler microbenchmark: task throughput of the work-stealing executor
-// vs the seed single-queue scheduler (ExecutorOptions::use_work_stealing =
-// false), on DAGs whose bodies are free (pure scheduling cost) or tiny (a
-// 64-element dot product, the smallest realistic kernel). The seed
-// scheduler's priority pick is an O(|ready|) scan under a global mutex, so
-// its per-task cost grows with DAG width — exactly what these shapes expose.
+// Scheduler microbenchmark: task throughput of execute() — a dedicated
+// executor session per call — on DAGs whose bodies are free (pure
+// scheduling cost: pool start-up, root injection, retirement, stealing,
+// park/wake, teardown) or tiny (a 64-element dot product, the smallest
+// realistic kernel), at 1, 4 and 8 workers.
 //
 // Shapes:
 //   wide   — `width` independent chains of length `depth`: the ready set
@@ -104,7 +103,6 @@ std::function<void()> tiny_body() {
 void run_bench(benchmark::State& state, TaskGraph& graph) {
   ExecutorOptions opts;
   opts.num_threads = std::size_t(state.range(2));
-  opts.use_work_stealing = state.range(3) != 0;
   for (auto _ : state) {
     const ExecutionReport rep = execute(graph, opts);
     benchmark::DoNotOptimize(rep.tasks_run);
@@ -131,13 +129,11 @@ void BM_DiamondEmpty(benchmark::State& state) {
   run_bench(state, g);
 }
 
-// Args: {width, depth, threads, work_stealing}.
+// Args: {width, depth, threads}.
 void shapes(benchmark::internal::Benchmark* b) {
-  for (int64_t ws : {0, 1}) {
-    for (int64_t threads : {1, 4, 8}) {
-      for (int64_t width : {64, 1024, 4096}) {
-        b->Args({width, 8, threads, ws});
-      }
+  for (int64_t threads : {1, 4, 8}) {
+    for (int64_t width : {64, 1024, 4096}) {
+      b->Args({width, 8, threads});
     }
   }
 }
@@ -145,8 +141,7 @@ void shapes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_WideEmpty)->Apply(shapes)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WideTiny)->Apply(shapes)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DiamondEmpty)
-    ->Args({1024, 8, 8, 0})
-    ->Args({1024, 8, 8, 1})
+    ->Args({1024, 8, 8})
     ->Unit(benchmark::kMillisecond);
 
 /// ConsoleReporter that additionally records every run into a JsonWriter, so
@@ -189,7 +184,6 @@ void run_observed(const mpgeo::bench::ObsFlags& obs) {
   TaskGraph g = make_diamond_dag(256, 8, tiny_body());
   MetricsRegistry registry;
   ExecutorOptions opts;
-  opts.use_work_stealing = true;
   opts.capture_trace = true;
   opts.metrics = &registry;
   const ExecutionReport rep = execute(g, opts);
@@ -225,46 +219,47 @@ void run_observed(const mpgeo::bench::ObsFlags& obs) {
   }
 }
 
-/// One injected run of the diamond DAG under each scheduler: prints the
-/// failed/cancelled/completed partition and checks the two schedulers agree
-/// (they must — the failure sets are a pure function of graph + injector).
-/// The obs flags apply to the work-stealing run, so `--trace` exports the
-/// injected timeline with its FAILED/CANCELLED span categories.
+/// One injected run of the diamond DAG on a 1-worker and on an 8-worker
+/// pool: prints the failed/cancelled/completed partition and checks the two
+/// agree (they must — the failure sets are a pure function of graph +
+/// injector). The obs flags apply to the 8-worker run, so `--trace` exports
+/// the injected timeline with its FAILED/CANCELLED span categories.
 void run_injected(const mpgeo::FaultInjectionOptions& fault,
                   const mpgeo::bench::ObsFlags& obs) {
   using namespace mpgeo;
   TaskGraph g = make_diamond_dag(256, 8, tiny_body());
   std::vector<TaskId> ref_failed;
-  for (const bool ws : {false, true}) {
+  for (const std::size_t threads : {1u, 8u}) {
+    const bool wide = threads > 1;
     FaultInjector inj(fault);
     MetricsRegistry registry;
     ExecutorOptions opts;
-    opts.use_work_stealing = ws;
+    opts.num_threads = threads;
     opts.rethrow_errors = false;
     opts.fault_injector = &inj;
-    opts.capture_trace = ws && obs.any();
-    opts.metrics = ws && obs.any() ? &registry : nullptr;
+    opts.capture_trace = wide && obs.any();
+    opts.metrics = wide && obs.any() ? &registry : nullptr;
     const ExecutionReport rep = execute(g, opts);
     std::fprintf(stderr,
-                 "[fault] %s: %zu tasks -> %zu completed, %zu failed, %zu "
-                 "cancelled (%llu injections)\n",
-                 ws ? "work-stealing" : "seed", g.num_tasks(), rep.tasks_run,
+                 "[fault] %zu worker(s): %zu tasks -> %zu completed, %zu "
+                 "failed, %zu cancelled (%llu injections)\n",
+                 threads, g.num_tasks(), rep.tasks_run,
                  rep.report.failed.size(), rep.report.cancelled.size(),
                  (unsigned long long)inj.injections());
-    if (ws) {
-      std::fprintf(stderr, "[fault] schedulers agree on failure set: %s\n",
+    if (wide) {
+      std::fprintf(stderr, "[fault] pool sizes agree on failure set: %s\n",
                    rep.report.failed == ref_failed ? "yes" : "NO");
     } else {
       ref_failed = rep.report.failed;
     }
-    if (ws && !obs.trace_path.empty()) {
+    if (wide && !obs.trace_path.empty()) {
       TraceExportOptions topts;
       topts.metrics = &registry;
       write_chrome_trace_file(rep, g, obs.trace_path, topts);
       std::fprintf(stderr, "[fault] trace written to %s\n",
                    obs.trace_path.c_str());
     }
-    if (ws && !obs.metrics_path.empty()) {
+    if (wide && !obs.metrics_path.empty()) {
       registry.write_json_file(obs.metrics_path);
       std::fprintf(stderr, "[fault] metrics written to %s\n",
                    obs.metrics_path.c_str());

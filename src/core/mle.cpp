@@ -108,7 +108,6 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   chol.u_req = options.u_req;
   chol.comm = options.comm;
   chol.num_threads = options.num_threads;
-  chol.use_work_stealing = options.use_work_stealing;
   chol.fp16_32_rule_eps = options.fp16_32_rule_eps;
   chol.metrics = options.metrics;
   chol.escalation = options.escalation;

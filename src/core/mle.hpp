@@ -37,9 +37,6 @@ struct MleOptions {
   double fp16_32_rule_eps = 0.0;
   CommMapOptions comm;
   std::size_t num_threads = 0;
-  /// Scheduler choice forwarded to every factorization (A/B + determinism
-  /// tests — numerics are scheduler-independent).
-  bool use_work_stealing = true;
   OptimOptions optim{1e-9, 4000, 0.25};
   double lower_bound = 0.01;  ///< paper: all params in [0.01, 2]
   double upper_bound = 2.0;

@@ -501,16 +501,15 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   result.stored_bytes = a.bytes();
   ExecutorOptions exec_opts;
   exec_opts.num_threads = options.num_threads;
-  exec_opts.use_work_stealing = options.use_work_stealing;
-  exec_opts.use_priorities = options.use_priorities;
   exec_opts.capture_trace = options.capture_trace;
   exec_opts.metrics = options.metrics;
   exec_opts.rethrow_errors = false;
   exec_opts.fault_injector = options.fault_injector;
   exec_opts.session = options.session;
-  // One thread-pool shard per rank; the WS scheduler keeps rank-r tasks on
-  // shard r % nshards. Session runs skip affinity (locality model only —
-  // dataflow edges already order everything, so numerics are unaffected).
+  // One worker shard per rank: the dedicated session keeps rank-r tasks on
+  // shard r % nshards. A shared session keeps its own sharding (locality
+  // model only — dataflow edges already order everything, so numerics are
+  // unaffected).
   exec_opts.rank_shards = options.dist.enabled() ? options.dist.ranks : 0;
   // Out-of-core pager: pins each task's tiles resident in before_task (the
   // executor's start hook), releases + evicts in after_task (the retire

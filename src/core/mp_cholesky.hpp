@@ -80,11 +80,6 @@ struct MpCholeskyOptions {
   std::size_t num_threads = 0;  ///< worker pool size; 0 = hardware
   /// Round STC broadcasts through the wire format (see header comment).
   bool apply_wire_rounding = true;
-  /// Scheduler knobs forwarded to the executor. Numerics are scheduler-
-  /// independent (dataflow edges order every conflicting access), so these
-  /// only move wall time; they exist for A/B runs and determinism tests.
-  bool use_work_stealing = true;
-  bool use_priorities = true;
   /// Memoize packed + input-rounded kernel operands keyed by data version
   /// (the shared-memory analogue of STC): the first consumer of a panel tile
   /// converts it, later SYRK/GEMMs reuse the pack. Bit-identical on/off —
@@ -114,15 +109,15 @@ struct MpCholeskyOptions {
   /// TRSM bodies for conversion NaN/overflow corruption. Null = off.
   FaultInjector* fault_injector = nullptr;
   /// Execute the factorization graph on this persistent shared pool instead
-  /// of a per-call pool (runtime/executor_session.hpp); num_threads and
-  /// use_work_stealing are then ignored. Null = dedicated pool (default).
+  /// of a per-call pool (runtime/executor_session.hpp); num_threads is then
+  /// ignored. Null = dedicated pool (default).
   ExecutorSession* session = nullptr;
   /// Rank-sharded execution (src/dist): distribute tiles over `dist.ranks`
   /// ranks block-cyclically, pin each tile's tasks to its owner's
   /// thread-pool shard, and materialize SEND/RECV tasks with real serialized
   /// payloads on every cross-rank DAG edge (STC/TTC per the comm map).
   /// ranks == 1 (default) is the zero-copy shared-memory path. Results are
-  /// bitwise identical across rank counts and schedulers: STC panels are
+  /// bitwise identical across rank counts and pool sizes: STC panels are
   /// wire-rounded in place before serialization, so every payload round-trips
   /// the codec exactly, and with apply_wire_rounding == false payloads ship
   /// at storage width.
@@ -200,7 +195,7 @@ MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options = {
 /// baseline). Equivalent to mp_cholesky with a ladder of {FP64}.
 MpCholeskyResult fp64_cholesky(TileMatrix& a, std::size_t num_threads = 0);
 
-/// FP64 baseline with the full option surface (scheduler knobs, metrics,
+/// FP64 baseline with the full option surface (executor knobs, metrics,
 /// out-of-core paging): `options.ladder` is overridden to {FP64}, everything
 /// else is honored — so the baseline can run under the same resident-byte
 /// budget as the mixed-precision factorization.

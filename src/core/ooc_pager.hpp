@@ -25,7 +25,7 @@
 // are published under the same mutex, so a worker that observed `Resident`
 // also observes the installed payload. Numerics are untouched — spill and
 // restore are bit-exact, so a factorization pages identically to the
-// fully-resident run at every budget, on both schedulers.
+// fully-resident run at every budget and pool size.
 #pragma once
 
 #include <cstddef>

@@ -240,10 +240,7 @@ TlrCholeskyResult tlr_cholesky(TlrFactor& a,
 
   ExecutorOptions opts;
   opts.num_threads = options.num_threads;
-  opts.use_work_stealing = options.use_work_stealing;
-  opts.use_priorities = options.use_priorities;
   opts.session = options.session;
-  opts.use_shared_pool = options.use_shared_pool;
   opts.metrics = options.metrics;
   try {
     execute(graph, opts);

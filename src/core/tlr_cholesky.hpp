@@ -66,20 +66,15 @@ struct TlrCholeskyResult {
 /// Execution knobs for tlr_cholesky, mirroring the dense factorization's
 /// (MpCholeskyOptions) executor plumbing. Every combination produces
 /// bit-identical factors — conflicting tile accesses are ordered by graph
-/// edges, so schedulers and pool shapes only move wall-clock time.
+/// edges, so pool shapes only move wall-clock time.
 struct TlrCholeskyOptions {
   /// Worker pool size; 0 = hardware concurrency. Ignored when running on a
-  /// session or the shared pool.
+  /// session.
   std::size_t num_threads = 0;
-  bool use_work_stealing = true;
-  bool use_priorities = true;
   /// Run on this persistent session's shared worker pool instead of a
-  /// per-call pool (runtime/executor_session.hpp); num_threads and
-  /// use_work_stealing are ignored on this path.
+  /// per-call pool (runtime/executor_session.hpp); num_threads is ignored on
+  /// this path.
   ExecutorSession* session = nullptr;
-  /// Route through the lazily created process-wide shared session instead.
-  /// Ignored when `session` is set.
-  bool use_shared_pool = false;
   /// Report the executor's scheduler counters into this registry (null =
   /// off).
   MetricsRegistry* metrics = nullptr;

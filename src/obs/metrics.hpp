@@ -1,6 +1,6 @@
 // Metrics registry: the counter substrate of the observability layer.
 //
-// Every measuring subsystem — the real executor's schedulers, the operand
+// Every measuring subsystem — the real executor's scheduler, the operand
 // cache, the discrete-event simulator — reports into one MetricsRegistry:
 // named monotonic counters (bytes moved per link class, conversions
 // performed, cache hits/misses/evictions, steals, tasks retired) and gauges

@@ -2,7 +2,8 @@
 //
 // Mirrors PaRSEC's scheduling contract: a task becomes runnable the moment
 // its last dependency retires, with no global barriers between algorithm
-// phases. Execution is work-conserving over a fixed worker pool; the
+// phases. Execution is work-conserving over a fixed worker pool — an
+// ExecutorSession (runtime/executor_session.hpp), the one scheduler; the
 // numerical result is deterministic because all conflicting accesses are
 // ordered by the graph's dataflow edges.
 #pragma once
@@ -42,7 +43,7 @@ struct TaskTraceEntry {
 /// transitive dependents — they retire as CANCELLED without running —
 /// while independent subgraphs drain normally. The failed/cancelled sets
 /// are a pure function of the graph and the failing tasks, so they are
-/// identical under both schedulers and across repeated runs.
+/// identical across pool sizes and repeated runs.
 struct RunReport {
   std::vector<TaskId> failed;     ///< tasks whose body threw, ascending id
   std::vector<TaskId> cancelled;  ///< poisoned tasks, ascending id
@@ -58,43 +59,35 @@ struct ExecutionReport {
 };
 
 struct ExecutorOptions {
-  /// Worker pool size; 0 = hardware concurrency. Note this resolves *per
-  /// execute() call*: N concurrent callers with the default spin N separate
+  /// Worker pool size; 0 = hardware concurrency. execute() builds a
+  /// dedicated ExecutorSession of min(num_threads, num_tasks) workers for
+  /// each call, so N concurrent callers with the default spin N separate
   /// pools and oversubscribe the machine to N x cores. Concurrent callers
-  /// should share one pool by setting `session` (or `use_shared_pool`), in
-  /// which case this field is ignored — the session owns its sizing.
+  /// should share one pool by setting `session`, in which case this field
+  /// is ignored — the session owns its sizing.
   std::size_t num_threads = 0;
   bool capture_trace = false;
-  /// Prefer panel kinds (POTRF/TRSM) over trailing updates when picking the
-  /// next ready task. Numerics are identical either way — conflicts are
-  /// ordered by dataflow edges — but priorities shorten the critical path on
-  /// factorization graphs. Under work stealing this selects among per-worker
-  /// kind-class buckets in O(1); the seed scheduler realizes it as an
-  /// O(|ready|) scan.
-  bool use_priorities = true;
-  /// Schedule with per-worker deques + work stealing (the scalable path).
-  /// false falls back to the seed single-queue scheduler, kept for A/B
-  /// comparison in bench_scheduler and as a behavioural reference.
-  bool use_work_stealing = true;
   /// Report scheduler counters into this registry (null = off):
   /// executor.tasks_retired, executor.steals, executor.parks,
   /// executor.wakeups, and the executor.max_queue_depth gauge (peak size of
   /// any one worker's ready deques). Counter adds are sharded by worker
-  /// index, so instrumentation stays uncontended on the hot path.
+  /// index, so instrumentation stays uncontended on the hot path. On a
+  /// shared `session` only the per-run counters (tasks_retired/failed/
+  /// cancelled) land here; the session reports the others into its own.
   MetricsRegistry* metrics = nullptr;
   /// Called on the claiming worker immediately before a task's body runs
-  /// (before fault injection), in both schedulers. Skipped for cancelled
-  /// tasks — a task either sees both hooks (start + retire) or, on a body
-  /// failure, the start hook only. Dataflow users hook this to prepare the
-  /// data a task is about to touch — e.g. the out-of-core pager pins and
-  /// faults in spilled tiles (core/ooc_pager.hpp). Must be thread-safe;
-  /// exceptions propagate like body exceptions.
+  /// (before fault injection). Skipped for cancelled tasks — a task either
+  /// sees both hooks (start + retire) or, on a body failure, the start hook
+  /// only. Dataflow users hook this to prepare the data a task is about to
+  /// touch — e.g. the out-of-core pager pins and faults in spilled tiles
+  /// (core/ooc_pager.hpp). Must be thread-safe; exceptions propagate like
+  /// body exceptions.
   std::function<void(const Task&)> start_hook;
   /// Called on the retiring worker after a task's body returns and before
-  /// its successors are released, in both schedulers. Dataflow users hook
-  /// this to observe writes as they commit — e.g. invalidating operand-cache
-  /// entries of data the task wrote, before any successor can read the datum
-  /// again. Must be thread-safe; exceptions propagate like body exceptions.
+  /// its successors are released. Dataflow users hook this to observe
+  /// writes as they commit — e.g. invalidating operand-cache entries of
+  /// data the task wrote, before any successor can read the datum again.
+  /// Must be thread-safe; exceptions propagate like body exceptions.
   std::function<void(const Task&)> retire_hook;
   /// Legacy contract (true): rethrow the first body exception after the pool
   /// quiesces. With false the caller gets the structured outcome instead:
@@ -104,33 +97,22 @@ struct ExecutorOptions {
   /// Deterministic fault injection (runtime/fault_injection.hpp): consulted
   /// before each task body. Null = off; costs one branch per task.
   FaultInjector* fault_injector = nullptr;
-  /// Run the graph on this persistent session's shared worker pool
-  /// (runtime/executor_session.hpp) instead of spinning a dedicated pool.
-  /// num_threads and use_work_stealing are ignored on this path; the other
-  /// knobs (capture_trace, retire_hook, fault_injector, metrics,
-  /// rethrow_errors) keep their meaning. Null = dedicated pool (default).
+  /// Run the graph on this persistent session's worker pool
+  /// (runtime/executor_session.hpp) instead of a dedicated one.
+  /// num_threads and rank_shards are ignored on this path; the other knobs
+  /// keep their meaning. Null = dedicated pool (default).
   ExecutorSession* session = nullptr;
-  /// Route through the lazily created process-wide shared session
-  /// (shared_executor_session(), sized to hardware concurrency) so
-  /// concurrent execute() callers cap total workers at one pool instead of
-  /// oversubscribing. Default false: a lone call keeps its dedicated pool,
-  /// which is the fastest shape for a single big factorization. Ignored
-  /// when `session` is set.
-  bool use_shared_pool = false;
-  /// Rank-sharded execution (src/dist): partition the worker pool into this
-  /// many shards and pin every task whose TaskInfo::rank >= 0 to the shard
-  /// `rank % rank_shards` — worker w belongs to shard `w % rank_shards`.
-  /// Stealing is restricted to same-shard victims, so a shard behaves like
-  /// one rank's private pool while untagged tasks (rank < 0) stay wherever
-  /// they were spawned. 0 = off (single shard, the default). Only the
-  /// work-stealing scheduler enforces affinity; the seed scheduler and the
-  /// session path run rank-tagged graphs unsharded (numerics are dataflow-
-  /// ordered either way, so results are identical — affinity is a locality
-  /// model, not a correctness requirement).
+  /// Rank-sharded execution (src/dist): the dedicated session partitions
+  /// its workers into this many shards and pins rank-tagged tasks to them
+  /// (ExecutorSessionOptions::rank_shards). 0 = off. Ignored when `session`
+  /// is set: a shared session runs rank-tagged graphs with its own sharding
+  /// (the FitServer's runs unsharded), and results are identical either way
+  /// because numerics are dataflow-ordered.
   std::size_t rank_shards = 0;
 };
 
-/// Run every task body in dependency order, in parallel. Graph tasks with a
+/// Run every task body in dependency order, in parallel, on `options.session`
+/// or on a dedicated session built for this call. Graph tasks with a
 /// null body are retired without doing work (they still gate successors).
 /// A task whose body throws retires as FAILED and poisons its transitive
 /// dependents (retired as CANCELLED, bodies never run) while everything

@@ -1,25 +1,27 @@
-// Persistent executor session: one shared work-stealing worker pool that
+// Executor session: the task scheduler. One work-stealing worker pool that
 // accepts task subgraphs from many producer threads and retires each
 // independently.
 //
-// execute() (runtime/executor.hpp) spins up and joins a dedicated pool per
-// call — the right shape for one big factorization, but pathological for a
-// serving workload where thousands of small graphs arrive concurrently:
-// N in-flight calls with num_threads = 0 oversubscribe the machine to
-// N x cores, and every call pays thread creation for a graph that may hold
-// twenty tasks. A session keeps the workers alive across submissions, so
-// concurrent producers (e.g. the FitServer's per-fit drivers in src/serve)
-// multiplex their subgraphs onto one fixed-size pool: admission costs a
-// queue push, not a pool spin-up, and total worker count is capped once for
-// the whole process.
+// Every execution runs on a session. execute() (runtime/executor.hpp) builds
+// a dedicated one per call, sized to the graph — the right shape for one big
+// factorization. A serving workload, where thousands of small graphs arrive
+// concurrently, keeps one session alive instead: N in-flight execute() calls
+// with num_threads = 0 would oversubscribe the machine to N x cores and pay
+// thread creation for graphs that may hold twenty tasks. A persistent
+// session keeps the workers alive across submissions, so concurrent
+// producers (e.g. the FitServer's per-fit drivers in src/serve) multiplex
+// their subgraphs onto one fixed-size pool: admission costs a queue push,
+// not a pool spin-up, and total worker count is capped once for the whole
+// process.
 //
-// Each submission is tracked by a Ticket. Tasks are tagged with their run,
-// scheduled through the same kind-class priority buckets as the
-// work-stealing scheduler, and retired with the same lock-free indegree
-// protocol; a run's completion is signalled independently of every other
-// run in flight. Numerics are identical to execute(): conflicting accesses
-// within a graph are ordered by its dataflow edges, and distinct
-// submissions share no data, so interleaving runs never changes results.
+// Scheduling mirrors PaRSEC's contract: a task becomes runnable the moment
+// its last dependency retires. Each worker owns kind-class priority buckets
+// (panel kinds preempt trailing updates); the owner pops LIFO, thieves take
+// FIFO. Dependency retirement is lock-free (atomic indegrees), and each
+// submission is tracked by a Ticket whose completion is signalled
+// independently of every other run in flight. Numerics never depend on the
+// schedule: conflicting accesses within a graph are ordered by its dataflow
+// edges, and distinct submissions share no data.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +42,15 @@ struct SessionRun;
 
 struct ExecutorSessionOptions {
   std::size_t num_threads = 0;  ///< pool size; 0 = hardware concurrency
-  /// Schedule through per-worker kind-class buckets (see executor.hpp).
-  bool use_priorities = true;
+  /// Rank-sharded execution (src/dist): partition the pool into this many
+  /// shards (capped at the pool size) and pin every task whose
+  /// TaskInfo::rank >= 0 to the shard `rank % rank_shards` — worker w belongs
+  /// to shard `w % rank_shards`. Stealing is restricted to same-shard
+  /// victims, so a shard behaves like one rank's private pool, while
+  /// untagged tasks (rank < 0) stay wherever they were spawned. 0 = off (one
+  /// shard). Affinity is a locality model, not a correctness requirement:
+  /// results are identical sharded or not.
+  std::size_t rank_shards = 0;
   /// Session-lifetime scheduler counters (executor.steals, executor.parks,
   /// executor.wakeups, executor.max_queue_depth). Per-run counters
   /// (tasks_retired/failed/cancelled) are reported into the registry given
@@ -52,9 +61,7 @@ struct ExecutorSessionOptions {
 class ExecutorSession {
  public:
   explicit ExecutorSession(const ExecutorSessionOptions& options = {});
-  /// Joins the pool. Every submitted run must have been wait()ed (or the
-  /// destructor drains them) — destruction blocks until in-flight runs
-  /// quiesce.
+  /// Joins the pool. Every submitted run must have been wait()ed first.
   ~ExecutorSession();
   ExecutorSession(const ExecutorSession&) = delete;
   ExecutorSession& operator=(const ExecutorSession&) = delete;
@@ -100,8 +107,8 @@ class ExecutorSession {
   ExecutionReport wait(Ticket ticket);
 
   /// execute()-compatible entry: submit + wait, honoring capture_trace,
-  /// retire_hook, fault_injector, metrics and the rethrow_errors contract
-  /// from `options`. num_threads / use_work_stealing are ignored — the
+  /// start_hook, retire_hook, fault_injector, metrics and the rethrow_errors
+  /// contract from `options`. num_threads and rank_shards are ignored — the
   /// session owns the pool.
   ExecutionReport run(const TaskGraph& graph, const ExecutorOptions& options);
 
@@ -111,11 +118,5 @@ class ExecutorSession {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// The process-wide shared session behind ExecutorOptions::use_shared_pool:
-/// lazily constructed at hardware concurrency on first use, lives until
-/// process exit. Concurrent execute() callers that opt in share this one
-/// pool instead of spinning num_threads workers each.
-ExecutorSession& shared_executor_session();
 
 }  // namespace mpgeo

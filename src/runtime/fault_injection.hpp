@@ -12,7 +12,7 @@
 //     through exactly the code path a real low-precision breakdown takes.
 //
 // Arming is a pure function of (seed, task id): same seed + same graph gives
-// the same armed set under either scheduler, so failing runs replay
+// the same armed set at every pool size, so failing runs replay
 // deterministically. A separate injection *budget* (max_injections) makes
 // faults one-shot — the fault fires on the first attempt and is absent from
 // the escalation retry — but note the budget is consumed in scheduler order,

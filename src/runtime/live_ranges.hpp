@@ -6,8 +6,8 @@
 // uses first_use to order lookahead prefetches — restore tiles in the order
 // the scheduler's frontier will want them — and the access count to spill a
 // tile the moment its last consumer retires. The analysis is exact on the
-// graph (every access is declared), O(total accesses), and scheduler-
-// independent: both schedulers retire exactly the declared consumer set.
+// graph (every access is declared), O(total accesses), and schedule-
+// independent: every run retires exactly the declared consumer set.
 #pragma once
 
 #include <cstdint>

@@ -89,8 +89,8 @@ struct TaskInfo {
   /// it per conversion, not per byte.
   int extra_conv_count = 0;
   /// Owning rank under sharded (distributed) execution; -1 = unconstrained.
-  /// The work-stealing executor pins rank-tagged tasks to the matching
-  /// thread-pool shard (ExecutorOptions::rank_shards).
+  /// The executor pins rank-tagged tasks to the matching worker shard
+  /// (ExecutorSessionOptions::rank_shards).
   int rank = -1;
 };
 

@@ -46,9 +46,8 @@ struct FitServer::Job {
 
 struct FitServer::Impl {
   explicit Impl(const FitServerOptions& options)
-      : session(ExecutorSessionOptions{options.num_threads,
-                                       /*use_priorities=*/true,
-                                       options.metrics}) {
+      : session(ExecutorSessionOptions{.num_threads = options.num_threads,
+                                       .metrics = options.metrics}) {
     if (options.metrics) {
       MetricsRegistry& reg = *options.metrics;
       fits_started = reg.counter("serve.fits_started");

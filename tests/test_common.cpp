@@ -1,8 +1,7 @@
-// Tests for src/common: RNG determinism and statistics, thread pool
-// correctness under load, table formatting, CLI parsing, error plumbing.
+// Tests for src/common: RNG determinism and statistics, table formatting,
+// CLI parsing, error plumbing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -12,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 
 namespace mpgeo {
 namespace {
@@ -100,40 +98,6 @@ TEST(Rng, SpawnedStreamsAreIndependent) {
     seen.insert(s2.next_u64());
   }
   EXPECT_EQ(seen.size(), 200u);  // no collisions across streams
-}
-
-TEST(ThreadPool, RunsAllSubmittedJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPool, JobsMaySpawnJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&] { counter.fetch_add(1); });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(Table, AlignsColumnsAndPrintsAllRows) {

@@ -1,8 +1,8 @@
 // Tests for the rank-sharded execution path (src/dist): block-cyclic
 // ownership, the wire codec's exactness contract, bitwise identity of the
-// sharded factorization and MLE across rank counts and schedulers, wire
+// sharded factorization and MLE across rank counts and pool sizes, wire
 // metric reconciliation against the analytic fold and the gpusim replay,
-// rank affinity of the work-stealing scheduler, and escalation recovery
+// rank affinity of the sharded executor session, and escalation recovery
 // from a corrupted panel broadcast.
 #include <gtest/gtest.h>
 
@@ -267,16 +267,16 @@ TEST(ShardedCholeskyTest, BitIdenticalAcrossRanksAndSchedulers) {
   EXPECT_TRUE(r0.wire_log.empty());
 
   for (const std::size_t ranks : {2u, 4u}) {
-    for (const bool ws : {true, false}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
       MpCholeskyOptions opt = base;
       opt.dist.ranks = ranks;
-      opt.use_work_stealing = ws;
+      opt.num_threads = threads;
       TileMatrix a = pristine;
       const MpCholeskyResult r = mp_cholesky(a, opt);
-      ASSERT_EQ(r.info, 0) << "ranks=" << ranks << " ws=" << ws;
+      ASSERT_EQ(r.info, 0) << "ranks=" << ranks << " threads=" << threads;
       EXPECT_GT(r.wire.messages, 0u);
       EXPECT_TRUE(factors_identical(ref, a))
-          << "ranks=" << ranks << " ws=" << ws;
+          << "ranks=" << ranks << " threads=" << threads;
     }
   }
 
@@ -499,15 +499,18 @@ TEST(ShardedMleTest, FitIsBitIdenticalAcrossRanksAndSchedulers) {
     const MleResult ref = fit_mle(cov, locs, z, base);
 
     for (const std::size_t ranks : {1u, 2u, 4u}) {
-      for (const bool ws : {true, false}) {
+      // Pools of 2 and 4 workers cover single-worker shards (2 workers at
+      // ranks 2 and 4, 4 workers at ranks 4) and two-worker shards.
+      for (const std::size_t threads : {2u, 4u}) {
         MleOptions opt = base;
         opt.dist.ranks = ranks;
-        opt.use_work_stealing = ws;
+        opt.num_threads = threads;
         const MleResult got = fit_mle(cov, locs, z, opt);
         ASSERT_EQ(got.theta.size(), ref.theta.size());
         for (std::size_t i = 0; i < ref.theta.size(); ++i) {
-          EXPECT_EQ(got.theta[i], ref.theta[i])
-              << "seed=" << seed << " ranks=" << ranks << " ws=" << ws;
+          EXPECT_EQ(got.theta[i], ref.theta[i]) << "seed=" << seed
+                                                << " ranks=" << ranks
+                                                << " threads=" << threads;
         }
         EXPECT_EQ(got.loglik, ref.loglik);
         EXPECT_EQ(got.evaluations, ref.evaluations);

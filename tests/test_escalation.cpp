@@ -1,8 +1,8 @@
 // Precision-escalation recovery tests (DESIGN.md 5e): covariances that
 // provably break down at coarse accuracy, convergence of the escalated
 // factorization to the FP64-reference log-likelihood, the attempt bound,
-// PrecisionMap monotonicity, the injected-POTRF acceptance scenario under
-// both schedulers (tsan label), and the MLE workspace-restoration bugfix.
+// PrecisionMap monotonicity, the injected-POTRF acceptance scenario at
+// several pool sizes (tsan label), and the MLE workspace-restoration bugfix.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -182,7 +182,7 @@ TEST(Escalation, RespectsAttemptBound) {
 // The ISSUE's acceptance scenario: a seeded injected POTRF failure on an
 // 8x8-tile factorization produces a RunReport with exactly the transitive-
 // dependent set cancelled, then the escalation retry completes and matches
-// the no-injection FP64 log-likelihood — under both schedulers.
+// the no-injection FP64 log-likelihood — at every pool size.
 TEST(Escalation, InjectedPotrfFailureCancelsClosureThenRecovers) {
   const std::size_t n = 128;
   const std::size_t nb = 16;  // 8x8 tiles
@@ -196,10 +196,10 @@ TEST(Escalation, InjectedPotrfFailureCancelsClosureThenRecovers) {
     return build_tiled_covariance(cov, locs, theta, nb, 1e-8);
   };
 
-  for (const bool ws : {false, true}) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
     MpCholeskyOptions o;
     o.u_req = 1e-9;
-    o.use_work_stealing = ws;
+    o.num_threads = threads;
     o.capture_trace = true;
 
     // Reference run: no injection; also yields the task ids of the graph
@@ -233,7 +233,7 @@ TEST(Escalation, InjectedPotrfFailureCancelsClosureThenRecovers) {
     TileMatrix a = matrix();
     const MpCholeskyResult res = mp_cholesky(a, o);
 
-    ASSERT_EQ(res.info, 0) << "ws=" << ws;
+    ASSERT_EQ(res.info, 0) << "threads=" << threads;
     EXPECT_EQ(res.breakdowns, 1);
     EXPECT_EQ(res.escalations, 1);
     EXPECT_EQ(res.breakdown_tile, -1);  // cleared by the clean retry
@@ -244,11 +244,11 @@ TEST(Escalation, InjectedPotrfFailureCancelsClosureThenRecovers) {
     EXPECT_EQ(report.failed[0], victim);
     const std::set<TaskId> cancelled(report.cancelled.begin(),
                                      report.cancelled.end());
-    EXPECT_EQ(cancelled, closure) << "ws=" << ws;
+    EXPECT_EQ(cancelled, closure) << "threads=" << threads;
 
     const double ll = loglik_from_factor(a, z);
     EXPECT_LT(std::fabs(ll - ll_ref) / std::fabs(ll_ref), 1e-6)
-        << "ws=" << ws;
+        << "threads=" << threads;
   }
 }
 

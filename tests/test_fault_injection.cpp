@@ -1,7 +1,7 @@
 // Fault-injection harness tests (DESIGN.md 5e): deterministic replay of
 // injected failures, exact transitive-closure cancellation at every DAG
 // depth, the legacy rethrow contract, trace/metrics markers, and a stress
-// run under the work-stealing scheduler (tsan label).
+// run on an oversubscribed pool (tsan label).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -133,12 +133,11 @@ std::set<TaskId> transitive_closure(const TaskGraph& g, TaskId root) {
 }
 
 ExecutionReport run_with_injector(const TaskGraph& g, FaultInjector& inj,
-                                  bool work_stealing, std::size_t threads,
+                                  std::size_t threads,
                                   MetricsRegistry* metrics = nullptr,
                                   bool capture_trace = false) {
   ExecutorOptions opts;
   opts.num_threads = threads;
-  opts.use_work_stealing = work_stealing;
   opts.rethrow_errors = false;
   opts.fault_injector = &inj;
   opts.metrics = metrics;
@@ -237,29 +236,25 @@ TEST(FaultInjection, DeterministicReplayAcrossRunsAndSchedulers) {
   std::vector<TaskId> ref_failed;
   std::vector<TaskId> ref_cancelled;
   bool first = true;
-  for (const bool ws : {false, true}) {
-    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-      for (int rep = 0; rep < 3; ++rep) {
-        FaultInjector inj(o);
-        const ExecutionReport rep_out =
-            run_with_injector(g, inj, ws, threads);
-        ASSERT_FALSE(rep_out.report.ok());
-        if (first) {
-          ref_failed = rep_out.report.failed;
-          ref_cancelled = rep_out.report.cancelled;
-          first = false;
-        }
-        EXPECT_EQ(rep_out.report.failed, ref_failed)
-            << "ws=" << ws << " threads=" << threads;
-        EXPECT_EQ(rep_out.report.cancelled, ref_cancelled)
-            << "ws=" << ws << " threads=" << threads;
-        EXPECT_EQ(rep_out.tasks_run + rep_out.report.failed.size() +
-                      rep_out.report.cancelled.size(),
-                  g.num_tasks());
-        // Every failed task is one the injector armed.
-        for (TaskId t : rep_out.report.failed) {
-          EXPECT_TRUE(inj.armed(t, g.task(t).info.kind));
-        }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      FaultInjector inj(o);
+      const ExecutionReport rep_out = run_with_injector(g, inj, threads);
+      ASSERT_FALSE(rep_out.report.ok());
+      if (first) {
+        ref_failed = rep_out.report.failed;
+        ref_cancelled = rep_out.report.cancelled;
+        first = false;
+      }
+      EXPECT_EQ(rep_out.report.failed, ref_failed) << "threads=" << threads;
+      EXPECT_EQ(rep_out.report.cancelled, ref_cancelled)
+          << "threads=" << threads;
+      EXPECT_EQ(rep_out.tasks_run + rep_out.report.failed.size() +
+                    rep_out.report.cancelled.size(),
+                g.num_tasks());
+      // Every failed task is one the injector armed.
+      for (TaskId t : rep_out.report.failed) {
+        EXPECT_TRUE(inj.armed(t, g.task(t).info.kind));
       }
     }
   }
@@ -271,23 +266,24 @@ TEST(FaultInjection, DeterministicReplayAcrossRunsAndSchedulers) {
 TEST(FaultInjection, TargetedKillAtEveryDepthCancelsExactClosure) {
   // nt = 4: 20 tasks spanning every depth of the factorization DAG. Killing
   // each one must cancel exactly its transitive dependents, run everything
-  // independent, and agree between the two schedulers.
+  // independent, and agree across pool sizes.
   std::atomic<int> bodies_run{0};
   const TaskGraph g = make_cholesky_shape_graph(4, &bodies_run);
   for (TaskId victim = 0; victim < g.num_tasks(); ++victim) {
     const std::set<TaskId> closure = transitive_closure(g, victim);
-    for (const bool ws : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
       FaultInjectionOptions o;
       o.kind = FaultKind::TaskException;
       o.target_task = victim;
       FaultInjector inj(o);
       bodies_run.store(0);
-      const ExecutionReport rep = run_with_injector(g, inj, ws, 4);
+      const ExecutionReport rep = run_with_injector(g, inj, threads);
       ASSERT_EQ(rep.report.failed.size(), 1u) << "victim=" << victim;
       EXPECT_EQ(rep.report.failed[0], victim);
       const std::set<TaskId> cancelled(rep.report.cancelled.begin(),
                                        rep.report.cancelled.end());
-      EXPECT_EQ(cancelled, closure) << "victim=" << victim << " ws=" << ws;
+      EXPECT_EQ(cancelled, closure)
+          << "victim=" << victim << " threads=" << threads;
       // Independent subgraphs drained: every non-poisoned body ran.
       const std::size_t expect_run = g.num_tasks() - 1 - closure.size();
       EXPECT_EQ(rep.tasks_run, expect_run);
@@ -314,14 +310,14 @@ TEST(FaultInjection, TraceMarksStatusAndMetricsCountOutcomes) {
   const TaskGraph g = make_cholesky_shape_graph(4);
   const TaskId victim = 0;  // POTRF(0): everything depends on it
   const std::set<TaskId> closure = transitive_closure(g, victim);
-  for (const bool ws : {false, true}) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
     FaultInjectionOptions o;
     o.kind = FaultKind::TaskException;
     o.target_task = victim;
     FaultInjector inj(o);
     MetricsRegistry metrics;
-    const ExecutionReport rep =
-        run_with_injector(g, inj, ws, 2, &metrics, /*capture_trace=*/true);
+    const ExecutionReport rep = run_with_injector(g, inj, threads, &metrics,
+                                                  /*capture_trace=*/true);
     ASSERT_EQ(rep.trace.size(), g.num_tasks());
     std::size_t failed = 0;
     std::size_t cancelled = 0;
@@ -356,15 +352,15 @@ TEST(FaultInjection, DisabledInjectorIsInert) {
   FaultInjectionOptions o;  // kind = None
   o.probability = 1.0;
   FaultInjector inj(o);
-  const ExecutionReport rep = run_with_injector(g, inj, true, 4);
+  const ExecutionReport rep = run_with_injector(g, inj, 4);
   EXPECT_TRUE(rep.report.ok());
   EXPECT_EQ(rep.tasks_run, g.num_tasks());
   EXPECT_EQ(bodies_run.load(), int(g.num_tasks()));
   EXPECT_EQ(inj.injections(), 0u);
 }
 
-// TSan-labelled stress: inject probabilistic failures under work stealing,
-// many rounds; every round must quiesce with no lost wakeups (join returns),
+// TSan-labelled stress: inject probabilistic failures on an oversubscribed
+// pool, many rounds; every round must quiesce with no lost wakeups,
 // no leaked or double-run tasks (status counts partition the graph, bodies
 // ran exactly once each), and a failure set identical across rounds.
 TEST(FaultInjection, StressInjectionUnderWorkStealing) {
@@ -380,7 +376,7 @@ TEST(FaultInjection, StressInjectionUnderWorkStealing) {
   for (int round = 0; round < 10; ++round) {
     FaultInjector inj(o);
     bodies_run.store(0);
-    const ExecutionReport rep = run_with_injector(g, inj, true, 8);
+    const ExecutionReport rep = run_with_injector(g, inj, 8);
     EXPECT_EQ(rep.tasks_run + rep.report.failed.size() +
                   rep.report.cancelled.size(),
               g.num_tasks());

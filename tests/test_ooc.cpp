@@ -1,6 +1,6 @@
 // Out-of-core factorization tests (core/ooc_pager.hpp, DESIGN.md 5i):
 // live-range analysis, bit-identity of the paged factorization against the
-// fully-resident run at every budget x scheduler x {async, sync} corner,
+// fully-resident run at every budget x pool size x {async, sync} corner,
 // pager stats sanity (prefetches fire, the budget holds up to demand-fault
 // overshoot), rank-sharded paging (eviction racing the late SEND-side read),
 // spill-log compaction accounting, and escalation recovery through the
@@ -108,7 +108,7 @@ TEST(LiveRangesTest, BracketsAndCountsDeclaredAccesses) {
   EXPECT_EQ(lr[dead].first_use, kNoTask);
 }
 
-/// The core tentpole guarantee: at every budget, on both schedulers, with
+/// The core tentpole guarantee: at every budget and pool size, with
 /// and without the async prefetcher, the paged factorization produces the
 /// same bits as the fully-resident run — while genuinely paging (the tight
 /// budgets force cold evictions mid-factorization).
@@ -126,7 +126,7 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
 
   for (const std::size_t budget : {full / 4, std::size_t(45 * full / 100),
                                    std::size_t(0)}) {
-    for (const bool ws : {true, false}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
       for (const bool async : {true, false}) {
         TileMatrix a = pristine;
         SpillOptions sopts;
@@ -135,13 +135,13 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
         a.spill_all();  // the matrix starts on disk
 
         MpCholeskyOptions opt = base;
-        opt.use_work_stealing = ws;
+        opt.num_threads = threads;
         opt.ooc.enabled = true;
         opt.ooc.resident_byte_budget = budget;
         opt.ooc.async = async;
         const MpCholeskyResult r = mp_cholesky(a, opt);
-        ASSERT_EQ(r.info, 0)
-            << "budget=" << budget << " ws=" << ws << " async=" << async;
+        ASSERT_EQ(r.info, 0) << "budget=" << budget << " threads=" << threads
+                             << " async=" << async;
         // Same precision map (streamed norms == resident norms) and, after
         // restoring the partially-spilled factor, the same bits.
         for (std::size_t m = 0; m < a.num_tiles(); ++m) {
@@ -151,10 +151,12 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
         }
         a.restore_all();
         EXPECT_TRUE(factors_identical(ref, a))
-            << "budget=" << budget << " ws=" << ws << " async=" << async;
+            << "budget=" << budget << " threads=" << threads
+            << " async=" << async;
         if (budget != 0 && budget < full / 2) {
           EXPECT_GT(r.ooc.cold_evictions, 0u)
-              << "budget=" << budget << " ws=" << ws << " async=" << async;
+              << "budget=" << budget << " threads=" << threads
+              << " async=" << async;
         }
         EXPECT_GT(r.ooc.evictions, 0u);  // dead tiles spill as they finish
         if (async) {

@@ -249,11 +249,10 @@ std::set<TaskId> successor_closure(const TaskGraph& g, TaskId root) {
   return out;
 }
 
-ExecutionReport run_injected(const TaskGraph& g, FaultInjector& inj, bool ws,
+ExecutionReport run_injected(const TaskGraph& g, FaultInjector& inj,
                              std::size_t threads) {
   ExecutorOptions opts;
   opts.num_threads = threads;
-  opts.use_work_stealing = ws;
   opts.rethrow_errors = false;
   opts.fault_injector = &inj;
   return execute(g, opts);
@@ -271,17 +270,18 @@ TEST_P(RandomDagFailureProperty, CancellationIsExactTransitiveClosure) {
   for (int trial = 0; trial < 4; ++trial) {
     const TaskId victim = TaskId(rng.uniform_index(g.num_tasks()));
     const std::set<TaskId> closure = successor_closure(g, victim);
-    for (const bool ws : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
       FaultInjectionOptions o;
       o.kind = FaultKind::TaskException;
       o.target_task = victim;
       FaultInjector inj(o);
-      const ExecutionReport rep = run_injected(g, inj, ws, 4);
+      const ExecutionReport rep = run_injected(g, inj, threads);
       ASSERT_EQ(rep.report.failed.size(), 1u) << "victim=" << victim;
       EXPECT_EQ(rep.report.failed[0], victim);
       const std::set<TaskId> cancelled(rep.report.cancelled.begin(),
                                        rep.report.cancelled.end());
-      EXPECT_EQ(cancelled, closure) << "victim=" << victim << " ws=" << ws;
+      EXPECT_EQ(cancelled, closure)
+          << "victim=" << victim << " threads=" << threads;
       EXPECT_EQ(rep.tasks_run, g.num_tasks() - 1 - closure.size());
     }
   }
@@ -300,26 +300,22 @@ TEST_P(RandomDagFailureProperty, RunReportsIdenticalAcrossSchedulers) {
   std::vector<TaskId> ref_failed;
   std::vector<TaskId> ref_cancelled;
   bool first = true;
-  for (const bool ws : {false, true}) {
-    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-      FaultInjector inj(o);
-      const ExecutionReport rep = run_injected(g, inj, ws, threads);
-      // The three outcome sets always partition the graph.
-      EXPECT_EQ(rep.tasks_run + rep.report.failed.size() +
-                    rep.report.cancelled.size(),
-                g.num_tasks());
-      // Failure/cancellation sets are a pure function of (graph, injector):
-      // identical across schedulers and thread counts.
-      if (first) {
-        ref_failed = rep.report.failed;
-        ref_cancelled = rep.report.cancelled;
-        first = false;
-      }
-      EXPECT_EQ(rep.report.failed, ref_failed)
-          << "ws=" << ws << " threads=" << threads;
-      EXPECT_EQ(rep.report.cancelled, ref_cancelled)
-          << "ws=" << ws << " threads=" << threads;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    FaultInjector inj(o);
+    const ExecutionReport rep = run_injected(g, inj, threads);
+    // The three outcome sets always partition the graph.
+    EXPECT_EQ(rep.tasks_run + rep.report.failed.size() +
+                  rep.report.cancelled.size(),
+              g.num_tasks());
+    // Failure/cancellation sets are a pure function of (graph, injector):
+    // identical across pool sizes.
+    if (first) {
+      ref_failed = rep.report.failed;
+      ref_cancelled = rep.report.cancelled;
+      first = false;
     }
+    EXPECT_EQ(rep.report.failed, ref_failed) << "threads=" << threads;
+    EXPECT_EQ(rep.report.cancelled, ref_cancelled) << "threads=" << threads;
   }
 }
 

@@ -9,15 +9,15 @@
 #include <sstream>
 #include <vector>
 
-
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/mp_cholesky.hpp"
 #include "core/tile_matrix.hpp"
 #include "linalg/matrix.hpp"
+#include "obs/trace.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/executor_session.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/trace.hpp"
 
 namespace mpgeo {
 namespace {
@@ -238,29 +238,6 @@ TEST(Executor, TraceCapturesEveryTaskWithSaneTimes) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(Executor, PriorityAndLifoGiveSameResults) {
-  // Scheduling policy must not change numerics — dataflow edges order every
-  // conflicting pair.
-  auto run = [](bool priorities) {
-    TaskGraph g;
-    const DataId x = g.add_data(datum("x"));
-    auto value = std::make_shared<double>(1.0);
-    for (int i = 1; i <= 10; ++i) {
-      TaskInfo info = named("t" + std::to_string(i));
-      info.kind = (i % 2) ? KernelKind::GEMM : KernelKind::TRSM;
-      info.tk = i;
-      g.add_task(info, {{x, AccessMode::ReadWrite}},
-                 [value, i] { *value = *value * 1.25 + i; });
-    }
-    ExecutorOptions opts;
-    opts.num_threads = 4;
-    opts.use_priorities = priorities;
-    execute(g, opts);
-    return *value;
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(Executor, PrioritiesPickPanelTasksFirst) {
   // With one worker and a pre-filled ready set, the panel task must run
   // before the queued trailing updates despite being inserted last.
@@ -284,7 +261,6 @@ TEST(Executor, PrioritiesPickPanelTasksFirst) {
   g.add_task(panel, {{p, AccessMode::Write}}, [&record] { record("potrf"); });
   ExecutorOptions opts;
   opts.num_threads = 1;
-  opts.use_priorities = true;
   execute(g, opts);
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order.front(), "potrf");
@@ -335,38 +311,24 @@ TEST(Trace, EscapesSpecialCharacters) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler stress suite: randomized DAG shapes run under every scheduler
-// configuration (work stealing on/off × priorities on/off) and several
-// thread counts. Each task body checks that all its predecessors retired
-// before it started — the core scheduling invariant — and a counter checks
-// every body ran exactly once.
+// Scheduler stress suite: randomized DAG shapes run at several pool sizes.
+// Each task body checks that all its predecessors retired before it
+// started — the core scheduling invariant — and a counter checks every body
+// ran exactly once.
 // ---------------------------------------------------------------------------
 
-struct SchedulerConfig {
-  bool work_stealing;
-  bool priorities;
-};
+constexpr std::size_t kPoolSizes[] = {1, 2, 8};
 
-const SchedulerConfig kSchedulerConfigs[] = {
-    {false, false}, {false, true}, {true, false}, {true, true}};
-
-/// Run `graph` and verify dependency order + exactly-once execution.
-/// `preds` / `runs` must be the vectors the task bodies were wired to.
+/// Run `graph` and verify exactly-once execution; `runs` must be the vector
+/// the task bodies were wired to.
 void check_execution(const TaskGraph& graph,
-                     const std::vector<std::vector<TaskId>>& preds,
-                     std::vector<std::atomic<int>>& runs,
-                     const SchedulerConfig& cfg, std::size_t threads) {
+                     std::vector<std::atomic<int>>& runs, std::size_t threads) {
   for (auto& r : runs) r.store(0);
-  ExecutorOptions opts;
-  opts.num_threads = threads;
-  opts.use_work_stealing = cfg.work_stealing;
-  opts.use_priorities = cfg.priorities;
-  const ExecutionReport rep = execute(graph, opts);
-  EXPECT_EQ(rep.tasks_run, graph.num_tasks());
+  const ExecutionReport rep = execute(graph, threads_opts(threads));
+  EXPECT_EQ(rep.tasks_run, graph.num_tasks()) << "threads " << threads;
   for (TaskId t = 0; t < graph.num_tasks(); ++t) {
     EXPECT_EQ(runs[std::size_t(t)].load(), 1) << "task " << t;
   }
-  (void)preds;
 }
 
 /// Wire bodies that record completion and assert every predecessor finished.
@@ -426,11 +388,7 @@ TEST(ExecutorStress, RandomizedDagsAllConfigs) {
     std::vector<std::vector<TaskId>> preds;
     std::vector<std::atomic<int>> runs(num_tasks);
     wire_invariant_bodies(g, preds, runs);
-    for (const SchedulerConfig& cfg : kSchedulerConfigs) {
-      for (std::size_t threads : {1u, 2u, 8u}) {
-        check_execution(g, preds, runs, cfg, threads);
-      }
-    }
+    for (std::size_t threads : kPoolSizes) check_execution(g, runs, threads);
   }
 }
 
@@ -473,40 +431,31 @@ TEST(ExecutorStress, WideDeepAndDiamondShapes) {
     std::vector<std::vector<TaskId>> preds;
     std::vector<std::atomic<int>> runs(g.num_tasks());
     wire_invariant_bodies(g, preds, runs);
-    for (const SchedulerConfig& cfg : kSchedulerConfigs) {
-      for (std::size_t threads : {1u, 4u, 16u}) {
-        check_execution(g, preds, runs, cfg, threads);
-      }
-    }
+    for (std::size_t threads : {1u, 4u, 16u}) check_execution(g, runs, threads);
   }
 }
 
 TEST(ExecutorStress, MoreThreadsThanTasks) {
-  for (const SchedulerConfig& cfg : kSchedulerConfigs) {
-    TaskGraph g;
-    const DataId x = g.add_data(datum("x"));
-    std::atomic<int> count{0};
-    for (int i = 0; i < 3; ++i) {
-      g.add_task(named("t"), {{x, AccessMode::ReadWrite}},
-                 [&count] { count.fetch_add(1); });
-    }
-    ExecutorOptions opts;
-    opts.num_threads = 32;  // far more than the 3 tasks
-    opts.use_work_stealing = cfg.work_stealing;
-    opts.use_priorities = cfg.priorities;
-    const ExecutionReport rep = execute(g, opts);
-    EXPECT_EQ(count.load(), 3);
-    EXPECT_EQ(rep.tasks_run, 3u);
+  TaskGraph g;
+  const DataId x = g.add_data(datum("x"));
+  std::atomic<int> count{0};
+  for (int i = 0; i < 3; ++i) {
+    g.add_task(named("t"), {{x, AccessMode::ReadWrite}},
+               [&count] { count.fetch_add(1); });
   }
+  // Far more than the 3 tasks: the dedicated pool is capped at the graph.
+  const ExecutionReport rep = execute(g, threads_opts(32));
+  EXPECT_EQ(count.load(), 3);
+  EXPECT_EQ(rep.tasks_run, 3u);
 }
 
 TEST(ExecutorStress, ExceptionMidGraphWithStealing) {
   // A fan-out where one mid-level task throws while its siblings are being
-  // stolen: the first exception must propagate, every scheduler config must
-  // still quiesce, and no body may run after its predecessors were skipped
-  // out of order (bodies of unaffected tasks may or may not run — the
-  // executor only guarantees the error surfaces and the pool drains).
-  for (const SchedulerConfig& cfg : kSchedulerConfigs) {
+  // stolen: the first exception must propagate, every pool size must still
+  // quiesce, and no body may run after its predecessors were skipped out of
+  // order (bodies of unaffected tasks may or may not run — the executor
+  // only guarantees the error surfaces and the pool drains).
+  for (std::size_t threads : kPoolSizes) {
     TaskGraph g;
     const DataId hub = g.add_data(datum("hub"));
     g.add_task(named("src"), {{hub, AccessMode::Write}});
@@ -521,11 +470,8 @@ TEST(ExecutorStress, ExceptionMidGraphWithStealing) {
                    {{hub, AccessMode::Read}, {d, AccessMode::Write}}, [] {});
       }
     }
-    ExecutorOptions opts;
-    opts.num_threads = 8;
-    opts.use_work_stealing = cfg.work_stealing;
-    opts.use_priorities = cfg.priorities;
-    EXPECT_THROW(execute(g, opts), Error) << "ws=" << cfg.work_stealing;
+    EXPECT_THROW(execute(g, threads_opts(threads)), Error)
+        << "threads=" << threads;
   }
 }
 
@@ -541,7 +487,6 @@ TEST(ExecutorStress, TraceMergeCoversEveryTaskUnderStealing) {
   ExecutorOptions opts;
   opts.num_threads = 8;
   opts.capture_trace = true;
-  opts.use_work_stealing = true;
   const ExecutionReport rep = execute(g, opts);
   ASSERT_EQ(rep.trace.size(), 65u);
   std::set<TaskId> seen;
@@ -549,15 +494,15 @@ TEST(ExecutorStress, TraceMergeCoversEveryTaskUnderStealing) {
     EXPECT_LE(e.start_seconds, e.end_seconds);
     seen.insert(e.task);
   }
-  EXPECT_EQ(seen.size(), 65u);  // merged per-worker buffers, no loss, no dupes
+  EXPECT_EQ(seen.size(), 65u);  // one per-run buffer: no loss, no dupes
 }
 
 TEST(ExecutorStress, FactorizationBitIdenticalAcrossSchedulers) {
-  // The determinism contract: scheduling policy must not change numerics,
+  // The determinism contract: the schedule must not change numerics,
   // because every conflicting tile access is ordered by a dataflow edge.
-  // Factor the same SPD tile matrix under all four scheduler configs and
-  // demand bit-identical factors.
-  auto factor = [](const SchedulerConfig& cfg) {
+  // Factor the same SPD tile matrix at every pool size and demand
+  // bit-identical factors.
+  auto factor = [](std::size_t threads) {
     Rng rng(99);
     const std::size_t n = 48, nb = 16;
     Matrix<double> b(n, n);
@@ -586,20 +531,19 @@ TEST(ExecutorStress, FactorizationBitIdenticalAcrossSchedulers) {
     }
     MpCholeskyOptions opts;
     opts.ladder = {Precision::FP64};
-    opts.num_threads = 8;
-    opts.use_work_stealing = cfg.work_stealing;
-    opts.use_priorities = cfg.priorities;
+    opts.num_threads = threads;
     const MpCholeskyResult r = mp_cholesky(tiles, opts);
     EXPECT_EQ(r.info, 0);
     const Matrix<double> dense = tiles.to_dense();
     return std::vector<double>(dense.data(), dense.data() + n * n);
   };
-  const std::vector<double> reference = factor(kSchedulerConfigs[0]);
-  for (std::size_t c = 1; c < 4; ++c) {
-    const std::vector<double> other = factor(kSchedulerConfigs[c]);
+  const std::vector<double> reference = factor(kPoolSizes[0]);
+  for (std::size_t threads : kPoolSizes) {
+    const std::vector<double> other = factor(threads);
     ASSERT_EQ(reference.size(), other.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(reference[i], other[i]) << "config " << c << " element " << i;
+      ASSERT_EQ(reference[i], other[i])
+          << "threads " << threads << " element " << i;
     }
   }
 }
@@ -619,6 +563,35 @@ TEST(Executor, SingleThreadMatchesMultiThreadResult) {
     return *value;
   };
   EXPECT_EQ(run(1), run(8));
+}
+
+TEST(ExecutorSession, CrossShardChainWithSingleWorkerShards) {
+  // Two shards of one worker each and a chain whose tasks alternate rank 0
+  // and rank 1: every edge crosses shards, so every retire pushes to the
+  // other shard's only worker — parked, parking or about to park — and
+  // must wake it. A lost cross-shard wakeup hangs a run.
+  ExecutorSessionOptions sopts;
+  sopts.num_threads = 2;
+  sopts.rank_shards = 2;
+  ExecutorSession session(sopts);
+  TaskGraph g;
+  const DataId x = g.add_data(datum("x"));
+  for (int i = 0; i < 64; ++i) {
+    TaskInfo info = named("t" + std::to_string(i));
+    info.rank = i % 2;
+    g.add_task(info, {{x, AccessMode::ReadWrite}});
+  }
+  ExecutorSession::SubmitOptions sub;
+  sub.capture_trace = true;
+  for (int rep = 0; rep < 200; ++rep) {
+    const ExecutionReport r = session.wait(session.submit(g, sub));
+    ASSERT_EQ(r.tasks_run, 64u) << "rep " << rep;
+    ASSERT_EQ(r.trace.size(), 64u) << "rep " << rep;
+    for (const TaskTraceEntry& e : r.trace) {
+      ASSERT_EQ(e.worker % 2, std::size_t(g.task(e.task).info.rank))
+          << "rep " << rep << " task " << e.task;
+    }
+  }
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ bool bits_equal(double a, double b) {
 // ------------------------------------------------------- ExecutorSession
 
 TEST(ExecutorSession, RunsAGraphToCompletion) {
-  ExecutorSession session(ExecutorSessionOptions{2, true, nullptr});
+  ExecutorSession session(ExecutorSessionOptions{.num_threads = 2});
   std::atomic<int> counter{0};
   TaskGraph g = make_chain(10, &counter);
   const ExecutionReport rep = session.wait(session.submit(g));
@@ -96,7 +96,7 @@ TEST(ExecutorSession, RunsAGraphToCompletion) {
 }
 
 TEST(ExecutorSession, ManyProducersShareOnePool) {
-  ExecutorSession session(ExecutorSessionOptions{2, true, nullptr});
+  ExecutorSession session(ExecutorSessionOptions{.num_threads = 2});
   constexpr int kProducers = 4;
   constexpr int kGraphsEach = 8;
   constexpr int kChain = 6;
@@ -118,7 +118,7 @@ TEST(ExecutorSession, ManyProducersShareOnePool) {
 }
 
 TEST(ExecutorSession, BodyFailureSurfacesInReportAndPoisonsDependents) {
-  ExecutorSession session(ExecutorSessionOptions{2, true, nullptr});
+  ExecutorSession session(ExecutorSessionOptions{.num_threads = 2});
   TaskGraph g;
   const DataId d = g.add_data({"d", 64, -1});
   std::atomic<int> ran{0};
@@ -161,7 +161,7 @@ TEST(ExecutorSession, ConcurrentFitsBitIdenticalToSerial) {
     serial[i] = fit_mle(cov, *scenarios[i].locs, scenarios[i].z, base);
   }
 
-  ExecutorSession session(ExecutorSessionOptions{2, true, nullptr});
+  ExecutorSession session(ExecutorSessionOptions{.num_threads = 2});
   std::vector<MleResult> shared(kFits);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kFits; ++i) {

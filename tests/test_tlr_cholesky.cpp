@@ -273,8 +273,6 @@ TEST_F(TlrCholeskyTest, ExecutorPlumbingKeepsFactorsBitIdentical) {
     TlrFactor f(a, 40, 1e-8);
     TlrCholeskyOptions opt;
     opt.num_threads = 3;
-    opt.use_work_stealing = false;
-    opt.use_priorities = false;
     MetricsRegistry metrics;
     opt.metrics = &metrics;
     ASSERT_EQ(tlr_cholesky(f, opt).info, 0);
@@ -288,13 +286,6 @@ TEST_F(TlrCholeskyTest, ExecutorPlumbingKeepsFactorsBitIdentical) {
     TlrFactor f(a, 40, 1e-8);
     TlrCholeskyOptions opt;
     opt.session = &session;
-    ASSERT_EQ(tlr_cholesky(f, opt).info, 0);
-    EXPECT_TRUE(identical(f));
-  }
-  {
-    TlrFactor f(a, 40, 1e-8);
-    TlrCholeskyOptions opt;
-    opt.use_shared_pool = true;
     ASSERT_EQ(tlr_cholesky(f, opt).info, 0);
     EXPECT_TRUE(identical(f));
   }
