@@ -196,7 +196,7 @@ std::size_t TileMatrix::spill_with(std::size_t m, std::size_t k,
                   spill_->file) == blob.buf.data.size();
   MPGEO_REQUIRE(write_ok, "TileMatrix::spill: write to backing file failed");
   slot.data_bytes = blob.buf.data.size();
-  blob.buf.data.clear();  // directory keeps the header only
+  blob.buf.data = std::vector<std::byte>();  // header only; frees the bytes
   slot.header = std::move(blob);
   slot.spilled = true;
   const std::size_t released = t.bytes();

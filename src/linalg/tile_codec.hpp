@@ -14,11 +14,17 @@
 // so decompress(compress(x)) is bit-identical *at the declared precision*:
 // lossless when keep_bits is off, equal to trunc_k(x) otherwise.
 //
-// The LZ stage is a small self-contained LZ77 byte codec (greedy 4-byte hash
-// matching, 16-bit offsets, LZ4-block-style token stream). It is fully
-// deterministic — same input, same bytes out — which the wire-byte
-// reconciliation (measured == logged == replayed) depends on. When a buffer
-// is incompressible the codec falls back to storing it verbatim, so
+// The LZ stage is a small self-contained LZ77 byte codec (hash matching,
+// 16-bit offsets, LZ4-block-style token stream). It searches only where a
+// search can pay: the input is cut into fixed 1 KiB blocks and a block whose
+// byte histogram is near uniform (the noise planes of a shuffled tile) is
+// emitted as literals without hashing. Searched blocks hash 6-byte seeds,
+// compare at most 4 earlier positions with the same hash (stopping at an
+// 8-byte match), extend matches 8 bytes at a time, and lengthen the step
+// after consecutive misses (LZ4's acceleration). Every decision depends only on the input bytes, so the
+// codec is fully deterministic — same input, same bytes out — which the
+// wire-byte reconciliation (measured == logged == replayed) depends on. When
+// a buffer is incompressible the codec falls back to storing it verbatim, so
 // compressed size never exceeds raw size.
 #pragma once
 
@@ -58,6 +64,8 @@ void truncate_mantissa(std::span<std::byte> payload, Storage fmt,
 /// elements of elem_size bytes. Groups sign/exponent bytes (near-constant on
 /// a covariance tile) and truncated-zero bytes into long runs the LZ stage
 /// can eat. in.size() must be a multiple of elem_size; out.size() == in.size().
+/// Element sizes 2, 4 and 8 transpose 8 elements at a time in registers;
+/// other sizes take the plain loop.
 void byte_shuffle(std::span<const std::byte> in, std::span<std::byte> out,
                   std::size_t elem_size);
 void byte_unshuffle(std::span<const std::byte> in, std::span<std::byte> out,
@@ -76,18 +84,14 @@ bool lz_decompress(std::span<const std::byte> in, std::span<std::byte> out);
 struct TileCodecOptions {
   /// Mantissa bits to keep before compressing; -1 keeps every bit (lossless).
   int keep_bits = -1;
-  /// Byte-plane transpose before the entropy stage.
-  bool shuffle = true;
-  /// LZ entropy stage; off stores (possibly truncated/shuffled) bytes as-is.
-  bool lz = true;
 };
 
-/// A compressed byte buffer plus the flags needed to invert it. `data` holds
-/// the stored bytes when `lz` is false (the incompressible fallback);
-/// size_bytes() <= raw_bytes always.
+/// A compressed byte buffer plus the flags needed to invert it. With `lz`
+/// set, `data` is the LZ stream of the byte-shuffled input (elem_size > 1)
+/// or of the input itself (elem_size == 1); otherwise `data` holds the input
+/// verbatim (the incompressible fallback). size_bytes() <= raw_bytes always.
 struct CompressedBuffer {
   std::uint32_t elem_size = 1;
-  bool shuffled = false;
   bool lz = false;
   std::uint64_t raw_bytes = 0;
   std::vector<std::byte> data;
@@ -95,12 +99,11 @@ struct CompressedBuffer {
   std::size_t size_bytes() const { return data.size(); }
 };
 
-/// Compress `in` (n elements of `elem_size` bytes). Applies opts.keep_bits
-/// only via the typed wrappers below — this layer is format-agnostic and
-/// never truncates.
+/// Compress `in` (n elements of `elem_size` bytes). This layer is
+/// format-agnostic and never truncates; keep_bits applies only through the
+/// typed wrappers below.
 CompressedBuffer compress_bytes(std::span<const std::byte> in,
-                                std::size_t elem_size,
-                                const TileCodecOptions& opts = {});
+                                std::size_t elem_size);
 
 /// Exact inverse; `out` must be exactly raw_bytes long. Throws mpgeo::Error
 /// on size mismatch or a corrupt stream.
@@ -126,13 +129,14 @@ struct CompressedBlob {
 CompressedBlob compress_payload(const WirePayload& p,
                                 const TileCodecOptions& opts = {});
 
-/// Compress a tile at its own storage format (the at-rest path: operand
-/// cache cold tier, TileMatrix spill).
+/// Compress a tile at its own storage format (the at-rest path: TileMatrix
+/// spill). Lossless passes shuffle straight from the tile's payload.
 CompressedBlob compress_tile(const AnyTile& t,
                              const TileCodecOptions& opts = {});
 
 /// Exact inverses. decompress_into requires dst pre-sized rows x cols with
-/// storage >= the blob format (same contract as deserialize_into).
+/// storage >= the blob format (same contract as deserialize_into); when the
+/// formats match it decodes straight into dst's payload.
 WirePayload decompress_payload(const CompressedBlob& c);
 void decompress_into(const CompressedBlob& c, AnyTile& dst);
 

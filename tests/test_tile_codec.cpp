@@ -1,6 +1,8 @@
 // Property tests for the tile compression codec (src/linalg/tile_codec):
-// k-bit mantissa truncation is idempotent and error-bounded, the LZ stage
-// round-trips arbitrary byte strings and rejects corrupt streams without
+// k-bit mantissa truncation is idempotent and error-bounded, the byte
+// shuffle equals the plain per-plane loop, the LZ stage round-trips and
+// deterministically re-encodes arbitrary byte strings, decodes hand-written
+// token streams (the format) exactly and rejects corrupt streams without
 // reading out of bounds, and decompress(compress(tile)) is bit-exact at the
 // declared precision on every ladder rung.
 #include <gtest/gtest.h>
@@ -8,7 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -113,9 +120,11 @@ TEST(MantissaTruncationTest, KeepBitsForRoundoff) {
 }
 
 TEST(ByteShuffleTest, RoundTripsAndGroupsPlanes) {
+  // Sizes around the 8-element groups the register transposes take, and
+  // element sizes they do not handle, against the plain per-plane layout.
   Rng rng(21);
-  for (std::size_t elem : {std::size_t(2), std::size_t(4), std::size_t(8)}) {
-    for (std::size_t n : {std::size_t(1), std::size_t(7), std::size_t(256)}) {
+  for (std::size_t elem : {1, 2, 3, 4, 8, 16}) {
+    for (std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 63, 256, 257, 1001}) {
       std::vector<std::byte> in(n * elem);
       for (auto& b : in) b = std::byte(rng.uniform_index(256));
       std::vector<std::byte> shuf(in.size()), back(in.size());
@@ -130,6 +139,152 @@ TEST(ByteShuffleTest, RoundTripsAndGroupsPlanes) {
       }
     }
   }
+}
+
+/// Append `len` bytes of one kind of content: noise, a zero run, a short
+/// period, or a two-symbol alphabet.
+void append_segment(std::vector<std::byte>& v, int kind, std::size_t len,
+                    Rng& rng) {
+  const std::size_t period = 2 + rng.uniform_index(300);
+  const std::uint8_t sym[2] = {std::uint8_t(rng.uniform_index(256)), 0x80};
+  for (std::size_t i = 0; i < len; ++i) {
+    switch (kind) {
+      case 0: v.push_back(std::byte(rng.uniform_index(256))); break;
+      case 1: v.push_back(std::byte{0}); break;
+      case 2: v.push_back(std::byte((i % period) * 37 % 251)); break;
+      default: v.push_back(std::byte(sym[rng.uniform_index(2)])); break;
+    }
+  }
+}
+
+/// A buffer of whole elem-byte elements mixing all segment kinds, with
+/// segment lengths that straddle the encoder's 1 KiB gate blocks.
+std::vector<std::byte> mixed_buffer(std::size_t elems, std::size_t elem,
+                                    Rng& rng) {
+  std::vector<std::byte> v;
+  const std::size_t bytes = elems * elem;
+  while (v.size() < bytes) {
+    const std::size_t len = std::min(bytes - v.size(),
+                                     std::size_t(1 + rng.uniform_index(2500)));
+    append_segment(v, int(rng.uniform_index(4)), len, rng);
+  }
+  return v;
+}
+
+TEST(LzCodecTest, MixedBuffersRoundTripAndEncodeDeterministically) {
+  Rng rng(32);
+  for (std::size_t elem : {1, 2, 4, 8}) {
+    // Byte sizes around one gate block, a few blocks, and planes that end
+    // mid-block.
+    for (std::size_t bytes : {1023, 1024, 1025, 2048, 4099, 65536, 70001}) {
+      const std::size_t elems = bytes / elem + 1;
+      const std::vector<std::byte> in = mixed_buffer(elems, elem, rng);
+      const std::vector<std::byte> packed = lz_compress(in);
+      std::vector<std::byte> out(in.size());
+      ASSERT_TRUE(lz_decompress(packed, out)) << elem << "/" << bytes;
+      EXPECT_EQ(out, in);
+      EXPECT_EQ(lz_compress(in), packed);  // same input, same stream
+
+      const CompressedBuffer c = compress_bytes(in, elem);
+      EXPECT_LE(c.size_bytes(), in.size());
+      std::vector<std::byte> back(in.size());
+      decompress_bytes(c, back);
+      EXPECT_EQ(back, in) << elem << "/" << bytes;
+      // Per-thread encoder state never leaks into the output: another
+      // thread, and this one after other inputs, produce the same bytes.
+      CompressedBuffer other;
+      std::thread([&] { other = compress_bytes(in, elem); }).join();
+      EXPECT_EQ(other.data, c.data);
+      EXPECT_EQ(other.lz, c.lz);
+      EXPECT_EQ(compress_bytes(in, elem).data, c.data);
+    }
+  }
+}
+
+/// Byte-at-a-time reference for one match: out[i] = out[i - offset].
+void reference_match(std::vector<std::byte>& out, std::size_t offset,
+                     std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) out.push_back(out[out.size() - offset]);
+}
+
+TEST(LzCodecTest, DecodesOverlappingMatches) {
+  // One op per case: `lit` literals, then a match at `offset` of `len`
+  // bytes, then one final literal. Offsets below the length replicate the
+  // period the literals set up; the others copy without overlap.
+  struct Case {
+    std::size_t lit, offset, len;
+  };
+  for (const Case k : {Case{1, 1, 4}, Case{1, 1, 300}, Case{2, 2, 9},
+                       Case{3, 3, 10}, Case{3, 3, 200}, Case{5, 5, 41},
+                       Case{7, 7, 16}, Case{9, 9, 18}, Case{12, 12, 16},
+                       Case{12, 12, 8}, Case{16, 16, 16}, Case{20, 16, 33},
+                       Case{40, 40, 4}, Case{40, 35, 30}, Case{40, 17, 19}}) {
+    std::vector<std::byte> stream, want;
+    const std::size_t m = k.len - 4;
+    stream.push_back(std::byte((std::min<std::size_t>(k.lit, 15) << 4) |
+                               std::min<std::size_t>(m, 15)));
+    if (k.lit >= 15) stream.push_back(std::byte(k.lit - 15));
+    for (std::size_t i = 0; i < k.lit; ++i) {
+      stream.push_back(std::byte(0x41 + i));
+      want.push_back(std::byte(0x41 + i));
+    }
+    stream.push_back(std::byte(k.offset & 0xFF));
+    stream.push_back(std::byte(k.offset >> 8));
+    if (m >= 15) {
+      for (std::size_t r = m - 15; ; r -= 255) {
+        stream.push_back(std::byte(std::min<std::size_t>(r, 255)));
+        if (r < 255) break;
+      }
+    }
+    reference_match(want, k.offset, k.len);
+    stream.push_back(std::byte{0x10});  // final op: one literal
+    stream.push_back(std::byte{0x7A});
+    want.push_back(std::byte{0x7A});
+
+    std::vector<std::byte> out(want.size());
+    ASSERT_TRUE(lz_decompress(stream, out))
+        << "offset " << k.offset << " len " << k.len;
+    EXPECT_EQ(out, want) << "offset " << k.offset << " len " << k.len;
+  }
+}
+
+TEST(LzCodecTest, GoldenTokenStream) {
+  // The on-disk and wire format, written out by hand:
+  //   op 1: token 0x32 = 3 literals, match length 2 + 4 = 6;
+  //         literals "abc"; offset 3 (LE) -> "abcabc"
+  //   op 2: token 0xF0 = 15 + 255 + 2 = 272 literals (extension 255, 2),
+  //         no match half: only the last op may omit it
+  // which must decode to "abcabcabc" followed by the 272 literals.
+  const std::vector<std::uint8_t> head = {0x32, 'a', 'b', 'c', 0x03, 0x00,
+                                          0xF0, 0xFF, 0x02};
+  std::vector<std::byte> stream = to_bytes(head);
+  std::vector<std::byte> want = to_bytes({'a', 'b', 'c', 'a', 'b', 'c', 'a',
+                                          'b', 'c'});
+  for (std::size_t i = 0; i < 272; ++i) {
+    stream.push_back(std::byte(i * 7));
+    want.push_back(std::byte(i * 7));
+  }
+  std::vector<std::byte> out(want.size());
+  ASSERT_TRUE(lz_decompress(stream, out));
+  EXPECT_EQ(out, want);
+
+  // A match-length extension: token 0x1F = 1 literal, match 15 + 4 + ext;
+  // ext 255 then 0 -> a 274-byte run of the literal at offset 1.
+  const std::vector<std::byte> run =
+      to_bytes({0x1F, 0x55, 0x01, 0x00, 0xFF, 0x00});
+  std::vector<std::byte> run_out(275);
+  ASSERT_TRUE(lz_decompress(run, run_out));
+  EXPECT_EQ(run_out, std::vector<std::byte>(275, std::byte{0x55}));
+
+  // The same stream as an elem_size-1 LZ buffer, through decompress_bytes.
+  CompressedBuffer c;
+  c.elem_size = 1;
+  c.lz = true;
+  c.raw_bytes = want.size();
+  c.data = stream;
+  std::vector<std::byte> via_buffer(want.size());
+  decompress_bytes(c, via_buffer);
+  EXPECT_EQ(via_buffer, want);
 }
 
 TEST(LzCodecTest, RoundTripsStructuredAndRandomData) {
@@ -384,6 +539,35 @@ TEST(SpillTierTest, SpillAndRestoreRoundTripsBitExactly) {
   EXPECT_EQ(s.spilled_bytes, 0u);
   EXPECT_EQ(s.file_bytes, appended);  // the log never shrinks
 }
+
+#if defined(__GLIBC__)
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;  // arena chunks plus mmapped chunks
+}
+
+TEST(SpillTierTest, SpilledTilesFreeTheirMemory) {
+  // The spill tier keeps only a header per spilled tile: after spill_all()
+  // the heap must have shed most of the payload, not traded it for
+  // compressed copies left behind in the slot directory.
+  TileMatrix a = spd_matrix(1024, 256, 19);
+  const std::size_t payload = a.bytes();
+  SpillOptions sopts;
+  sopts.enabled = true;
+  a.enable_spill(sopts);
+  (void)compress_tile(a.tile(0, 0));  // size this thread's codec scratch
+  const std::size_t before = heap_in_use();
+  if (before == 0) {
+    GTEST_SKIP() << "allocator keeps no glibc heap statistics (sanitizer "
+                    "runtimes replace malloc)";
+  }
+  a.spill_all();
+  const std::size_t after = heap_in_use();
+  EXPECT_LT(after + payload / 2, before)
+      << "heap " << before << " -> " << after << " B, payload " << payload;
+  a.restore_all();
+}
+#endif
 
 TEST(SpillTierTest, NamedBackingFileAndMetrics) {
   TileMatrix a = spd_matrix(48, 16, 9);
