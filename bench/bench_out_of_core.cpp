@@ -1,30 +1,19 @@
-// Out-of-core factorization for real (DESIGN.md 5i). Three sections, each
+// Out-of-core factorization for real (DESIGN.md 5i). Two sections, each
 // an enforced gate (any violation exits nonzero):
 //
 //  1. Budgeted bit-identity: the mixed-precision Cholesky runs against the
 //     spill tier under a resident-byte budget below half the stored matrix,
-//     in both paging modes (async prefetch / sync fault-on-access). Every
-//     configuration must produce the factor the
-//     fully-resident run produces, bit for bit, while the pager's peak
-//     residency stays below the full footprint and cold evictions prove the
+//     every restore and spill on the worker that needs it. It must produce
+//     the factor the fully-resident run produces, bit for bit, while the
+//     pager's accounted peak stays within the budget plus one tile (unless
+//     a fault took the overshoot escape) and cold evictions prove the
 //     budget actually bit.
 //
-//  2. Async prefetch vs sync fault at the *same* budget: the lookahead I/O
-//     thread restores tiles ahead of the scheduler frontier, so
-//     decompression leaves the workers' critical path. Coverage gate
-//     (always): async must convert the sync run's demand faults into
-//     prefetches. Wall-clock gate (hosts with >= 2 CPUs, where overlap
-//     physically exists): best-of-N async must beat best-of-N sync. On a
-//     single-CPU host the I/O thread and the workers time-share one core,
-//     so async pays the same codec work plus switching — the clock gate
-//     would measure the machine, not the pager.
-//
-//  3. Log compaction: repeated spill/restore cycles strand one matrix of
+//  2. Log compaction: repeated spill/restore cycles strand one matrix of
 //     garbage per cycle. With the auto-compaction policy the log stays
 //     bounded (<= 3x the live bytes); without it the log grows without
 //     bound. Restores stay bit-exact either way.
-#include <chrono>
-#include <thread>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -86,8 +75,8 @@ MpCholeskyOptions base_options(const AppConfig& app) {
   return opt;
 }
 
-/// Section 1: budget under half the matrix, both paging modes — each
-/// bit-identical to the fully-resident factor.
+/// Section 1: budget under half the matrix, bit-identical to the
+/// fully-resident factor.
 bool budget_section(const TileMatrix& pristine, const AppConfig& app,
                     const MpCholeskyResult& ref, const TileMatrix& ref_factor,
                     std::size_t budget, JsonWriter* json) {
@@ -95,151 +84,69 @@ bool budget_section(const TileMatrix& pristine, const AppConfig& app,
             << mib(budget) << " MiB of " << mib(ref.stored_bytes)
             << " MiB stored (" << (100 * budget / ref.stored_bytes)
             << "%) --\n";
-  Table t({"paging", "peak MiB", "prefetch", "faults", "cold", "identical"});
+  Table t({"peak MiB", "faults", "cold", "overshoots", "identical"});
 
-  bool ok = true;
-  for (const bool async : {true, false}) {
-    TileMatrix a = pristine;
-    SpillOptions sopts;
-    sopts.enabled = true;
-    a.enable_spill(sopts);
-    a.spill_all();
-
-    MpCholeskyOptions opt = base_options(app);
-    opt.ooc.enabled = true;
-    opt.ooc.resident_byte_budget = budget;
-    opt.ooc.async = async;
-    const MpCholeskyResult r = mp_cholesky(a, opt);
-    if (r.info != 0) {
-      std::cerr << "out-of-core run failed to factor (info=" << r.info
-                << ")\n";
-      return false;
+  std::size_t max_tile = 0;
+  for (std::size_t m = 0; m < pristine.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      max_tile = std::max(max_tile, pristine.tile(m, k).bytes());
     }
-    a.restore_all();
+  }
+  TileMatrix a = pristine;
+  SpillOptions sopts;
+  sopts.enabled = true;
+  a.enable_spill(sopts);
+  a.spill_all();
 
-    // Demand faults may overshoot the budget transiently and queued
-    // evictions lag behind urgent restores, so the peak is gated against
-    // the full stored footprint (never fully resident), not budget+slack.
-    bool row_ok = pmaps_identical(r.pmap, ref.pmap, a.num_tiles()) &&
+  MpCholeskyOptions opt = base_options(app);
+  opt.ooc.enabled = true;
+  opt.ooc.resident_byte_budget = budget;
+  const MpCholeskyResult r = mp_cholesky(a, opt);
+  if (r.info != 0) {
+    std::cerr << "out-of-core run failed to factor (info=" << r.info << ")\n";
+    return false;
+  }
+  a.restore_all();
+
+  // A fault that finds no victim and nothing in flight proceeds over
+  // budget (overshoot_admits); otherwise accounted residency never exceeds
+  // the budget plus one tile.
+  const bool peak_ok = r.ooc.overshoot_admits != 0 ||
+                       r.ooc.peak_resident_bytes <= budget + max_tile;
+  const bool ok = pmaps_identical(r.pmap, ref.pmap, a.num_tiles()) &&
                   tiles_identical(a, ref_factor) &&
-                  r.ooc.peak_resident_bytes > 0 &&
-                  r.ooc.peak_resident_bytes < ref.stored_bytes &&
-                  r.ooc.cold_evictions > 0 && r.ooc.evictions > 0;
-    if (async) {
-      row_ok = row_ok && r.ooc.prefetches > 0;
-    } else {
-      row_ok = row_ok && r.ooc.prefetches == 0 && r.ooc.demand_faults > 0;
-    }
-    ok = ok && row_ok;
+                  r.ooc.peak_resident_bytes > 0 && peak_ok &&
+                  r.ooc.cold_evictions > 0 && r.ooc.evictions > 0 &&
+                  r.ooc.demand_faults > 0;
 
-    t.add_row({async ? "async" : "sync", mib(r.ooc.peak_resident_bytes),
-               std::to_string(r.ooc.prefetches),
-               std::to_string(r.ooc.demand_faults),
-               std::to_string(r.ooc.cold_evictions), row_ok ? "yes" : "NO"});
-    if (json) {
-      JsonRecord& rec =
-          json->add(std::string("ooc/") + (async ? "async" : "sync"), "bytes");
-      rec.metrics.emplace_back("budget", double(budget));
-      rec.metrics.emplace_back("stored", double(ref.stored_bytes));
-      rec.metrics.emplace_back("peak_resident",
-                               double(r.ooc.peak_resident_bytes));
-      rec.metrics.emplace_back("prefetches", double(r.ooc.prefetches));
-      rec.metrics.emplace_back("demand_faults", double(r.ooc.demand_faults));
-      rec.metrics.emplace_back("cold_evictions", double(r.ooc.cold_evictions));
-      rec.metrics.emplace_back("bit_identical", row_ok ? 1.0 : 0.0);
-    }
+  t.add_row({mib(r.ooc.peak_resident_bytes),
+             std::to_string(r.ooc.demand_faults),
+             std::to_string(r.ooc.cold_evictions),
+             std::to_string(r.ooc.overshoot_admits), ok ? "yes" : "NO"});
+  if (json) {
+    JsonRecord& rec = json->add("ooc/budgeted", "bytes");
+    rec.metrics.emplace_back("budget", double(budget));
+    rec.metrics.emplace_back("stored", double(ref.stored_bytes));
+    rec.metrics.emplace_back("max_tile", double(max_tile));
+    rec.metrics.emplace_back("peak_resident",
+                             double(r.ooc.peak_resident_bytes));
+    rec.metrics.emplace_back("demand_faults", double(r.ooc.demand_faults));
+    rec.metrics.emplace_back("cold_evictions", double(r.ooc.cold_evictions));
+    rec.metrics.emplace_back("overshoot_admits",
+                             double(r.ooc.overshoot_admits));
+    rec.metrics.emplace_back("bit_identical", ok ? 1.0 : 0.0);
   }
   t.print(std::cout);
   if (!ok) std::cerr << "budgeted out-of-core gate FAILED\n";
   std::cout << "(Paging is invisible to the numerics: spill/restore is\n"
                "bit-exact and the task graph is unchanged, so every budget\n"
-               "produces the fully-resident factor. Async rows prefetch;\n"
-               "sync rows fault on access.)\n\n";
+               "produces the fully-resident factor. Each worker decodes the\n"
+               "tiles it faults and encodes the victims and dead tiles it\n"
+               "frees.)\n\n";
   return ok;
 }
 
-/// Section 2: async lookahead vs sync fault-on-access, same budget.
-bool prefetch_section(const TileMatrix& pristine, const AppConfig& app,
-                      std::size_t budget, int reps, JsonWriter* json) {
-  std::cout << "-- async prefetch vs sync fault (equal budget, best of "
-            << reps << ") --\n";
-  Table t({"paging", "best s", "prefetch", "waits", "faults"});
-
-  double best[2] = {1e30, 1e30};
-  std::uint64_t prefetches[2] = {0, 0}, waits[2] = {0, 0}, faults[2] = {0, 0};
-  for (const bool async : {false, true}) {
-    for (int rep = 0; rep < reps; ++rep) {
-      TileMatrix a = pristine;
-      SpillOptions sopts;
-      sopts.enabled = true;
-      a.enable_spill(sopts);
-      a.spill_all();
-
-      MpCholeskyOptions opt = base_options(app);
-      opt.ooc.enabled = true;
-      opt.ooc.resident_byte_budget = budget;
-      opt.ooc.async = async;
-      const auto t0 = std::chrono::steady_clock::now();
-      const MpCholeskyResult r = mp_cholesky(a, opt);
-      const auto t1 = std::chrono::steady_clock::now();
-      if (r.info != 0) {
-        std::cerr << "timed run failed to factor (info=" << r.info << ")\n";
-        return false;
-      }
-      const double s = std::chrono::duration<double>(t1 - t0).count();
-      if (s < best[async]) {
-        best[async] = s;
-        prefetches[async] = r.ooc.prefetches;
-        waits[async] = r.ooc.prefetch_waits;
-        faults[async] = r.ooc.demand_faults;
-      }
-    }
-  }
-  // Coverage always; the clock only where overlap hardware exists (see the
-  // header comment).
-  const bool multi_cpu = std::thread::hardware_concurrency() >= 2;
-  const bool coverage_ok =
-      prefetches[1] > 0 && faults[1] < faults[0] && faults[0] > 0;
-  const bool clock_ok = !multi_cpu || best[1] < best[0];
-  const bool ok = coverage_ok && clock_ok;
-  for (const bool async : {true, false}) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.4f", best[async]);
-    t.add_row({async ? "async" : "sync", buf,
-               std::to_string(prefetches[async]),
-               std::to_string(waits[async]), std::to_string(faults[async])});
-  }
-  t.print(std::cout);
-  if (json) {
-    JsonRecord& rec = json->add("ooc/prefetch_speedup", "seconds");
-    rec.metrics.emplace_back("async_best", best[1]);
-    rec.metrics.emplace_back("sync_best", best[0]);
-    rec.metrics.emplace_back("speedup", best[0] / best[1]);
-    rec.metrics.emplace_back("async_faults", double(faults[1]));
-    rec.metrics.emplace_back("sync_faults", double(faults[0]));
-    rec.metrics.emplace_back("clock_gated", multi_cpu ? 1.0 : 0.0);
-    rec.metrics.emplace_back("ok", ok ? 1.0 : 0.0);
-  }
-  if (!coverage_ok) {
-    std::cerr << "prefetch regression: async faults " << faults[1]
-              << " not below sync faults " << faults[0]
-              << " (lookahead failed to run ahead of the frontier)\n";
-  }
-  if (!clock_ok) {
-    std::cerr << "prefetch regression: async best " << best[1]
-              << " s not faster than sync best " << best[0] << " s\n";
-  }
-  if (!multi_cpu) {
-    std::cerr << "[note] single-CPU host: wall-clock gate skipped, coverage "
-                 "gate applied\n";
-  }
-  std::cout << "(The background I/O thread restores tiles ahead of the\n"
-               "scheduler frontier, so decompression overlaps compute; the\n"
-               "sync baseline pays every restore on the accessing worker.)\n\n";
-  return ok;
-}
-
-/// Section 3: auto-compacted log stays bounded across re-spill cycles.
+/// Section 2: auto-compacted log stays bounded across re-spill cycles.
 bool compaction_section(const TileMatrix& pristine, int cycles,
                         JsonWriter* json) {
   std::cout << "-- spill-log compaction across " << cycles
@@ -303,8 +210,8 @@ bool compaction_section(const TileMatrix& pristine, int cycles,
   return ok;
 }
 
-/// `--trace`: one instrumented async run exporting the residency timeline as
-/// a tile.resident_bytes counter track next to the task spans.
+/// `--trace`: one instrumented run exporting the residency timeline as a
+/// tile.resident_bytes counter track next to the task spans.
 void traced_run(const TileMatrix& pristine, const AppConfig& app,
                 std::size_t budget, const std::string& path) {
   TileMatrix a = pristine;
@@ -317,7 +224,6 @@ void traced_run(const TileMatrix& pristine, const AppConfig& app,
   MpCholeskyOptions opt = base_options(app);
   opt.ooc.enabled = true;
   opt.ooc.resident_byte_budget = budget;
-  opt.ooc.capture_residency = true;
   opt.capture_trace = true;
   opt.metrics = &registry;
   const MpCholeskyResult r = mp_cholesky(a, opt);
@@ -341,7 +247,6 @@ int main(int argc, char** argv) {
   const std::size_t nb = std::size_t(cli.get_int("nb", 64));
   const double nugget = cli.get_double("nugget", 0.02);
   const int budget_pct = cli.get_int("budget-pct", 45);
-  const int reps = cli.get_int("reps", 3);
   const int cycles = cli.get_int("cycles", 6);
   const std::string json_path = cli.get_string("json", "");
   const std::string trace_path = cli.get_string("trace", "");
@@ -370,7 +275,6 @@ int main(int argc, char** argv) {
       ref.stored_bytes * std::size_t(budget_pct) / 100;
 
   bool ok = budget_section(pristine, app, ref, ref_factor, budget, jw);
-  ok = prefetch_section(pristine, app, budget, reps, jw) && ok;
   ok = compaction_section(pristine, cycles, jw) && ok;
   if (!trace_path.empty()) traced_run(pristine, app, budget, trace_path);
 

@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
       return out;
     };
 
-    // Run A: every fit pages through its own PRIVATE OocPager with the full
+    // Run A: every fit pages through a pager of its own with the full
     // budget — each fit individually stays under it, but nothing stops all
     // --slots concurrent fits from holding budget bytes at once. This is
     // the best a per-fit pager can do, and the baseline the shared arbiter
@@ -294,12 +294,13 @@ int main(int argc, char** argv) {
     check_run(run_b, "shared");
 
     // Gate 2: the shared ledger never exceeded budget + one tile of slack
-    // (the urgent-admission overshoot bound, DESIGN.md 5j).
+    // (the admission overshoot bound, DESIGN.md 5j).
     const bool peak_ok = run_b.shared.peak_resident_bytes <=
                          budget + run_b.shared.max_tile_bytes;
 
     // Gate 3: starvation bound — no fit faulted more often than it used
-    // tiles, i.e. round-robin urgent service kept every tenant progressing.
+    // tiles, i.e. every worker's own fault service kept its tenant
+    // progressing.
     std::size_t starved = 0;
     for (const FitResponse& r : run_b.responses) {
       if (r.outcome == FitOutcome::Ok &&
@@ -330,14 +331,12 @@ int main(int argc, char** argv) {
                 "%llu max per-fit peak)\n",
                 slots, (unsigned long long)max_private_peak);
     std::printf("shared pager: %llu tenants, %llu demand faults, %llu "
-                "prefetches, %llu write installs, %llu cold evictions, %llu "
-                "urgent served, %llu overshoot admits\n",
+                "write installs, %llu cold evictions, %llu overshoot "
+                "admits\n",
                 (unsigned long long)run_b.shared.tenants_attached,
                 (unsigned long long)run_b.shared.demand_faults,
-                (unsigned long long)run_b.shared.prefetches,
                 (unsigned long long)run_b.shared.write_installs,
                 (unsigned long long)run_b.shared.cold_evictions,
-                (unsigned long long)run_b.shared.urgent_served,
                 (unsigned long long)run_b.shared.overshoot_admits);
     std::printf("peak residency <= budget + one tile (%llu <= %zu + %llu): "
                 "%s\n",

@@ -1,7 +1,6 @@
 #include "core/mle.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "common/error.hpp"
 #include "core/mp_cholesky.hpp"
@@ -49,60 +48,41 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
     return exact_log_likelihood(cov, locs, theta, z, options.nugget);
   }
 
-  // Sigma(theta). The fast path computes the theta-invariant tile distances
-  // once per fit and refills one reused buffer; after mp_cholesky re-stored
+  // Sigma(theta). The theta-invariant tile distances are computed once per
+  // fit and one reused buffer is refilled; after mp_cholesky re-stored
   // tiles per the precision map, fill_tiled_covariance resets them to FP64.
   // Generation runs as parallel GENERATE tasks on the same pool size the
   // factorization uses (num_threads == 1 stays serial, e.g. under
   // replica-level parallelism in run_monte_carlo).
-  TileMatrix* sigma_ptr = nullptr;
-  std::optional<TileMatrix> transient;
   const bool ooc = options.ooc.enabled;
-  CovGenOptions gen;  // shared with the escalation regenerate callback
-  if (options.covgen_fast) {
-    if (!workspace.geometry || workspace.geometry->n() != n ||
-        workspace.geometry->nb() != options.tile) {
-      workspace.geometry = std::make_shared<const TileGeometry>(
-          locs, options.tile, options.metrics);
-    }
-    if (!workspace.sigma || workspace.sigma->n() != n ||
-        workspace.sigma->nb() != options.tile) {
-      workspace.sigma = std::make_unique<TileMatrix>(n, options.tile);
-    }
-    if (ooc && !workspace.sigma->spill_enabled()) {
-      // Start the fit fully spilled (zero tiles compress to almost
-      // nothing), so the covgen pager attaches with an empty resident set
-      // instead of spiking the global ledger with a fresh resident matrix.
-      SpillOptions sp;
-      sp.enabled = true;
-      sp.metrics = options.metrics;
-      workspace.sigma->enable_spill(sp);
-      workspace.sigma->spill_all();
-    }
-    gen.parallel = options.num_threads != 1;
-    gen.num_threads = options.num_threads;
-    gen.session = options.session;
-    gen.geometry = workspace.geometry.get();
-    gen.metrics = options.metrics;
-    gen.ooc = options.ooc;
-    fill_tiled_covariance(*workspace.sigma, cov, locs, theta, options.nugget,
-                          gen);
-    sigma_ptr = workspace.sigma.get();
-  } else {
-    transient.emplace(
-        build_tiled_covariance(cov, locs, theta, options.tile, options.nugget));
-    if (ooc) {
-      // The slow path generates resident by design (it rebuilds Sigma per
-      // evaluation); give it a spill tier so the factorization still pages.
-      SpillOptions sp;
-      sp.enabled = true;
-      sp.metrics = options.metrics;
-      transient->enable_spill(sp);
-      transient->spill_all();
-    }
-    sigma_ptr = &*transient;
+  if (!workspace.geometry || workspace.geometry->n() != n ||
+      workspace.geometry->nb() != options.tile) {
+    workspace.geometry = std::make_shared<const TileGeometry>(
+        locs, options.tile, options.metrics);
   }
-  TileMatrix& sigma = *sigma_ptr;
+  if (!workspace.sigma || workspace.sigma->n() != n ||
+      workspace.sigma->nb() != options.tile) {
+    workspace.sigma = std::make_unique<TileMatrix>(n, options.tile);
+  }
+  if (ooc && !workspace.sigma->spill_enabled()) {
+    // Start the fit fully spilled (zero tiles compress to almost nothing),
+    // so the covgen pager attaches with an empty resident set instead of
+    // spiking the global ledger with a fresh resident matrix.
+    SpillOptions sp;
+    sp.enabled = true;
+    sp.metrics = options.metrics;
+    workspace.sigma->enable_spill(sp);
+    workspace.sigma->spill_all();
+  }
+  CovGenOptions gen;  // shared with the escalation regenerate callback
+  gen.parallel = options.num_threads != 1;
+  gen.num_threads = options.num_threads;
+  gen.session = options.session;
+  gen.geometry = workspace.geometry.get();
+  gen.metrics = options.metrics;
+  gen.ooc = options.ooc;
+  TileMatrix& sigma = *workspace.sigma;
+  fill_tiled_covariance(sigma, cov, locs, theta, options.nugget, gen);
 
   MpCholeskyOptions chol;
   chol.u_req = options.u_req;
@@ -117,13 +97,11 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   chol.compress_wire = options.compress_wire;
   chol.truncation = options.truncation;
   chol.ooc = options.ooc;
-  // The refill callback below copes with spilled tiles itself (covgen
-  // discards stale blobs in place), so escalation retries stay under the
-  // residency budget instead of calling restore_all.
-  chol.ooc.regenerate_handles_spill = true;
   // Escalation retries restore Sigma by refilling it from the covariance —
-  // the generator is the cheapest pristine source (no snapshot copy), and on
-  // the fast path the refill reuses the cached tile distances.
+  // the generator is the cheapest pristine source (no snapshot copy), the
+  // refill reuses the cached tile distances, and it copes with the tiles
+  // the failed attempt left spilled (covgen discards stale blobs in place),
+  // so retries stay under the residency budget.
   chol.regenerate = [&cov, &locs, theta, &options, &gen](TileMatrix& s) {
     fill_tiled_covariance(s, cov, locs, theta, options.nugget, gen);
   };
@@ -163,16 +141,14 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
 
   double logdet = 0.0;
   try {
-    logdet = ooc ? logdet_tiled_streamed(sigma, options.ooc.shared,
-                                         options.ooc.priority)
+    logdet = ooc ? logdet_tiled_streamed(sigma, options.ooc.shared)
                  : logdet_tiled(sigma);
   } catch (const Error&) {
     return kFailedLogLik;  // rounding drove a pivot non-positive
   }
   std::vector<double> y(z.begin(), z.end());
   if (ooc) {
-    forward_solve_tiled_streamed(sigma, y, options.ooc.shared,
-                                 options.ooc.priority);
+    forward_solve_tiled_streamed(sigma, y, options.ooc.shared);
   } else {
     forward_solve_tiled(sigma, y);
   }

@@ -40,13 +40,6 @@ struct MleOptions {
   OptimOptions optim{1e-9, 4000, 0.25};
   double lower_bound = 0.01;  ///< paper: all params in [0.01, 2]
   double upper_bound = 2.0;
-  /// Covariance-generation fast path (DESIGN.md 5d): reuse one Sigma buffer
-  /// and the theta-invariant TileGeometry across every likelihood evaluation
-  /// of a fit, evaluate the covariance through batched kernels, and assemble
-  /// tiles in parallel on the work-stealing executor when num_threads allows.
-  /// Bit-identical to the rebuild-per-evaluation path (false), which is kept
-  /// for A/B and regression bisection.
-  bool covgen_fast = true;
   /// covgen.*, executor and mp_cholesky counters (null = off).
   MetricsRegistry* metrics = nullptr;
   /// Breakdown recovery (DESIGN.md 5e), on by default for the MLE: a POTRF
@@ -79,14 +72,15 @@ struct MleOptions {
   TruncationOptions truncation;
   /// Out-of-core fit: the workspace Sigma gets a spill tier (anonymous
   /// tmpfile unless it already has one) and every evaluation pages —
-  /// generation write-installs + dead-spills tiles under the covgen pager,
-  /// the factorization pages under OutOfCoreOptions as usual, and logdet /
-  /// forward-solve stream the factor one tile at a time instead of
-  /// re-materializing it. With ooc.shared set, both graphs register as
-  /// tenants of the process-wide arbiter and the streamed solves lease
-  /// their single-tile residency from the same global budget — this is how
-  /// the FitServer oversubscribes memory across concurrent fits. Every
-  /// combination is bit-identical to the fully resident fit.
+  /// generation write-installs + dead-spills tiles, the factorization pages
+  /// under OutOfCoreOptions as usual (each graph on a pager of its own
+  /// under ooc.resident_byte_budget), and logdet / forward-solve stream the
+  /// factor one tile at a time instead of re-materializing it. With
+  /// ooc.shared set, both graphs register as tenants of the process-wide
+  /// pager and the streamed solves lease their single-tile residency from
+  /// the same global budget — this is how the FitServer oversubscribes
+  /// memory across concurrent fits. Every combination is bit-identical to
+  /// the fully resident fit.
   OutOfCoreOptions ooc;
 };
 

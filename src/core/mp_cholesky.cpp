@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "core/ooc_pager.hpp"
 #include "core/shared_pager.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/operand_cache.hpp"
@@ -180,10 +179,11 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   std::vector<DataId> data(nt * (nt + 1) / 2);
   std::vector<const AnyTile*> tile_of_datum;
   // Datum -> packed lower-triangle tile index for the out-of-core pager
-  // (OocPager::npos for payload/replica data the pager doesn't manage).
+  // (SharedOocPager::npos for payload/replica data the pager doesn't
+  // manage).
   std::vector<std::size_t> tile_index_of_datum;
   auto add_datum = [&](DataInfo info, const AnyTile* tile,
-                       std::size_t tile_idx = OocPager::npos) {
+                       std::size_t tile_idx = SharedOocPager::npos) {
     const DataId id = graph.add_data(std::move(info));
     MPGEO_ASSERT(tile_of_datum.size() == id);
     tile_of_datum.push_back(tile);
@@ -511,22 +511,23 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   // model only — dataflow edges already order everything, so numerics are
   // unaffected).
   exec_opts.rank_shards = options.dist.enabled() ? options.dist.ranks : 0;
-  // Out-of-core pager: pins each task's tiles resident in before_task (the
-  // executor's start hook), releases + evicts in after_task (the retire
-  // hook), and prefetches ahead of the scheduler frontier from the live
-  // ranges of the graph just built. Constructed after every add_datum so
-  // tile_index_of_datum covers the dist payload/replica data too.
-  std::unique_ptr<OocPager> pager;
+  // Out-of-core pager: pins (and faults in) each task's tiles in
+  // before_task (the executor's start hook), unpins and spills dead tiles in
+  // after_task (the retire hook), all on the worker running the task. The
+  // graph attaches as a tenant of ooc.shared, or of a pager built for this
+  // attempt under ooc.resident_byte_budget. Attached after every add_datum
+  // so tile_index_of_datum covers the dist payload/replica data too.
+  std::unique_ptr<SharedOocPager> own_pager;
+  std::unique_ptr<SharedOocPager::Tenant> pager;
   if (ooc_mode) {
-    OutOfCoreOptions ooc = options.ooc;
-    ooc.capture_residency = ooc.capture_residency || options.capture_trace;
-    pager = std::make_unique<OocPager>(a, graph, tile_index_of_datum, ooc,
-                                       options.metrics);
+    pager = attach_for_call(options.ooc, options.metrics,
+                            options.capture_trace, own_pager, a, graph,
+                            tile_index_of_datum);
     exec_opts.start_hook = [p = pager.get()](const Task& t) {
       p->before_task(t);
     };
   }
-  OocPager* pager_ptr = pager.get();
+  SharedOocPager::Tenant* pager_ptr = pager.get();
   if (cache_ptr || pager_ptr) {
     // Drop packs of any datum a retiring task wrote, before successors can
     // run. In Cholesky proper every tile is write-finalized before its first
@@ -552,11 +553,11 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   }
   result.exec = execute(graph, exec_opts);
   if (pager) {
-    // Tear the I/O thread down and collect the outcome even on a failed
-    // attempt (a thrown body skips its retire hook; finish() copes).
+    // Detach and collect the outcome even on a failed attempt (a thrown
+    // body skips its retire hook; finish() copes).
     pager->finish();
     result.ooc = pager->stats();
-    result.ooc_residency = pager->residency_samples();
+    if (own_pager) result.ooc_residency = own_pager->residency_samples();
   }
   if (!result.exec.report.ok()) {
     // Classify the failure: POTRF breakdowns are the retryable kind the
@@ -620,13 +621,6 @@ MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
     ++escalations;
     escalations_c.add();
     if (options.regenerate) {
-      // An out-of-core attempt leaves tiles spilled; regenerate callbacks
-      // write payloads directly, so make everything resident first — unless
-      // the callback copes with spilled tiles itself (the MLE refill path
-      // discards stale blobs in place, keeping the retry under budget).
-      if (a.spill_enabled() && !options.ooc.regenerate_handles_spill) {
-        a.restore_all();
-      }
       options.regenerate(a);
     } else {
       // Assignment copes with a partially-spilled destination: the dead
@@ -663,12 +657,6 @@ MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options) {
   PrecisionMap pmap = build_precision_map(a, options.u_req, options.ladder,
                                           options.fp16_32_rule_eps);
   return cholesky_with_escalation(a, options, std::move(pmap));
-}
-
-MpCholeskyResult fp64_cholesky(TileMatrix& a, std::size_t num_threads) {
-  MpCholeskyOptions options;
-  options.num_threads = num_threads;
-  return fp64_cholesky(a, options);
 }
 
 MpCholeskyResult fp64_cholesky(TileMatrix& a,
@@ -721,8 +709,7 @@ void forward_solve_tiled(const TileMatrix& l, std::vector<double>& z,
   }
 }
 
-double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared,
-                             PagerPriority priority) {
+double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared) {
   double acc = 0.0;
   for (std::size_t k = 0; k < l.num_tiles(); ++k) {
     // Restore one diagonal tile at a time under a byte lease, so the pass
@@ -732,7 +719,7 @@ double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared,
     const bool was_spilled = l.spilled(k, k);
     SharedOocPager::Lease lease;
     if (was_spilled) {
-      if (shared) lease = shared->lease_bytes(l.tile(k, k).bytes(), priority);
+      if (shared) lease = shared->lease_bytes(l.tile(k, k).bytes());
       l.restore(k, k);
     }
     const AnyTile& t = l.tile(k, k);
@@ -747,8 +734,7 @@ double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared,
 }
 
 void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
-                                  SharedOocPager* shared,
-                                  PagerPriority priority) {
+                                  SharedOocPager* shared) {
   MPGEO_REQUIRE(z.size() == l.n(), "forward_solve_tiled: size mismatch");
   const std::size_t nt = l.num_tiles();
   const std::size_t nb = l.nb();
@@ -763,9 +749,7 @@ void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
       const bool was_spilled = l.spilled(m, k);
       SharedOocPager::Lease lease;
       if (was_spilled) {
-        if (shared) {
-          lease = shared->lease_bytes(l.tile(m, k).bytes(), priority);
-        }
+        if (shared) lease = shared->lease_bytes(l.tile(m, k).bytes());
         l.restore(m, k);
       }
       const AnyTile& t = l.tile(m, k);

@@ -102,7 +102,10 @@ struct MpCholeskyOptions {
   /// Restores the pristine FP64 values of `a` before an escalation retry
   /// (e.g. refill the covariance from its generator — cheaper than holding
   /// a copy). Null = mp_cholesky snapshots `a` before the first attempt
-  /// whenever retries are possible, doubling resident matrix memory.
+  /// whenever retries are possible, doubling resident matrix memory. The
+  /// callback gets the matrix as the failed attempt left it: out of core,
+  /// tiles may be spilled (fill_tiled_covariance copes by discarding stale
+  /// blobs in place).
   std::function<void(TileMatrix&)> regenerate;
   /// Deterministic fault injection (runtime/fault_injection.hpp), forwarded
   /// to the executor for TaskException faults and consulted by the POTRF /
@@ -137,11 +140,11 @@ struct MpCholeskyOptions {
   /// is dropped: precision/truncation maps are built by streaming norms
   /// through the codec, storage conversion touches one tile at a time, and
   /// during the factorization the pager keeps residency at the working set
-  /// (budgeted, prefetched ahead of the frontier). Factors are bit-identical
-  /// to the fully-resident run at every budget — spill/restore is bit-exact
-  /// and the task graph is unchanged. On return the factor is partially
-  /// spilled; call restore_all() before reading tiles directly. The flag is
-  /// ignored when the matrix has no spill tier (the A/B baseline).
+  /// (budgeted; each worker restores and spills the tiles its own tasks
+  /// need). Factors are bit-identical to the fully-resident run at every
+  /// budget — spill/restore is bit-exact and the task graph is unchanged.
+  /// On return the factor is spilled; call restore_all() before reading
+  /// tiles directly. The flag is ignored when the matrix has no spill tier.
   OutOfCoreOptions ooc;
 };
 
@@ -181,9 +184,11 @@ struct MpCholeskyResult {
   /// Out-of-core pager outcome of the final attempt (all-zero when ooc is
   /// off); peak_resident_bytes is the budget gate bench_out_of_core asserts.
   OocStats ooc;
-  /// (seconds, resident payload bytes) residency transitions, captured when
-  /// ooc.capture_residency (or capture_trace) is set — exported as a
-  /// Perfetto counter track via TraceExportOptions::extra_counters.
+  /// (seconds, accounted payload bytes) residency transitions of the final
+  /// attempt, captured when capture_trace is set and ooc.shared is null
+  /// (a shared pager keeps its own track) — exported as a Perfetto counter
+  /// track via TraceExportOptions::extra_counters. Their maximum is
+  /// ooc.peak_resident_bytes.
   std::vector<std::pair<double, double>> ooc_residency;
 };
 
@@ -192,14 +197,12 @@ struct MpCholeskyResult {
 MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options = {});
 
 /// Plain FP64 tile Cholesky through the same task machinery (the paper's
-/// baseline). Equivalent to mp_cholesky with a ladder of {FP64}.
-MpCholeskyResult fp64_cholesky(TileMatrix& a, std::size_t num_threads = 0);
-
-/// FP64 baseline with the full option surface (executor knobs, metrics,
-/// out-of-core paging): `options.ladder` is overridden to {FP64}, everything
-/// else is honored — so the baseline can run under the same resident-byte
-/// budget as the mixed-precision factorization.
-MpCholeskyResult fp64_cholesky(TileMatrix& a, const MpCholeskyOptions& options);
+/// baseline). Equivalent to mp_cholesky with a ladder of {FP64}:
+/// `options.ladder` is overridden, everything else (pool size, metrics,
+/// out-of-core paging) is honored — so the baseline can run under the same
+/// resident-byte budget as the mixed-precision factorization.
+MpCholeskyResult fp64_cholesky(TileMatrix& a,
+                               const MpCholeskyOptions& options = {});
 
 /// log|A| = 2 sum log diag(L) from a factored TileMatrix.
 double logdet_tiled(const TileMatrix& l);
@@ -216,8 +219,7 @@ void forward_solve_tiled(const TileMatrix& l, std::vector<double>& z,
 /// (under a byte lease against `shared`'s global budget when non-null) and
 /// re-spills it, instead of re-materializing the factor. Bit-identical to
 /// logdet_tiled on the resident factor.
-double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared = nullptr,
-                             PagerPriority priority = PagerPriority::Batch);
+double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared = nullptr);
 
 /// Out-of-core forward solve: same arithmetic and operand widening as
 /// forward_solve_tiled with a null cache, restoring each spilled tile
@@ -225,8 +227,7 @@ double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared = nullptr,
 /// re-spilling it after — at most one tile resident at a time, z bitwise
 /// identical to the resident solve.
 void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
-                                  SharedOocPager* shared = nullptr,
-                                  PagerPriority priority = PagerPriority::Batch);
+                                  SharedOocPager* shared = nullptr);
 
 /// ||A - L L^T||_F / ||A||_F against a dense FP64 copy of the original
 /// matrix (test/diagnostic helper; O(n^3), small problems only).

@@ -1,43 +1,49 @@
 #include "core/shared_pager.hpp"
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "core/tile_matrix.hpp"
 #include "linalg/tile_codec.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/live_ranges.hpp"
+#include "runtime/task_graph.hpp"
 
 namespace mpgeo {
 
+void OocStats::accumulate(const OocStats& o) {
+  prefetches += o.prefetches;
+  demand_faults += o.demand_faults;
+  prefetch_waits += o.prefetch_waits;
+  evictions += o.evictions;
+  cold_evictions += o.cold_evictions;
+  write_installs += o.write_installs;
+  overshoot_admits += o.overshoot_admits;
+  uses += o.uses;
+  if (peak_resident_bytes < o.peak_resident_bytes) {
+    peak_resident_bytes = o.peak_resident_bytes;
+  }
+}
+
 namespace {
 
-/// Same per-tile state machine as the private pager (ooc_pager.cpp), plus a
-/// per-user write-only flag so pure-Write accesses install fresh instead of
-/// decompressing (and are never prefetched).
+/// Residency state machine of one managed tile. Loading/Evicting mark a
+/// codec job running off-lock on some worker; other accessors wait on the
+/// condition variable until the transition lands.
 enum class Res : std::uint8_t { Resident, Spilled, Loading, Evicting };
 
 struct TileSt {
   std::size_t m = 0, k = 0;
-  std::size_t bytes = 0;
-  std::vector<TaskId> users;             ///< accessing tasks, ascending id
-  std::vector<std::uint8_t> write_only;  ///< parallel: access is pure Write
-  std::uint32_t next = 0;
-  std::uint32_t remaining = 0;
-  std::uint32_t pinned = 0;
-  std::uint32_t waiting = 0;
+  std::size_t bytes = 0;        ///< payload footprint when resident
+  std::vector<TaskId> users;    ///< accessing tasks, ascending id
+  std::uint32_t next = 0;       ///< lazy cursor: users[next..] may be live
+  std::uint32_t remaining = 0;  ///< unretired users
+  std::uint32_t pinned = 0;     ///< users currently running
+  std::uint32_t waiting = 0;    ///< workers in before_task on this tile
   Res res = Res::Resident;
-  bool prefetched_unused = false;
-};
-
-struct Job {
-  enum Kind : std::uint8_t { Restore, Spill } kind = Restore;
-  std::size_t slot = 0;
-  std::size_t tile = 0;
 };
 
 struct TenantSt {
@@ -50,16 +56,28 @@ struct TenantSt {
   std::size_t floor_bytes = 0;
   PagerPriority priority = PagerPriority::Batch;
   std::string name;
-  std::size_t prefetch_depth = 0;
   std::size_t resident = 0;  ///< bytes of Resident/Evicting tiles
   std::size_t inflight = 0;  ///< bytes of Loading tiles
   std::size_t evicting = 0;  ///< subset of resident on its way out
-  std::size_t prefetch_outstanding = 0;
   OocStats st;
   std::uint64_t id = 0;
   bool live = false;
-  bool finishing = false;
 };
+
+/// Packed indices of the managed tiles `t` accesses, each once (a task may
+/// declare Read + Write on the same datum).
+template <typename F>
+void for_each_tile(const TenantSt& tn, const Task& t, F&& f) {
+  for (std::size_t i = 0; i < t.accesses.size(); ++i) {
+    const std::size_t idx = tn.tile_of_datum[t.accesses[i].data];
+    if (idx == SharedOocPager::npos) continue;
+    bool dup = false;
+    for (std::size_t j = 0; j < i && !dup; ++j) {
+      dup = t.accesses[j].data == t.accesses[i].data;
+    }
+    if (!dup) f(idx, t.accesses[i].data);
+  }
+}
 
 }  // namespace
 
@@ -67,17 +85,11 @@ struct SharedOocPager::Impl {
   SharedPagerOptions options;
 
   mutable std::mutex mu;
-  std::condition_variable cv;     // residency + admission
-  std::condition_variable io_cv;  // work (or resume) for the I/O thread
-  // deque: attach() grows it while the I/O thread holds references across
-  // its off-lock codec window — deque growth never invalidates them.
+  std::condition_variable cv;  // residency transitions + admission room
+  // deque: attach() grows it while other workers hold references across
+  // their off-lock codec windows — deque growth never invalidates them.
   std::deque<TenantSt> tenants;
   std::vector<std::size_t> free_slots;
-  std::vector<std::deque<Job>> urgent;  // per slot, drained round-robin
-  std::deque<Job> spills;
-  std::deque<Job> prefetch;
-  std::size_t urgent_rr = 0;
-  std::size_t prefetch_rr = 0;
 
   std::size_t g_resident = 0;  ///< Resident/Evicting bytes, all tenants
   std::size_t g_inflight = 0;  ///< Loading bytes
@@ -88,12 +100,7 @@ struct SharedOocPager::Impl {
   SharedPagerStats st;
   Stopwatch watch;
   std::vector<std::pair<double, double>> samples;
-  std::vector<std::uint64_t> urgent_log;
   std::string violation;
-
-  std::thread io;
-  bool stop = false;
-  bool paused = false;
 
   MetricsRegistry::Gauge resident_gauge, peak_gauge;
 
@@ -101,18 +108,9 @@ struct SharedOocPager::Impl {
   std::size_t admit_measure() const {
     return g_resident + g_inflight + g_leased;
   }
-  /// What admit_measure becomes once queued evictions land — what victim
-  /// queueing targets, so pending spills are not double-requested.
+  /// What admit_measure becomes once in-flight evictions land — what victim
+  /// selection targets, so a tile already leaving is not evicted twice over.
   std::size_t plan_measure() const { return admit_measure() - g_evicting; }
-
-  bool pending_io_locked() const {
-    if (g_evicting > 0 || g_inflight > 0) return true;
-    if (!spills.empty() || !prefetch.empty()) return true;
-    for (const auto& q : urgent) {
-      if (!q.empty()) return true;
-    }
-    return false;
-  }
 
   TaskId next_use(TenantSt& tn, TileSt& ts) const {
     while (ts.next < ts.users.size() && tn.retired[ts.users[ts.next]]) {
@@ -141,10 +139,10 @@ struct SharedOocPager::Impl {
         if (ts.res == Res::Evicting) {
           tevi += ts.bytes;
           // waiting may legitimately be non-zero here: a worker can arrive
-          // and raise the shield AFTER the tile was queued as a victim (it
+          // and raise the shield AFTER the tile was chosen as a victim (it
           // just faults the tile back once the spill lands). The shield's
-          // real contract — never SELECT a waiting tile — is checked at
-          // enqueue_spill_locked time.
+          // real contract — never SELECT a waiting tile — is checked in
+          // spill_locked.
           if (ts.pinned != 0) {
             record_violation_locked(std::string(where) +
                                     ": pinned tile is being evicted (" +
@@ -170,11 +168,13 @@ struct SharedOocPager::Impl {
     }
   }
 
+  /// Called after every ledger change: the peak and the residency samples
+  /// track the same quantity, so the samples' maximum is the peak.
   void sample_locked() {
     const std::size_t now = admit_measure();
     if (st.peak_resident_bytes < now) st.peak_resident_bytes = now;
     if (options.capture_residency) {
-      samples.emplace_back(watch.seconds(), double(g_resident + g_leased));
+      samples.emplace_back(watch.seconds(), double(now));
     }
     resident_gauge.set(double(g_resident + g_leased));
     peak_gauge.set_max(double(st.peak_resident_bytes));
@@ -185,314 +185,143 @@ struct SharedOocPager::Impl {
     if (tn.st.peak_resident_bytes < now) tn.st.peak_resident_bytes = now;
   }
 
-  void enqueue_restore_locked(std::size_t slot, std::size_t tile,
-                              bool is_urgent) {
+  /// Spill one unpinned resident tile on the calling thread: the bytes stay
+  /// accounted (Evicting) while the tile is encoded off-lock, and leave the
+  /// ledger once the blob is in the log.
+  void spill_locked(std::unique_lock<std::mutex>& lk, std::size_t slot,
+                    std::size_t tile) {
+    TenantSt& tn = tenants[slot];
+    TileSt& ts = tn.tiles[tile];
+    MPGEO_ASSERT(ts.res == Res::Resident && ts.pinned == 0);
+    if (options.check_invariants && ts.waiting != 0) {
+      record_violation_locked("spill: waiting tile selected for eviction (" +
+                              tn.name + ")");
+    }
+    ts.res = Res::Evicting;
+    tn.evicting += ts.bytes;
+    g_evicting += ts.bytes;
+    const AnyTile* t = &tn.a->tile(ts.m, ts.k);
+    lk.unlock();
+    CompressedBlob blob = compress_tile(*t);
+    lk.lock();
+    tn.a->spill_with(ts.m, ts.k, std::move(blob));
+    ts.res = Res::Spilled;
+    tn.resident -= ts.bytes;
+    g_resident -= ts.bytes;
+    tn.evicting -= ts.bytes;
+    g_evicting -= ts.bytes;
+    tenant_sample_locked(tn);
+    sample_locked();
+    validate_locked("spill");
+    cv.notify_all();
+  }
+
+  /// Demand fault on the calling thread (admission already passed): the
+  /// bytes are accounted in flight under the same lock hold as the check,
+  /// the blob is decoded off-lock, and the payload installed under it.
+  void restore_locked(std::unique_lock<std::mutex>& lk, std::size_t slot,
+                      std::size_t tile) {
     TenantSt& tn = tenants[slot];
     TileSt& ts = tn.tiles[tile];
     MPGEO_ASSERT(ts.res == Res::Spilled);
     ts.res = Res::Loading;
     tn.inflight += ts.bytes;
     g_inflight += ts.bytes;
-    if (is_urgent) {
-      urgent[slot].push_back(Job{Job::Restore, slot, tile});
-    } else {
-      prefetch.push_back(Job{Job::Restore, slot, tile});
-      ts.prefetched_unused = true;
-      tn.prefetch_outstanding += 1;
-      tn.st.prefetches += 1;
-      st.prefetches += 1;
-    }
     tenant_sample_locked(tn);
     sample_locked();
-    io_cv.notify_one();
+    const CompressedBlob blob = tn.a->read_spilled(ts.m, ts.k);
+    const AnyTile& t = tn.a->tile(ts.m, ts.k);
+    AnyTile fresh(t.rows(), t.cols(), t.storage());
+    lk.unlock();
+    decompress_into(blob, fresh);
+    lk.lock();
+    tn.a->install(ts.m, ts.k, std::move(fresh));
+    ts.res = Res::Resident;
+    tn.inflight -= ts.bytes;
+    g_inflight -= ts.bytes;
+    tn.resident += ts.bytes;
+    g_resident += ts.bytes;
+    tenant_sample_locked(tn);
+    sample_locked();
+    validate_locked("restore");
+    cv.notify_all();
   }
 
-  void enqueue_spill_locked(std::size_t slot, std::size_t tile) {
-    TenantSt& tn = tenants[slot];
-    TileSt& ts = tn.tiles[tile];
-    MPGEO_ASSERT(ts.res == Res::Resident && ts.pinned == 0);
-    if (options.check_invariants && ts.waiting != 0) {
-      record_violation_locked("enqueue_spill: waiting tile selected for "
-                              "eviction (" +
-                              tn.name + ")");
-    }
-    ts.res = Res::Evicting;
-    tn.evicting += ts.bytes;
-    g_evicting += ts.bytes;
-    spills.push_back(Job{Job::Spill, slot, tile});
-    io_cv.notify_one();
-  }
-
-  /// Queue cold evictions until the planned residency fits `target`.
-  /// Urgent mode (hotter_than == kNoTask): scan tiers lowest-precedence
-  /// first, evict the coldest eligible tile of the lowest tier that has one;
-  /// cross-tenant victims respect the victim's floor; as a last resort a
-  /// landed-but-unconsumed prefetch is cancelled. Prefetch mode
-  /// (hotter_than != kNoTask): polite — victims come only from the
-  /// requester itself (and only colder than the tile being brought in) or
-  /// from strictly lower-precedence tenants, and nothing is cancelled.
-  /// Returns whether the plan reached the target.
-  bool queue_victims_locked(std::size_t target, std::size_t req_slot,
-                            PagerPriority req_prio, TaskId hotter_than,
-                            bool allow_prefetch_cancel) {
-    const bool for_prefetch = hotter_than != kNoTask;
-    while (plan_measure() > target) {
-      std::size_t vslot = npos, vtile = npos;
-      double vslack = 0.0;
-      for (int tier = int(kNumPagerPriorities) - 1; tier >= 0 && vslot == npos;
-           --tier) {
-        for (std::size_t s = 0; s < tenants.size(); ++s) {
-          TenantSt& tn = tenants[s];
-          if (!tn.live || int(tn.priority) != tier) continue;
-          const bool self = s == req_slot;
-          if (for_prefetch && !self && tier <= int(req_prio)) continue;
-          for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
-            TileSt& ts = tn.tiles[j];
-            if (ts.res != Res::Resident || ts.pinned != 0 ||
-                ts.waiting != 0 || ts.remaining == 0 || ts.prefetched_unused) {
-              continue;
-            }
-            if (!self) {
-              // Floor: never take another tenant below its guarantee. The
-              // requester's own floor guards against others, not itself.
-              const std::size_t avail = tn.resident - tn.evicting;
-              if (avail < tn.floor_bytes + ts.bytes) continue;
-            }
-            const TaskId use = next_use(tn, ts);
-            if (self && for_prefetch && use <= hotter_than) continue;
-            // Coldness compares across tenants by how far past each
-            // tenant's own retirement frontier the next use sits.
-            const double slack = double(use) - double(tn.retired_count);
-            if (vslot == npos || slack > vslack) {
-              vslot = s;
-              vtile = j;
-              vslack = slack;
-            }
+  /// Evict the coldest eligible tile on the calling thread: scan tiers
+  /// lowest-precedence first and take the tile whose next use sits furthest
+  /// past its tenant's retirement frontier, in the lowest tier that has one.
+  /// Cross-tenant victims respect the victim's floor (the requester's own
+  /// floor guards against others, not itself; req_slot == npos is a lease).
+  /// Returns false when no tile is eligible.
+  bool evict_coldest_locked(std::unique_lock<std::mutex>& lk,
+                            std::size_t req_slot) {
+    std::size_t vslot = npos, vtile = npos;
+    double vslack = 0.0;
+    for (int tier = int(kNumPagerPriorities) - 1; tier >= 0 && vslot == npos;
+         --tier) {
+      for (std::size_t s = 0; s < tenants.size(); ++s) {
+        TenantSt& tn = tenants[s];
+        if (!tn.live || int(tn.priority) != tier) continue;
+        for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
+          TileSt& ts = tn.tiles[j];
+          if (ts.res != Res::Resident || ts.pinned != 0 || ts.waiting != 0 ||
+              ts.remaining == 0) {
+            continue;
           }
-        }
-      }
-      if (vslot == npos && allow_prefetch_cancel) {
-        // Cancel a landed-but-unconsumed prefetch: it was speculative, the
-        // admission is not.
-        for (std::size_t s = 0; s < tenants.size() && vslot == npos; ++s) {
-          TenantSt& tn = tenants[s];
-          if (!tn.live) continue;
-          for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
-            TileSt& ts = tn.tiles[j];
-            if (ts.res != Res::Resident || !ts.prefetched_unused ||
-                ts.pinned != 0 || ts.waiting != 0) {
-              continue;
-            }
-            if (s != req_slot) {
-              const std::size_t avail = tn.resident - tn.evicting;
-              if (avail < tn.floor_bytes + ts.bytes) continue;
-            }
-            ts.prefetched_unused = false;
-            tn.prefetch_outstanding -= 1;
-            st.prefetch_cancels += 1;
+          if (s != req_slot &&
+              tn.resident - tn.evicting < tn.floor_bytes + ts.bytes) {
+            continue;
+          }
+          // Coldness compares across tenants by how far past each tenant's
+          // own retirement frontier the next use sits.
+          const double slack =
+              double(next_use(tn, ts)) - double(tn.retired_count);
+          if (vslot == npos || slack > vslack) {
             vslot = s;
             vtile = j;
-            break;
+            vslack = slack;
           }
         }
       }
-      if (vslot == npos) return false;
-      TenantSt& victim = tenants[vslot];
-      if (vslot != req_slot &&
-          victim.resident - victim.evicting <
-              victim.floor_bytes + victim.tiles[vtile].bytes) {
-        record_violation_locked("queue_victims: floor-violating eviction (" +
-                                victim.name + ")");
-      }
-      enqueue_spill_locked(vslot, vtile);
-      victim.st.cold_evictions += 1;
-      st.cold_evictions += 1;
     }
+    if (vslot == npos) return false;
+    TenantSt& victim = tenants[vslot];
+    victim.st.cold_evictions += 1;
+    st.cold_evictions += 1;
+    spill_locked(lk, vslot, vtile);
     return true;
   }
 
-  /// Urgent admission: wait until accounted bytes fit the budget, queueing
-  /// victims while waiting. When nothing can be evicted AND nothing is in
-  /// flight, proceed over budget (forward progress beats the cap — a worker
-  /// already pinning tiles of a multi-access task must not deadlock).
+  /// Admission: wait until accounted bytes fit the budget. The admitting
+  /// worker evicts cold victims itself; when the evictions already in flight
+  /// on other workers would make room, or there is no victim but some codec
+  /// job is in flight, it waits on the condition variable for that job to
+  /// land (spinning would hold the mutex the job needs). With no victim and
+  /// nothing in flight it proceeds over budget: a worker already pinning
+  /// tiles of a multi-access task must not deadlock.
   ///
   /// Tile admissions (and leases up to one tile) pass need == 0: the check
-  /// is "current measure fits", and the allocation added right after it
-  /// bounds the overshoot at one tile. Oversized leases pass their full
-  /// size (an arbitrary reservation has no one-tile bound to lean on), so
-  /// a granted oversized lease never overshoots at all.
+  /// is "current measure fits", and the allocation the caller accounts
+  /// right after it, under the same lock hold, bounds the overshoot at one
+  /// tile. Oversized leases pass their full size (an arbitrary reservation
+  /// has no one-tile bound to lean on), so a granted oversized lease never
+  /// overshoots at all.
   void admit_locked(std::unique_lock<std::mutex>& lk, std::size_t req_slot,
-                    PagerPriority req_prio, std::size_t need = 0) {
-    if (options.resident_byte_budget == 0) return;
+                    std::size_t need = 0) {
     const std::size_t budget = options.resident_byte_budget;
+    if (budget == 0) return;
     const std::size_t target = need < budget ? budget - need : 0;
     for (;;) {
       if (admit_measure() + need <= budget) return;
-      queue_victims_locked(target, req_slot, req_prio, kNoTask,
-                           /*allow_prefetch_cancel=*/true);
-      if (!pending_io_locked()) {
+      if (plan_measure() > target && evict_coldest_locked(lk, req_slot)) {
+        continue;
+      }
+      if (g_evicting == 0 && g_inflight == 0) {
         st.overshoot_admits += 1;
         if (req_slot != npos) tenants[req_slot].st.overshoot_admits += 1;
         return;
       }
-      if (options.async) {
-        io_cv.notify_one();
-        cv.wait(lk);
-      } else if (!drain_jobs_locked(lk)) {
-        // Queues empty but pending_io says bytes are in flight: another
-        // worker popped the job and is mid-codec off-lock. Spinning here
-        // would hold the mutex it needs to land the job — wait for its
-        // completion notify instead.
-        cv.wait(lk);
-      }
-    }
-  }
-
-  /// Per-tenant lookahead, round-robin across tenants so no tenant's
-  /// prefetcher monopolizes the window. A restore is only enqueued when the
-  /// room already exists (admit + bytes <= budget): prefetches never wait
-  /// and never overshoot — the io loop retries after every completed job.
-  void schedule_prefetches_locked() {
-    if (!options.async || stop) return;
-    const std::size_t n = tenants.size();
-    if (n == 0) return;
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t slot = (prefetch_rr + i) % n;
-        TenantSt& tn = tenants[slot];
-        if (!tn.live || tn.finishing) continue;
-        if (tn.prefetch_outstanding >= tn.prefetch_depth) continue;
-        std::size_t cand = npos;
-        TaskId cand_use = kNoTask;
-        for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
-          TileSt& ts = tn.tiles[j];
-          if (ts.res != Res::Spilled || ts.remaining == 0) continue;
-          const TaskId use = next_use(tn, ts);
-          if (use == kNoTask) continue;
-          // A pure-Write next access installs fresh — decompressing for it
-          // would be wasted I/O.
-          if (ts.write_only[ts.next]) continue;
-          if (use < cand_use) {
-            cand = j;
-            cand_use = use;
-          }
-        }
-        if (cand == npos) continue;
-        const std::size_t need = tn.tiles[cand].bytes;
-        const std::size_t budget = options.resident_byte_budget;
-        if (budget != 0) {
-          if (need > budget) continue;
-          queue_victims_locked(budget - need, slot, tn.priority, cand_use,
-                               /*allow_prefetch_cancel=*/false);
-          if (admit_measure() + need > budget) continue;
-        }
-        enqueue_restore_locked(slot, cand, /*is_urgent=*/false);
-        progress = true;
-      }
-    }
-    prefetch_rr = (prefetch_rr + 1) % n;
-  }
-
-  /// Service order: urgent restores round-robin across tenants (fairness),
-  /// then spills (they free budget), then prefetches.
-  bool pop_next_job_locked(Job& out) {
-    const std::size_t n = urgent.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& q = urgent[(urgent_rr + i) % n];
-      if (!q.empty()) {
-        out = q.front();
-        q.pop_front();
-        urgent_rr = (urgent_rr + i + 1) % n;
-        st.urgent_served += 1;
-        if (options.capture_urgent_log) {
-          urgent_log.push_back(tenants[out.slot].id);
-        }
-        return true;
-      }
-    }
-    if (!spills.empty()) {
-      out = spills.front();
-      spills.pop_front();
-      return true;
-    }
-    if (!prefetch.empty()) {
-      out = prefetch.front();
-      prefetch.pop_front();
-      return true;
-    }
-    return false;
-  }
-
-  /// Codec work runs off-lock; file/directory operations and every state
-  /// transition stay under it (same split as the private engine).
-  void run_job_locked(std::unique_lock<std::mutex>& lk, const Job& j) {
-    TenantSt& tn = tenants[j.slot];
-    TileSt& ts = tn.tiles[j.tile];
-    if (j.kind == Job::Restore) {
-      MPGEO_ASSERT(ts.res == Res::Loading);
-      const CompressedBlob blob = tn.a->read_spilled(ts.m, ts.k);
-      const AnyTile& t = tn.a->tile(ts.m, ts.k);
-      AnyTile fresh(t.rows(), t.cols(), t.storage());
-      lk.unlock();
-      decompress_into(blob, fresh);
-      lk.lock();
-      tn.a->install(ts.m, ts.k, std::move(fresh));
-      ts.res = Res::Resident;
-      tn.inflight -= ts.bytes;
-      g_inflight -= ts.bytes;
-      tn.resident += ts.bytes;
-      g_resident += ts.bytes;
-    } else {
-      MPGEO_ASSERT(ts.res == Res::Evicting);
-      const AnyTile* t = &tn.a->tile(ts.m, ts.k);
-      lk.unlock();
-      CompressedBlob blob = compress_tile(*t);
-      lk.lock();
-      tn.a->spill_with(ts.m, ts.k, std::move(blob));
-      ts.res = Res::Spilled;
-      tn.resident -= ts.bytes;
-      g_resident -= ts.bytes;
-      tn.evicting -= ts.bytes;
-      g_evicting -= ts.bytes;
-    }
-    tenant_sample_locked(tn);
-    sample_locked();
-    validate_locked("run_job");
-    cv.notify_all();
-  }
-
-  /// Drain every queued job on the calling thread (sync mode). Returns
-  /// whether anything ran, so callers looping on in-flight bytes can tell
-  /// "job executed" from "nothing to pop" and block instead of spinning.
-  bool drain_jobs_locked(std::unique_lock<std::mutex>& lk) {
-    Job j;
-    bool ran = false;
-    while (pop_next_job_locked(j)) {
-      run_job_locked(lk, j);
-      ran = true;
-    }
-    return ran;
-  }
-
-  void io_loop() {
-    std::unique_lock lk(mu);
-    for (;;) {
-      if (paused && !stop) {
-        io_cv.wait(lk);
-        continue;
-      }
-      Job j;
-      if (!pop_next_job_locked(j)) {
-        schedule_prefetches_locked();
-        if (!pop_next_job_locked(j)) {
-          if (stop) return;
-          io_cv.wait(lk);
-          continue;
-        }
-      }
-      run_job_locked(lk, j);
+      cv.wait(lk);
     }
   }
 };
@@ -505,34 +334,21 @@ SharedOocPager::SharedOocPager(const SharedPagerOptions& options)
     impl_->peak_gauge =
         options.metrics->gauge("ooc.shared.peak_resident_bytes");
   }
-  if (options.async) {
-    impl_->io = std::thread([this] { impl_->io_loop(); });
-  }
 }
 
 SharedOocPager::~SharedOocPager() {
-  {
-    std::lock_guard lk(impl_->mu);
-    for (const TenantSt& tn : impl_->tenants) {
-      MPGEO_ASSERT(!tn.live);  // tenants must be finished before teardown
-    }
-    impl_->stop = true;
-    impl_->paused = false;
-    impl_->io_cv.notify_all();
+  std::lock_guard lk(impl_->mu);
+  for (const TenantSt& tn : impl_->tenants) {
+    MPGEO_ASSERT(!tn.live);  // tenants must be finished before teardown
   }
-  if (impl_->io.joinable()) impl_->io.join();
   if (impl_->options.metrics) {
     MetricsRegistry& reg = *impl_->options.metrics;
-    std::lock_guard lk(impl_->mu);
     const SharedPagerStats& s = impl_->st;
     reg.counter("ooc.shared.tenants_attached").add(s.tenants_attached);
-    reg.counter("ooc.shared.prefetches").add(s.prefetches);
     reg.counter("ooc.shared.demand_faults").add(s.demand_faults);
     reg.counter("ooc.shared.write_installs").add(s.write_installs);
     reg.counter("ooc.shared.cold_evictions").add(s.cold_evictions);
-    reg.counter("ooc.shared.prefetch_cancels").add(s.prefetch_cancels);
     reg.counter("ooc.shared.overshoot_admits").add(s.overshoot_admits);
-    reg.counter("ooc.shared.urgent_served").add(s.urgent_served);
   }
 }
 
@@ -553,7 +369,6 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
   } else {
     slot = im.tenants.size();
     im.tenants.emplace_back();
-    im.urgent.emplace_back();
   }
   TenantSt& tn = im.tenants[slot];
   tn.a = &a;
@@ -563,8 +378,6 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
   tn.priority = topts.priority;
   tn.name = topts.name.empty() ? "tenant-" + std::to_string(im.next_tenant_id)
                                : topts.name;
-  tn.prefetch_depth = topts.prefetch_depth == npos ? im.options.prefetch_depth
-                                                   : topts.prefetch_depth;
   tn.retired.assign(graph.num_tasks(), 0);
   tn.id = im.next_tenant_id++;
   tn.live = true;
@@ -573,8 +386,7 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
   tn.tiles.resize(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
-      const std::size_t idx = m * (m + 1) / 2 + k;
-      TileSt& ts = tn.tiles[idx];
+      TileSt& ts = tn.tiles[m * (m + 1) / 2 + k];
       ts.m = m;
       ts.k = k;
       ts.bytes = a.tile(m, k).bytes();
@@ -586,6 +398,10 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
       if (ts.bytes > im.st.max_tile_bytes) im.st.max_tile_bytes = ts.bytes;
     }
   }
+  // Live ranges give each managed tile its consumer count (the dead spill
+  // fires when it hits zero); the per-tile user lists refine first/last use
+  // into the full next-use sequence cold-eviction ranks by. Ids ascend by
+  // construction (insertion order is a topological order).
   const std::vector<DataLiveRange> ranges = compute_live_ranges(graph);
   for (DataId d = 0; d < graph.num_data(); ++d) {
     const std::size_t idx = tn.tile_of_datum[d];
@@ -593,22 +409,10 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
     tn.tiles[idx].remaining = ranges[d].uses;
   }
   for (TaskId id = 0; id < graph.num_tasks(); ++id) {
-    const Task& t = graph.task(id);
-    for (const Access& acc : t.accesses) {
-      const std::size_t idx = tn.tile_of_datum[acc.data];
-      if (idx == npos) continue;
+    for_each_tile(tn, graph.task(id), [&](std::size_t idx, DataId) {
       std::vector<TaskId>& users = tn.tiles[idx].users;
-      if (!users.empty() && users.back() == id) continue;  // Read+Write pair
-      bool wo = true;
-      for (const Access& acc2 : t.accesses) {
-        if (acc2.data == acc.data && acc2.mode != AccessMode::Write) {
-          wo = false;
-          break;
-        }
-      }
-      users.push_back(id);
-      tn.tiles[idx].write_only.push_back(wo ? 1 : 0);
-    }
+      if (users.empty() || users.back() != id) users.push_back(id);
+    });
   }
   for (const TileSt& ts : tn.tiles) {
     MPGEO_ASSERT(ts.remaining == ts.users.size());
@@ -618,18 +422,14 @@ std::unique_ptr<SharedOocPager::Tenant> SharedOocPager::attach(
   im.st.tenants_attached += 1;
   im.tenant_sample_locked(tn);
   im.sample_locked();
+  // A resident start position may blow the budget: evict the coldest tiles
+  // (this tenant's own included) before any task runs.
   if (im.options.resident_byte_budget != 0) {
-    // A resident start position may blow the global budget: queue the
-    // coldest tiles (this tenant's own included) before any task runs.
-    im.queue_victims_locked(im.options.resident_byte_budget, slot, tn.priority,
-                            kNoTask, /*allow_prefetch_cancel=*/false);
+    while (im.plan_measure() > im.options.resident_byte_budget &&
+           im.evict_coldest_locked(lk, slot)) {
+    }
   }
   im.validate_locked("attach");
-  if (!im.options.async) {
-    im.drain_jobs_locked(lk);
-  } else {
-    im.io_cv.notify_one();
-  }
   return std::unique_ptr<Tenant>(new Tenant(this, slot, tn.id));
 }
 
@@ -640,20 +440,10 @@ void SharedOocPager::Tenant::before_task(const Task& t) {
   std::unique_lock lk(im.mu);
   TenantSt& tn = im.tenants[slot_];
   MPGEO_ASSERT(tn.live && tn.id == id_);
-  for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-    const std::size_t idx = tn.tile_of_datum[t.accesses[i].data];
-    if (idx == npos) continue;
-    bool dup = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (t.accesses[j].data == t.accesses[i].data) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
+  for_each_tile(tn, t, [&](std::size_t idx, DataId data) {
     bool write_only = true;
     for (const Access& acc : t.accesses) {
-      if (acc.data == t.accesses[i].data && acc.mode != AccessMode::Write) {
+      if (acc.data == data && acc.mode != AccessMode::Write) {
         write_only = false;
         break;
       }
@@ -665,15 +455,11 @@ void SharedOocPager::Tenant::before_task(const Task& t) {
       if (ts.res == Res::Resident) {
         ts.pinned += 1;
         ts.waiting -= 1;
-        if (ts.prefetched_unused) {
-          ts.prefetched_unused = false;
-          tn.prefetch_outstanding -= 1;
-        }
-        break;
+        return;
       }
       if (ts.res == Res::Spilled) {
-        im.admit_locked(lk, slot_, tn.priority);
-        if (ts.res != Res::Spilled) continue;  // raced with another restore
+        im.admit_locked(lk, slot_);
+        if (ts.res != Res::Spilled) continue;  // another worker restored it
         if (write_only) {
           // Write elision: the task overwrites every value — install a
           // fresh zeroed payload instead of decompressing the stale blob.
@@ -692,18 +478,16 @@ void SharedOocPager::Tenant::before_task(const Task& t) {
         }
         tn.st.demand_faults += 1;
         im.st.demand_faults += 1;
-        im.enqueue_restore_locked(slot_, idx, /*is_urgent=*/true);
-        if (!im.options.async) {
-          im.drain_jobs_locked(lk);
-          continue;
-        }
-      } else if (ts.res == Res::Loading && !counted_wait) {
-        tn.st.prefetch_waits += 1;
+        im.restore_locked(lk, slot_, idx);
+        continue;
+      }
+      if (ts.res == Res::Loading && !counted_wait) {
+        tn.st.prefetch_waits += 1;  // another worker's restore is in flight
         counted_wait = true;
       }
       im.cv.wait(lk);
     }
-  }
+  });
   im.validate_locked("before_task");
 }
 
@@ -716,30 +500,23 @@ void SharedOocPager::Tenant::after_task(const Task& t) {
   MPGEO_ASSERT(id < tn.graph->num_tasks());
   tn.retired[id] = 1;
   tn.retired_count += 1;
-  for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-    const std::size_t idx = tn.tile_of_datum[t.accesses[i].data];
-    if (idx == npos) continue;
-    bool dup = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (t.accesses[j].data == t.accesses[i].data) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
+  // Unpin everything first, so other workers may evict this task's live
+  // tiles while the dead ones are being encoded.
+  std::vector<std::size_t> dead;
+  for_each_tile(tn, t, [&](std::size_t idx, DataId) {
     TileSt& ts = tn.tiles[idx];
     MPGEO_ASSERT(ts.pinned > 0 && ts.remaining > 0);
     ts.pinned -= 1;
     ts.remaining -= 1;
-    if (ts.remaining == 0 && ts.res == Res::Resident) {
-      MPGEO_ASSERT(ts.pinned == 0);
-      im.enqueue_spill_locked(slot_, idx);
-      tn.st.evictions += 1;
-    }
+    // Last consumer retired: remaining counts unretired users, so no user
+    // can still hold a pin, and no victim scan picks a dead tile.
+    if (ts.remaining == 0 && ts.res == Res::Resident) dead.push_back(idx);
+  });
+  for (const std::size_t idx : dead) {
+    tn.st.evictions += 1;
+    im.spill_locked(lk, slot_, idx);
   }
-  im.schedule_prefetches_locked();
   im.validate_locked("after_task");
-  if (!im.options.async) im.drain_jobs_locked(lk);
 }
 
 void SharedOocPager::Tenant::finish() {
@@ -748,48 +525,20 @@ void SharedOocPager::Tenant::finish() {
   if (slot_ >= im.tenants.size()) return;
   TenantSt& tn = im.tenants[slot_];
   if (!tn.live || tn.id != id_) return;  // already finished
-  tn.finishing = true;
-  // Drop this tenant's queued (not yet running) prefetch restores.
-  for (auto it = im.prefetch.begin(); it != im.prefetch.end();) {
-    if (it->slot != slot_) {
-      ++it;
-      continue;
+  // Spill every unpinned resident tile and wait out codec jobs other
+  // workers run on this tenant's tiles: the ledger must not keep counting a
+  // detached tenant, and what it stops counting must actually leave memory
+  // (the finished factor lives in the log; streamed logdet/solve restore it
+  // tile by tile under a Lease). No task of this tenant runs any more, so a
+  // spilled tile stays spilled.
+  for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
+    if (tn.tiles[j].res == Res::Resident && tn.tiles[j].pinned == 0) {
+      im.spill_locked(lk, slot_, j);
     }
-    TileSt& ts = tn.tiles[it->tile];
-    MPGEO_ASSERT(ts.res == Res::Loading);
-    ts.res = Res::Spilled;
-    tn.inflight -= ts.bytes;
-    im.g_inflight -= ts.bytes;
-    if (ts.prefetched_unused) {
-      ts.prefetched_unused = false;
-      tn.prefetch_outstanding -= 1;
-    }
-    it = im.prefetch.erase(it);
   }
-  // Spill every unpinned resident tile and drain this tenant's jobs: the
-  // ledger must not keep counting a detached tenant, and what it stops
-  // counting must actually leave memory (the finished factor lives in the
-  // log; streamed logdet/solve restore it tile by tile under a Lease).
-  for (;;) {
-    for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
-      TileSt& ts = tn.tiles[j];
-      if (ts.res == Res::Resident && ts.pinned == 0) {
-        im.enqueue_spill_locked(slot_, j);
-      }
-    }
-    if (!im.options.async) im.drain_jobs_locked(lk);
-    bool busy = tn.inflight > 0 || tn.evicting > 0 || !im.urgent[slot_].empty();
-    if (!busy) {
-      for (const TileSt& ts : tn.tiles) {
-        if (ts.res == Res::Resident && ts.pinned == 0) busy = true;
-      }
-    }
-    if (!busy) break;
-    im.io_cv.notify_one();
-    im.cv.wait(lk);
-  }
+  while (tn.inflight > 0 || tn.evicting > 0) im.cv.wait(lk);
   // Pins leaked by a failed attempt stay resident but leave the ledger
-  // (callers regenerate before reuse — same contract as the private pager).
+  // (callers regenerate before reuse).
   im.g_resident -= tn.resident;
   tn.resident = 0;
   tn.live = false;
@@ -797,7 +546,6 @@ void SharedOocPager::Tenant::finish() {
   im.free_slots.push_back(slot_);
   if (im.options.metrics) {
     MetricsRegistry& reg = *im.options.metrics;
-    reg.counter("ooc.prefetches").add(tn.st.prefetches);
     reg.counter("ooc.demand_faults").add(tn.st.demand_faults);
     reg.counter("ooc.prefetch_waits").add(tn.st.prefetch_waits);
     reg.counter("ooc.evictions").add(tn.st.evictions);
@@ -832,8 +580,7 @@ SharedOocPager::Lease::~Lease() {
   if (pager_) pager_->release_lease(bytes_);
 }
 
-SharedOocPager::Lease SharedOocPager::lease_bytes(std::size_t bytes,
-                                                  PagerPriority priority) {
+SharedOocPager::Lease SharedOocPager::lease_bytes(std::size_t bytes) {
   Impl& im = *impl_;
   std::unique_lock lk(im.mu);
   // A tile-sized lease rides the same one-tile overshoot slack as a tile
@@ -842,7 +589,7 @@ SharedOocPager::Lease SharedOocPager::lease_bytes(std::size_t bytes,
   // would just starve the streamed solves under contention. Only leases
   // larger than any managed tile must wait for their full size.
   const std::size_t need = bytes <= im.st.max_tile_bytes ? 0 : bytes;
-  im.admit_locked(lk, npos, priority, need);
+  im.admit_locked(lk, npos, need);
   im.g_leased += bytes;
   im.sample_locked();
   im.validate_locked("lease");
@@ -879,20 +626,22 @@ std::string SharedOocPager::first_invariant_violation() const {
   return impl_->violation;
 }
 
-std::vector<std::uint64_t> SharedOocPager::urgent_service_log() const {
-  std::lock_guard lk(impl_->mu);
-  return impl_->urgent_log;
-}
-
-void SharedOocPager::debug_pause_io() {
-  std::lock_guard lk(impl_->mu);
-  impl_->paused = true;
-}
-
-void SharedOocPager::debug_resume_io() {
-  std::lock_guard lk(impl_->mu);
-  impl_->paused = false;
-  impl_->io_cv.notify_all();
+std::unique_ptr<SharedOocPager::Tenant> attach_for_call(
+    const OutOfCoreOptions& ooc, MetricsRegistry* metrics,
+    bool capture_residency, std::unique_ptr<SharedOocPager>& own,
+    TileMatrix& a, const TaskGraph& graph,
+    std::vector<std::size_t> tile_of_datum) {
+  SharedOocPager* pager = ooc.shared;
+  if (!pager) {
+    SharedPagerOptions po;
+    po.resident_byte_budget = ooc.resident_byte_budget;
+    po.capture_residency = capture_residency;
+    po.metrics = metrics;
+    own = std::make_unique<SharedOocPager>(po);
+    pager = own.get();
+  }
+  return pager->attach(a, graph, std::move(tile_of_datum),
+                       {ooc.floor_bytes, ooc.priority, ooc.tenant});
 }
 
 }  // namespace mpgeo

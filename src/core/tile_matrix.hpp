@@ -11,7 +11,7 @@
 // `compact_garbage_ratio` policy) rewriting live blobs into a fresh log to
 // bound on-disk size under repeated re-spills. Accessing a spilled tile's
 // elements without restoring first is a caller bug; the out-of-core pager
-// (core/ooc_pager.hpp) keeps tiles resident exactly while the executor
+// (core/shared_pager.hpp) keeps tiles resident exactly while the executor
 // needs them, and `mp_cholesky` without OutOfCoreOptions restores everything
 // up front. Spill/restore/compact are not thread-safe against each other or
 // against tile access — callers (the pager) sequence them under a lock. The

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "core/shared_pager.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_graph.hpp"
@@ -122,20 +123,20 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
     x.num_threads = options.num_threads;
     x.metrics = options.metrics;
     x.session = options.session;
-    std::unique_ptr<OocPager> pager;
+    std::unique_ptr<SharedOocPager> own_pager;
+    std::unique_ptr<SharedOocPager::Tenant> pager;
     if (stream) {
       // Data insertion order above matches the packed lower-triangle index,
-      // so tile_of_datum is the identity. Every access is pure Write —
-      // nothing is worth prefetching (the pager write-installs fresh), and
-      // each tile dead-spills as soon as its GENERATE task retires.
+      // so tile_of_datum is the identity. Every access is pure Write — the
+      // pager write-installs each tile fresh, and the retiring worker
+      // dead-spills it as soon as its GENERATE task is done.
       std::vector<std::size_t> tile_of_datum(graph.num_data());
       for (std::size_t i = 0; i < tile_of_datum.size(); ++i) {
         tile_of_datum[i] = i;
       }
-      OutOfCoreOptions popts = options.ooc;
-      popts.prefetch_depth = 0;
-      pager = std::make_unique<OocPager>(a, graph, std::move(tile_of_datum),
-                                         popts, options.metrics);
+      pager = attach_for_call(options.ooc, options.metrics,
+                              /*capture_residency=*/false, own_pager, a,
+                              graph, std::move(tile_of_datum));
       x.start_hook = [&pager](const Task& t) { pager->before_task(t); };
       x.retire_hook = [&pager](const Task& t) { pager->after_task(t); };
     }

@@ -45,13 +45,14 @@ struct CovGenOptions {
   MetricsRegistry* metrics = nullptr;
   /// Out-of-core generation (requires TileMatrix::enable_spill on `a`):
   /// every GENERATE access is pure Write, so the pager write-installs each
-  /// tile fresh (no decompress of the stale blob) and dead-spills it as soon
-  /// as its task retires — at most ~num_threads tiles resident at once, and
-  /// the matrix is left fully spilled for the factorization to page. Spilled
-  /// degraded-storage tiles are re-targeted to FP64 by discarding the blob,
-  /// never by restoring it. Values are bit-identical to the resident fill.
-  /// With ooc.shared set the generation graph registers as a tenant of the
-  /// process-wide arbiter (core/shared_pager.hpp).
+  /// tile fresh (no decompress of the stale blob) and the retiring worker
+  /// dead-spills it as soon as its task is done — at most ~num_threads
+  /// tiles resident at once, and the matrix is left fully spilled for the
+  /// factorization to page. Spilled degraded-storage tiles are re-targeted
+  /// to FP64 by discarding the blob, never by restoring it. Values are
+  /// bit-identical to the resident fill. The generation graph attaches as a
+  /// tenant of ooc.shared, or of a pager built for the fill under
+  /// ooc.resident_byte_budget (core/shared_pager.hpp).
   OutOfCoreOptions ooc;
 };
 

@@ -254,12 +254,6 @@ TlrCholeskyResult tlr_cholesky(TlrFactor& a,
   return result;
 }
 
-TlrCholeskyResult tlr_cholesky(TlrFactor& a, std::size_t num_threads) {
-  TlrCholeskyOptions options;
-  options.num_threads = num_threads;
-  return tlr_cholesky(a, options);
-}
-
 double tlr_logdet(const TlrFactor& l) {
   double acc = 0.0;
   for (std::size_t k = 0; k < l.num_tiles(); ++k) {

@@ -85,11 +85,7 @@ struct TlrCholeskyOptions {
 /// a task graph on the work-stealing runtime (same dataflow as the dense
 /// mixed-precision Cholesky), so independent panels factor concurrently.
 TlrCholeskyResult tlr_cholesky(TlrFactor& a,
-                               const TlrCholeskyOptions& options);
-
-/// Legacy convenience overload: default options with a pool of
-/// `num_threads` workers (0 = hardware concurrency).
-TlrCholeskyResult tlr_cholesky(TlrFactor& a, std::size_t num_threads = 0);
+                               const TlrCholeskyOptions& options = {});
 
 /// log|A| = 2 sum log diag(L) of a factored TlrFactor.
 double tlr_logdet(const TlrFactor& l);

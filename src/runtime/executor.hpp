@@ -79,9 +79,9 @@ struct ExecutorOptions {
   /// (before fault injection). Skipped for cancelled tasks — a task either
   /// sees both hooks (start + retire) or, on a body failure, the start hook
   /// only. Dataflow users hook this to prepare the data a task is about to
-  /// touch — e.g. the out-of-core pager pins and faults in spilled tiles
-  /// (core/ooc_pager.hpp). Must be thread-safe; exceptions propagate like
-  /// body exceptions.
+  /// touch — e.g. the out-of-core pager pins and faults in spilled tiles on
+  /// this worker (core/shared_pager.hpp). Must be thread-safe; exceptions
+  /// propagate like body exceptions.
   std::function<void(const Task&)> start_hook;
   /// Called on the retiring worker after a task's body returns and before
   /// its successors are released. Dataflow users hook this to observe

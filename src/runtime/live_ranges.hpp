@@ -2,10 +2,10 @@
 //
 // Insertion order is a topological order (task_graph.hpp), so a datum's
 // lifetime during execution is bracketed by the smallest and largest task id
-// that declares an access on it. The out-of-core pager (core/ooc_pager.hpp)
-// uses first_use to order lookahead prefetches — restore tiles in the order
-// the scheduler's frontier will want them — and the access count to spill a
-// tile the moment its last consumer retires. The analysis is exact on the
+// that declares an access on it. The out-of-core pager
+// (core/shared_pager.hpp) uses the access count to spill a tile the moment
+// its last consumer retires (the per-tile user lists it builds alongside
+// rank cold-eviction victims by next use). The analysis is exact on the
 // graph (every access is declared), O(total accesses), and schedule-
 // independent: every run retires exactly the declared consumer set.
 #pragma once

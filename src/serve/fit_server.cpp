@@ -249,7 +249,7 @@ void FitServer::run_fit(std::size_t slot, Job job) {
       // runs out-of-core as one tenant of the server-wide arbiter, at a
       // paging precedence equal to its admission tier (the enums share the
       // numbering by design). Knobs move residency, never values — results
-      // stay bit-identical to the private-pager (and resident) fit.
+      // stay bit-identical to the per-call-pager (and resident) fit.
       eff.ooc.enabled = true;
       eff.ooc.shared = impl_->shared_pager.get();
       const auto tier = std::size_t(job.request.priority) % kNumFitPriorities;
@@ -259,11 +259,9 @@ void FitServer::run_fit(std::size_t slot, Job job) {
                            ? "fit-" + std::to_string(job.fit_id)
                            : job.request.tenant;
     }
-    if (eff.covgen_fast) {
-      // Cross-tenant sharing: identical location sets (by fingerprint)
-      // resolve to one immutable TileGeometry for every tenant.
-      ws->geometry = geometries_.acquire(locs, eff.tile);
-    }
+    // Cross-tenant sharing: identical location sets (by fingerprint)
+    // resolve to one immutable TileGeometry for every tenant.
+    ws->geometry = geometries_.acquire(locs, eff.tile);
 
     const Covariance cov(job.request.kind);
     resp.result = fit_mle(cov, locs, job.request.observations, eff, *ws);

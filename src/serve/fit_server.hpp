@@ -145,7 +145,7 @@ struct FitServerOptions {
   /// global resident-byte budget, and every fit runs out-of-core as a
   /// tenant of it — its MleOptions::ooc is overridden to register with the
   /// shared arbiter at the request's admission tier. 0 = fits run with
-  /// whatever MleOptions::ooc they brought (private pagers or resident).
+  /// whatever MleOptions::ooc they brought (a pager per call, or resident).
   std::size_t global_resident_budget = 0;
   /// Per-tier guaranteed resident floors (bytes) under the global budget,
   /// indexed by FitPriority: cross-tenant eviction never takes a fit of

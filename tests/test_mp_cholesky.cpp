@@ -82,7 +82,9 @@ SpdProblem random_spd_problem(std::size_t n, std::size_t nb,
 
 TEST(MpCholesky, Fp64PathMatchesDenseOracle) {
   Problem p = make_problem(160, 32, 0.1);
-  const MpCholeskyResult r = fp64_cholesky(p.tiles, 4);
+  MpCholeskyOptions opt;
+  opt.num_threads = 4;
+  const MpCholeskyResult r = fp64_cholesky(p.tiles, opt);
   ASSERT_EQ(r.info, 0);
   EXPECT_LT(tiled_cholesky_residual(p.dense, p.tiles), 1e-13);
 
@@ -96,7 +98,9 @@ TEST(MpCholesky, Fp64PathMatchesDenseOracle) {
 
 TEST(MpCholesky, RaggedLastTileHandled) {
   Problem p = make_problem(150, 32, 0.1);  // 150 = 4*32 + 22
-  const MpCholeskyResult r = fp64_cholesky(p.tiles, 2);
+  MpCholeskyOptions opt;
+  opt.num_threads = 2;
+  const MpCholeskyResult r = fp64_cholesky(p.tiles, opt);
   ASSERT_EQ(r.info, 0);
   EXPECT_LT(tiled_cholesky_residual(p.dense, p.tiles), 1e-13);
 }

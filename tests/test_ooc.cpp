@@ -1,11 +1,11 @@
 // Out-of-core factorization tests (core/ooc_pager.hpp, DESIGN.md 5i):
 // live-range analysis, bit-identity of the paged factorization against the
-// fully-resident run at every budget x pool size x {async, sync} corner,
-// pager stats sanity (prefetches fire, the budget holds up to demand-fault
-// overshoot), rank-sharded paging (eviction racing the late SEND-side read),
+// fully-resident run at every budget x pool size, pager stats sanity (the
+// budget holds to budget + one tile unless a fault takes the overshoot
+// escape), rank-sharded paging (eviction racing the late SEND-side read),
 // spill-log compaction accounting, and escalation recovery through the
-// copy-from-spilled snapshot path. Labelled tsan: the prefetcher's I/O
-// thread, the worker pool, and the pager mutex race for real here.
+// copy-from-spilled snapshot path. Labelled tsan: the workers' restores,
+// cold evictions and dead spills race on the pager mutex for real here.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,10 +108,10 @@ TEST(LiveRangesTest, BracketsAndCountsDeclaredAccesses) {
   EXPECT_EQ(lr[dead].first_use, kNoTask);
 }
 
-/// The core tentpole guarantee: at every budget and pool size, with
-/// and without the async prefetcher, the paged factorization produces the
-/// same bits as the fully-resident run — while genuinely paging (the tight
-/// budgets force cold evictions mid-factorization).
+/// The core guarantee: at every budget and pool size the paged
+/// factorization produces the same bits as the fully-resident run — while
+/// genuinely paging (the tight budgets force cold evictions
+/// mid-factorization).
 TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
   const std::size_t n = 160, nb = 32;
   const TileMatrix pristine = random_spd_problem(n, nb, 11);
@@ -127,45 +127,35 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
   for (const std::size_t budget : {full / 4, std::size_t(45 * full / 100),
                                    std::size_t(0)}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      for (const bool async : {true, false}) {
-        TileMatrix a = pristine;
-        SpillOptions sopts;
-        sopts.enabled = true;
-        a.enable_spill(sopts);
-        a.spill_all();  // the matrix starts on disk
+      TileMatrix a = pristine;
+      SpillOptions sopts;
+      sopts.enabled = true;
+      a.enable_spill(sopts);
+      a.spill_all();  // the matrix starts on disk
 
-        MpCholeskyOptions opt = base;
-        opt.num_threads = threads;
-        opt.ooc.enabled = true;
-        opt.ooc.resident_byte_budget = budget;
-        opt.ooc.async = async;
-        const MpCholeskyResult r = mp_cholesky(a, opt);
-        ASSERT_EQ(r.info, 0) << "budget=" << budget << " threads=" << threads
-                             << " async=" << async;
-        // Same precision map (streamed norms == resident norms) and, after
-        // restoring the partially-spilled factor, the same bits.
-        for (std::size_t m = 0; m < a.num_tiles(); ++m) {
-          for (std::size_t k = 0; k <= m; ++k) {
-            EXPECT_EQ(r.pmap.kernel(m, k), r0.pmap.kernel(m, k));
-          }
-        }
-        a.restore_all();
-        EXPECT_TRUE(factors_identical(ref, a))
-            << "budget=" << budget << " threads=" << threads
-            << " async=" << async;
-        if (budget != 0 && budget < full / 2) {
-          EXPECT_GT(r.ooc.cold_evictions, 0u)
-              << "budget=" << budget << " threads=" << threads
-              << " async=" << async;
-        }
-        EXPECT_GT(r.ooc.evictions, 0u);  // dead tiles spill as they finish
-        if (async) {
-          EXPECT_GT(r.ooc.prefetches, 0u);
-        } else {
-          EXPECT_EQ(r.ooc.prefetches, 0u);  // sync mode never looks ahead
-          EXPECT_GT(r.ooc.demand_faults, 0u);
+      MpCholeskyOptions opt = base;
+      opt.num_threads = threads;
+      opt.ooc.enabled = true;
+      opt.ooc.resident_byte_budget = budget;
+      const MpCholeskyResult r = mp_cholesky(a, opt);
+      ASSERT_EQ(r.info, 0) << "budget=" << budget << " threads=" << threads;
+      // Same precision map (streamed norms == resident norms) and, after
+      // restoring the spilled factor, the same bits.
+      for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+        for (std::size_t k = 0; k <= m; ++k) {
+          EXPECT_EQ(r.pmap.kernel(m, k), r0.pmap.kernel(m, k));
         }
       }
+      a.restore_all();
+      EXPECT_TRUE(factors_identical(ref, a))
+          << "budget=" << budget << " threads=" << threads;
+      if (budget != 0 && budget < full / 2) {
+        EXPECT_GT(r.ooc.cold_evictions, 0u)
+            << "budget=" << budget << " threads=" << threads;
+      }
+      EXPECT_GT(r.ooc.evictions, 0u);  // dead tiles spill as they finish
+      EXPECT_EQ(r.ooc.prefetches, 0u);  // nothing restores ahead of demand
+      EXPECT_GT(r.ooc.demand_faults, 0u);
     }
   }
 }
@@ -173,54 +163,64 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
 TEST(OutOfCoreCholeskyTest, BudgetHoldsUpToDemandFaultOvershoot) {
   // 55 tiles, so a 3-tile budget makes the working-set bound meaningful.
   const std::size_t n = 320, nb = 32;
-  TileMatrix a = random_spd_problem(n, nb, 13);
-  SpillOptions sopts;
-  sopts.enabled = true;
-  a.enable_spill(sopts);
-  a.spill_all();
+  const TileMatrix pristine = random_spd_problem(n, nb, 13);
 
   std::size_t max_tile = 0, full = 0;
-  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+  for (std::size_t m = 0; m < pristine.num_tiles(); ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
-      max_tile = std::max(max_tile, a.tile(m, k).bytes());
-      full += a.tile(m, k).bytes();
+      max_tile = std::max(max_tile, pristine.tile(m, k).bytes());
+      full += pristine.tile(m, k).bytes();
     }
   }
 
-  MetricsRegistry reg;
-  MpCholeskyOptions opt;
-  opt.u_req = 1e-4;
-  opt.num_threads = 4;
-  opt.metrics = &reg;
-  opt.ooc.enabled = true;
-  opt.ooc.capture_residency = true;
-  const std::size_t budget = 3 * max_tile;  // brutally tight
-  opt.ooc.resident_byte_budget = budget;
-  const MpCholeskyResult r = mp_cholesky(a, opt);
-  ASSERT_EQ(r.info, 0);
+  // Brutally tight (3 tiles: 4 workers pinning up to 3 tiles each must take
+  // the overshoot escape), then a 25% budget with room for every worker's
+  // working set.
+  for (const std::size_t budget : {3 * max_tile, full / 4}) {
+    TileMatrix a = pristine;
+    SpillOptions sopts;
+    sopts.enabled = true;
+    a.enable_spill(sopts);
+    a.spill_all();
 
-  // The hard bound is budget + transient overshoot: pinned demand faults
-  // (4 workers x 3 tiles) plus spills queued behind the I/O thread. Half
-  // the matrix is a comfortably slack envelope that still proves the pager
-  // bounded the working set — the resident run would sit at `full`.
-  EXPECT_GT(r.ooc.peak_resident_bytes, 0u);
-  EXPECT_LT(r.ooc.peak_resident_bytes, full / 2);
-  EXPECT_GT(r.ooc.cold_evictions, 0u);
+    MetricsRegistry reg;
+    MpCholeskyOptions opt;
+    opt.u_req = 1e-4;
+    opt.num_threads = 4;
+    opt.metrics = &reg;
+    opt.capture_trace = true;  // residency samples
+    opt.ooc.enabled = true;
+    opt.ooc.resident_byte_budget = budget;
+    const MpCholeskyResult r = mp_cholesky(a, opt);
+    ASSERT_EQ(r.info, 0) << "budget=" << budget;
 
-  // Residency samples were captured and stay within the same envelope.
-  ASSERT_FALSE(r.ooc_residency.empty());
-  double peak_sample = 0.0;
-  for (const auto& [ts, v] : r.ooc_residency) {
-    EXPECT_GE(ts, 0.0);
-    peak_sample = std::max(peak_sample, v);
+    // Half the matrix is a slack envelope that proves the pager bounded the
+    // working set — the resident run would sit at `full`.
+    EXPECT_GT(r.ooc.peak_resident_bytes, 0u);
+    EXPECT_LT(r.ooc.peak_resident_bytes, full / 2);
+    EXPECT_GT(r.ooc.cold_evictions, 0u) << "budget=" << budget;
+    // The contract: accounted residency stays within budget + one tile
+    // unless a fault found no victim and nothing in flight.
+    if (r.ooc.overshoot_admits == 0) {
+      EXPECT_LE(r.ooc.peak_resident_bytes, budget + max_tile)
+          << "budget=" << budget;
+    }
+
+    // Residency samples were captured and peak at the same quantity.
+    ASSERT_FALSE(r.ooc_residency.empty());
+    double peak_sample = 0.0;
+    for (const auto& [ts, v] : r.ooc_residency) {
+      EXPECT_GE(ts, 0.0);
+      peak_sample = std::max(peak_sample, v);
+    }
+    EXPECT_EQ(std::size_t(peak_sample), r.ooc.peak_resident_bytes);
+
+    // finish() reported the pager counters into the registry.
+    EXPECT_EQ(reg.counter_value("ooc.cold_evictions"), r.ooc.cold_evictions);
+    EXPECT_EQ(reg.counter_value("ooc.evictions"), r.ooc.evictions);
+    EXPECT_EQ(reg.counter_value("ooc.prefetches"), r.ooc.prefetches);
+    EXPECT_EQ(reg.counter_value("ooc.demand_faults"), r.ooc.demand_faults);
   }
-  EXPECT_EQ(std::size_t(peak_sample), r.ooc.peak_resident_bytes);
-
-  // finish() reported the pager counters into the registry.
-  EXPECT_EQ(reg.counter_value("ooc.cold_evictions"), r.ooc.cold_evictions);
-  EXPECT_EQ(reg.counter_value("ooc.evictions"), r.ooc.evictions);
-  EXPECT_EQ(reg.counter_value("ooc.prefetches"), r.ooc.prefetches);
-  EXPECT_EQ(reg.counter_value("ooc.demand_faults"), r.ooc.demand_faults);
 }
 
 /// Rank-sharded + paged: SEND tasks read the owner tile through the graph,
@@ -238,23 +238,20 @@ TEST(OutOfCoreCholeskyTest, DistShardedPagingStaysBitIdentical) {
   const MpCholeskyResult r0 = mp_cholesky(ref, base);
   ASSERT_EQ(r0.info, 0);
 
-  for (const bool async : {true, false}) {
-    TileMatrix a = pristine;
-    SpillOptions sopts;
-    sopts.enabled = true;
-    a.enable_spill(sopts);
-    a.spill_all();
-    MpCholeskyOptions opt = base;
-    opt.dist.ranks = 2;
-    opt.ooc.enabled = true;
-    opt.ooc.async = async;
-    opt.ooc.resident_byte_budget = r0.stored_bytes / 3;
-    const MpCholeskyResult r = mp_cholesky(a, opt);
-    ASSERT_EQ(r.info, 0) << "async=" << async;
-    EXPECT_GT(r.wire.messages, 0u);
-    a.restore_all();
-    EXPECT_TRUE(factors_identical(ref, a)) << "async=" << async;
-  }
+  TileMatrix a = pristine;
+  SpillOptions sopts;
+  sopts.enabled = true;
+  a.enable_spill(sopts);
+  a.spill_all();
+  MpCholeskyOptions opt = base;
+  opt.dist.ranks = 2;
+  opt.ooc.enabled = true;
+  opt.ooc.resident_byte_budget = r0.stored_bytes / 3;
+  const MpCholeskyResult r = mp_cholesky(a, opt);
+  ASSERT_EQ(r.info, 0);
+  EXPECT_GT(r.wire.messages, 0u);
+  a.restore_all();
+  EXPECT_TRUE(factors_identical(ref, a));
 }
 
 TEST(SpillCompactionTest, CompactionReclaimsGarbageAndStaysBitExact) {
@@ -376,8 +373,8 @@ TEST(OutOfCoreCholeskyTest, EscalationSnapshotRecoversThroughSpilledState) {
   EXPECT_TRUE(factors_identical(ref, a));
 }
 
-/// TSan stress: repeat tight-budget async runs so the prefetcher, demand
-/// faults, evictions and the retire hook genuinely interleave.
+/// TSan stress: repeat tight-budget runs so demand faults, cold evictions
+/// and the retire hook's dead spills genuinely interleave across workers.
 TEST(OutOfCoreCholeskyTest, ConcurrentPagingStress) {
   const std::size_t n = 128, nb = 32;
   const TileMatrix pristine = random_spd_problem(n, nb, 29);
@@ -397,7 +394,6 @@ TEST(OutOfCoreCholeskyTest, ConcurrentPagingStress) {
     MpCholeskyOptions opt = base;
     opt.ooc.enabled = true;
     opt.ooc.resident_byte_budget = pristine.bytes() / 4;
-    opt.ooc.prefetch_depth = 4;
     const MpCholeskyResult r = mp_cholesky(a, opt);
     ASSERT_EQ(r.info, 0) << "rep=" << rep;
     a.restore_all();

@@ -1,19 +1,17 @@
 // Shared multi-tenant pager tests (core/shared_pager.hpp, DESIGN.md 5j):
 // the global-budget contract under concurrency. Property tests drive the
 // arbiter directly with randomized multi-tenant schedules and the built-in
-// invariant validator (budget + one tile, per-tenant floors, the waiting
-// shield); deterministic sync-mode tests pin down the victim ladder
-// (BestEffort before Batch before Interactive, coldest tile first) and the
-// floor/overshoot escape; a paused-I/O test observes the round-robin urgent
-// service order; a FitServer stress run proves eight tenants under a global
-// budget below 30% of the co-resident working set stay bitwise identical to
-// the serial resident baseline; and an MLE regression splits per-run from
-// lifetime OocStats on a pooled workspace. Labelled tsan + mpgeo-ooc: tenant
-// threads, the shared I/O thread, and the single pager mutex race for real.
+// invariant validator (ledger, budget + one tile, the waiting shield);
+// deterministic tests pin down the victim ladder (BestEffort before Batch
+// before Interactive, coldest tile first) and the floor/overshoot escape; a
+// FitServer stress run proves eight tenants under a global budget below 30%
+// of the co-resident working set stay bitwise identical to the serial
+// resident baseline; and an MLE regression splits per-run from lifetime
+// OocStats on a pooled workspace. Labelled tsan + mpgeo-ooc: tenant threads
+// run their own codec jobs and race on the single pager mutex for real.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -22,7 +20,6 @@
 
 #include "common/rng.hpp"
 #include "core/mle.hpp"
-#include "core/ooc_pager.hpp"
 #include "core/shared_pager.hpp"
 #include "core/tile_matrix.hpp"
 #include "linalg/matrix.hpp"
@@ -114,70 +111,62 @@ void add_random_tasks(Driven& dt, std::size_t tasks, Rng& rng) {
   }
 }
 
-/// The tentpole property: across randomized concurrent schedules, in both
-/// I/O modes, the validator sees no contract violation — accounted residency
-/// stays within budget + one tile (absent the stuck-regime escape), no
-/// cross-tenant eviction digs below a floor, no waiting/pinned tile is ever
-/// evicted — and every tenant honors the demand_faults <= uses starvation
-/// bound.
+/// The tentpole property: across randomized concurrent schedules the
+/// validator sees no contract violation — accounted residency stays within
+/// budget + one tile (absent the stuck-regime escape), no waiting/pinned
+/// tile is ever evicted — and every tenant honors the demand_faults <= uses
+/// starvation bound.
 TEST(SharedPagerPropertyTest, RandomizedSchedulesHoldInvariants) {
   for (const std::uint64_t seed : {7u, 21u, 33u}) {
-    for (const bool async : {true, false}) {
-      SharedPagerOptions po;
-      po.resident_byte_budget = 6 * kTileBytes;
-      po.async = async;
-      po.check_invariants = true;
-      po.prefetch_depth = 2;
-      SharedOocPager pager(po);
+    SharedPagerOptions po;
+    po.resident_byte_budget = 6 * kTileBytes;
+    po.check_invariants = true;
+    SharedOocPager pager(po);
 
-      Rng root(seed);
-      std::vector<std::unique_ptr<Driven>> tenants;
-      for (std::size_t i = 0; i < 3; ++i) {
-        Rng rng = root.spawn(i);
-        auto dt = std::make_unique<Driven>(/*n=*/48, seed * 100 + i);
-        add_random_tasks(*dt, 40, rng);
-        SharedOocPager::TenantOptions topts;
-        topts.priority = static_cast<PagerPriority>(i % kNumPagerPriorities);
-        topts.floor_bytes = i == 0 ? kTileBytes : 0;
-        topts.name = "prop" + std::to_string(i);
-        dt->attach_to(pager, topts);
-        tenants.push_back(std::move(dt));
-      }
-
-      std::vector<std::thread> threads;
-      for (auto& dt : tenants) {
-        threads.emplace_back([&dt] { dt->run_all(); });
-      }
-      for (auto& th : threads) th.join();
-
-      EXPECT_EQ(pager.first_invariant_violation(), "")
-          << "seed=" << seed << " async=" << async;
-      const SharedPagerStats s = pager.stats();
-      EXPECT_EQ(s.tenants_attached, 3u);
-      EXPECT_GT(s.demand_faults + s.write_installs + s.prefetches, 0u);
-      if (s.overshoot_admits == 0) {
-        EXPECT_LE(s.peak_resident_bytes,
-                  po.resident_byte_budget + s.max_tile_bytes)
-            << "seed=" << seed << " async=" << async;
-      }
-      for (const auto& dt : tenants) {
-        const OocStats ts = dt->tenant->stats();
-        EXPECT_LE(ts.demand_faults, ts.uses)
-            << "seed=" << seed << " async=" << async;
-      }
-      EXPECT_EQ(pager.stats().resident_bytes, 0u);  // all detached + spilled
+    Rng root(seed);
+    std::vector<std::unique_ptr<Driven>> tenants;
+    for (std::size_t i = 0; i < 3; ++i) {
+      Rng rng = root.spawn(i);
+      auto dt = std::make_unique<Driven>(/*n=*/48, seed * 100 + i);
+      add_random_tasks(*dt, 40, rng);
+      SharedOocPager::TenantOptions topts;
+      topts.priority = static_cast<PagerPriority>(i % kNumPagerPriorities);
+      topts.floor_bytes = i == 0 ? kTileBytes : 0;
+      topts.name = "prop" + std::to_string(i);
+      dt->attach_to(pager, topts);
+      tenants.push_back(std::move(dt));
     }
+
+    std::vector<std::thread> threads;
+    for (auto& dt : tenants) {
+      threads.emplace_back([&dt] { dt->run_all(); });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(pager.first_invariant_violation(), "") << "seed=" << seed;
+    const SharedPagerStats s = pager.stats();
+    EXPECT_EQ(s.tenants_attached, 3u);
+    EXPECT_GT(s.demand_faults + s.write_installs, 0u);
+    if (s.overshoot_admits == 0) {
+      EXPECT_LE(s.peak_resident_bytes,
+                po.resident_byte_budget + s.max_tile_bytes)
+          << "seed=" << seed;
+    }
+    for (const auto& dt : tenants) {
+      const OocStats ts = dt->tenant->stats();
+      EXPECT_LE(ts.demand_faults, ts.uses) << "seed=" << seed;
+    }
+    EXPECT_EQ(pager.stats().resident_bytes, 0u);  // all detached + spilled
   }
 }
 
-/// Deterministic victim ladder (sync mode): with a BestEffort and an
+/// Deterministic victim ladder: with a BestEffort and an
 /// Interactive tenant both holding cold tiles, a faulting Batch tenant must
 /// evict from the BestEffort tenant — and from its COLDEST tile (the one
 /// whose next use sits furthest past the retirement frontier).
 TEST(SharedPagerVictimTest, LowestPriorityColdestTileEvictsFirst) {
   SharedPagerOptions po;
   po.resident_byte_budget = 3 * kTileBytes;
-  po.async = false;
   po.check_invariants = true;
   SharedOocPager pager(po);
 
@@ -237,7 +226,6 @@ TEST(SharedPagerVictimTest, LowestPriorityColdestTileEvictsFirst) {
 TEST(SharedPagerVictimTest, FloorsBlockCrossTenantEvictionEvenForHigherTiers) {
   SharedPagerOptions po;
   po.resident_byte_budget = 4 * kTileBytes;
-  po.async = false;
   po.check_invariants = true;
   SharedOocPager pager(po);
 
@@ -279,52 +267,6 @@ TEST(SharedPagerVictimTest, FloorsBlockCrossTenantEvictionEvenForHigherTiers) {
 
   guarded.tenant->finish();
   greedy.tenant->finish();
-}
-
-/// Urgent fairness: stage a deterministic backlog of demand faults behind a
-/// paused I/O thread — two from tenant A, one from tenant B — and observe
-/// round-robin service (A, B, A), not FIFO-per-tenant (A, A, B).
-TEST(SharedPagerFairnessTest, UrgentRestoresServeTenantsRoundRobin) {
-  SharedPagerOptions po;
-  po.resident_byte_budget = 0;  // fairness only; no eviction pressure
-  po.async = true;
-  po.prefetch_depth = 0;  // no lookahead: every restore is a demand fault
-  po.capture_urgent_log = true;
-  SharedOocPager pager(po);
-
-  Driven ta(/*n=*/32, 6);
-  ta.g.add_task({}, {{ta.d[0], AccessMode::Read}});
-  ta.g.add_task({}, {{ta.d[1], AccessMode::Read}});
-  Driven tb(/*n=*/32, 7);
-  tb.g.add_task({}, {{tb.d[0], AccessMode::Read}});
-
-  SharedOocPager::TenantOptions topts;
-  topts.name = "A";
-  ta.attach_to(pager, topts);
-  topts.name = "B";
-  tb.attach_to(pager, topts);
-
-  pager.debug_pause_io();
-  std::thread a1([&] { ta.run_task(0); });
-  std::thread a2([&] { ta.run_task(1); });
-  std::thread b1([&] { tb.run_task(0); });
-  while (pager.stats().demand_faults < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  pager.debug_resume_io();
-  a1.join();
-  a2.join();
-  b1.join();
-
-  const std::vector<std::uint64_t> log = pager.urgent_service_log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], ta.tenant->id());
-  EXPECT_EQ(log[1], tb.tenant->id());
-  EXPECT_EQ(log[2], ta.tenant->id());
-  EXPECT_EQ(pager.stats().urgent_served, 3u);
-
-  ta.tenant->finish();
-  tb.tenant->finish();
 }
 
 /// Byte leases share the same ledger and the same stuck-regime escape as

@@ -247,13 +247,15 @@ TEST_F(TlrCholeskyTest, DetectsIndefiniteMatrix) {
 }
 
 TEST_F(TlrCholeskyTest, ExecutorPlumbingKeepsFactorsBitIdentical) {
-  // The num_threads overload, the options overload, and a session-backed
-  // run are alternative executor plumbings of the same task graph: every
-  // one must produce the same factor bit for bit.
+  // Pools of different sizes, with and without metrics, and a
+  // session-backed run are alternative executor plumbings of the same task
+  // graph: every one must produce the same factor bit for bit.
   const Matrix<double> a = covariance(200, 0.05, 1e-2);
 
   TlrFactor ref(a, 40, 1e-8);
-  ASSERT_EQ(tlr_cholesky(ref, std::size_t{2}).info, 0);
+  TlrCholeskyOptions two;
+  two.num_threads = 2;
+  ASSERT_EQ(tlr_cholesky(ref, two).info, 0);
 
   const auto identical = [&](const TlrFactor& f) {
     for (std::size_t k = 0; k < ref.num_tiles(); ++k) {
