@@ -1,25 +1,27 @@
-// End-to-end A/B of the convert-once operand cache on a mixed-precision tile
-// Cholesky — the shared-memory analogue of the paper's STC experiment.
+// The convert-once operand cache on a mixed-precision tile Cholesky — the
+// shared-memory analogue of the paper's STC experiment.
 //
-// Uncached, every GEMM widens + input-rounds both panel operands itself:
-// O(NT^3) conversions for NT tile rows. Cached, the first consumer of a
-// panel tile packs it and every later SYRK/GEMM reuses the pack read-only:
-// O(NT^2) fills. The factor is bit-identical either way (asserted below) —
-// the cache moves conversion work, never values.
+// Without the cache every GEMM would widen + input-round both panel operands
+// itself: O(NT^3) conversions for NT tile rows. With it, the first consumer
+// of a panel tile packs it and every later SYRK/GEMM reuses the pack
+// read-only: O(NT^2) fills. Each pack is freed when its tile's last access
+// retires, so the cache holds far less than the bytes of all fills at its
+// peak. The factor's bit-identity to a cacheless serial oracle is pinned by
+// test_operand_cache, not here.
 //
-// Reports median-of-R wall times, the speedup, per-variant conversion
-// counts against their NT^2/NT^3 reference curves, and the cache counters.
-// Accepts `--json <path>` for machine-readable output.
-//
-// This is a plain main()-style bench (no google-benchmark): the A/B needs
-// per-run counter resets and a cross-variant bit-identity check, which the
-// fixture API makes awkward.
+// Reports the median-of-R wall time, conversions against NT(NT+1)/2, the
+// cache counters, and peak cache MiB next to the MiB of all fills. Exits
+// nonzero if the fills differ from the distinct (tile, precision) packs the
+// factorization reads — a pack freed before a later reader would be filled
+// twice — or if packs outlive the factorization. Accepts `--json <path>`
+// for machine-readable output.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,8 +39,7 @@ using namespace mpgeo;
 /// Well-conditioned random SPD tile matrix (Gram of a random square factor,
 /// diagonal shift n, exponential tile-norm decay off the diagonal so the
 /// Higham–Mary rule assigns a genuinely mixed precision map). Same recipe as
-/// the accuracy tests; no dense oracle kept — the bench compares factors
-/// against each other, not against FP64.
+/// the accuracy tests; no dense oracle kept.
 TileMatrix random_spd_tiles(std::size_t n, std::size_t nb, double decay_rate,
                             std::uint64_t seed) {
   Rng rng(seed);
@@ -72,58 +73,60 @@ TileMatrix random_spd_tiles(std::size_t n, std::size_t nb, double decay_rate,
   return tiles;
 }
 
-/// Bitwise factor comparison (widened values are injective images of the
-/// FP64/FP32 storage, so equality here is storage bit-identity).
-bool factors_identical(const TileMatrix& a, const TileMatrix& b) {
-  std::vector<double> wa, wb;
-  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      const AnyTile& ta = a.tile(m, k);
-      const AnyTile& tb = b.tile(m, k);
-      if (ta.storage() != tb.storage()) return false;
-      wa.resize(ta.size());
-      wb.resize(tb.size());
-      ta.to_double(wa);
-      tb.to_double(wb);
-      if (std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) != 0)
-        return false;
+/// Packs the factorization reads, one per distinct (tile, precision): TRSM
+/// reads the diagonal at its precision, SYRK a panel at FP64, and GEMM
+/// (m, n, k) both panels at its kernel precision. Returns their count and
+/// bytes (double-stored at FP64, float-stored below) — what the cache would
+/// hold if it never freed anything.
+std::pair<std::size_t, std::size_t> all_fills(const PrecisionMap& pmap,
+                                              const TileMatrix& a) {
+  std::set<std::tuple<std::size_t, std::size_t, Precision>> packs;
+  const std::size_t nt = a.num_tiles();
+  for (std::size_t k = 0; k < nt; ++k) {
+    for (std::size_t m = k + 1; m < nt; ++m) {
+      packs.emplace(k, k, pmap.trsm_precision(m, k));
+      packs.emplace(m, k, Precision::FP64);
+      for (std::size_t n = k + 1; n < m; ++n) {
+        packs.emplace(m, k, pmap.kernel(m, n));
+        packs.emplace(n, k, pmap.kernel(m, n));
+      }
     }
   }
-  return true;
+  std::size_t bytes = 0;
+  for (const auto& [m, k, p] : packs) {
+    bytes += a.tile(m, k).size() *
+             (p == Precision::FP64 ? sizeof(double) : sizeof(float));
+  }
+  return {packs.size(), bytes};
 }
 
-struct VariantResult {
-  double median_ms = 0.0;
-  std::vector<double> times_ms;
-  std::uint64_t conversions = 0;  ///< operand packs/widens per factorization
+struct RunResult {
+  double ms = 0.0;
+  std::uint64_t conversions = 0;  ///< operand packs per factorization
   OperandCache::Stats cache;
   PrecisionMap pmap;
-  TileMatrix factor{1, 1};  ///< first-rep factored tiles (for bit-identity)
 };
 
 /// One timed factorization of a copy of `pristine`.
-double run_once(const TileMatrix& pristine, bool cached, std::size_t threads,
-                double u_req, VariantResult* out) {
+RunResult run_once(const TileMatrix& pristine, std::size_t threads,
+                   double u_req) {
   TileMatrix work = pristine;
   MpCholeskyOptions opts;
   opts.u_req = u_req;
   opts.num_threads = threads;
-  opts.use_operand_cache = cached;
   reset_operand_conversion_count();
   Stopwatch sw;
-  const MpCholeskyResult res = mp_cholesky(work, opts);
-  const double ms = sw.seconds() * 1e3;
+  MpCholeskyResult res = mp_cholesky(work, opts);
+  RunResult out;
+  out.ms = sw.seconds() * 1e3;
   if (res.info != 0) {
     std::fprintf(stderr, "factorization broke down (info=%d)\n", res.info);
     std::exit(1);
   }
-  if (out && out->factor.n() <= 1) {
-    out->conversions = operand_conversion_count();
-    out->cache = res.operand_cache;
-    out->pmap = res.pmap;
-    out->factor = std::move(work);
-  }
-  return ms;
+  out.conversions = operand_conversion_count();
+  out.cache = res.operand_cache;
+  out.pmap = std::move(res.pmap);
+  return out;
 }
 
 }  // namespace
@@ -151,38 +154,22 @@ int main(int argc, char** argv) {
   }
   const std::size_t nt = (n + nb - 1) / nb;
 
-  std::printf("operand-cache A/B: n=%zu nb=%zu (NT=%zu) threads=%zu u_req=%g "
+  std::printf("operand cache: n=%zu nb=%zu (NT=%zu) threads=%zu u_req=%g "
               "decay=%g reps=%d\n\n",
               n, nb, nt, threads, u_req, decay, reps);
   const TileMatrix pristine = random_spd_tiles(n, nb, decay, /*seed=*/17);
 
-  // One untimed warmup per variant (first-touch paging, code warmup and
-  // frequency ramp cost up to 1.7x on this class of machine), then interleaved
-  // uncached/cached pairs so slow drift hits both variants equally.
-  VariantResult off, on;
-  run_once(pristine, false, threads, u_req, &off);
-  run_once(pristine, true, threads, u_req, &on);
-  for (int r = 0; r < reps; ++r) {
-    off.times_ms.push_back(run_once(pristine, false, threads, u_req, nullptr));
-    on.times_ms.push_back(run_once(pristine, true, threads, u_req, nullptr));
-  }
-  // Headline speedup = median of the per-pair ratios: machine-load drift is
-  // slow relative to one pair, so it cancels inside each ratio where a
-  // ratio-of-medians would keep it.
-  std::vector<double> ratios;
+  // One untimed warmup (first-touch paging, code warmup and frequency ramp
+  // cost up to 1.7x on this class of machine), then the timed reps. Every
+  // run fills and frees the same packs (only the peak varies with the
+  // schedule), so the warmup's counters are the ones reported.
+  const RunResult first = run_once(pristine, threads, u_req);
+  std::vector<double> times_ms;
   for (int r = 0; r < reps; ++r)
-    ratios.push_back(off.times_ms[r] / on.times_ms[r]);
-  std::sort(ratios.begin(), ratios.end());
-  const double speedup = ratios[ratios.size() / 2];
-  for (VariantResult* v : {&off, &on}) {
-    std::sort(v->times_ms.begin(), v->times_ms.end());
-    v->median_ms = v->times_ms[v->times_ms.size() / 2];
-  }
-
-  if (!factors_identical(off.factor, on.factor)) {
-    std::fprintf(stderr, "FAIL: cached factor is not bit-identical\n");
-    return 1;
-  }
+    times_ms.push_back(run_once(pristine, threads, u_req).ms);
+  std::sort(times_ms.begin(), times_ms.end());
+  const double median_ms = times_ms.empty() ? first.ms
+                                            : times_ms[times_ms.size() / 2];
 
   // GEMM-weighted ladder mix: output tile (m, j) receives j updates, all at
   // its kernel precision — this is where the factorization spends its time.
@@ -191,7 +178,7 @@ int main(int argc, char** argv) {
     double total = 0.0;
     for (std::size_t m = 1; m < nt; ++m) {
       for (std::size_t j = 1; j < m; ++j) {
-        mix[on.pmap.kernel(m, j)] += double(j);
+        mix[first.pmap.kernel(m, j)] += double(j);
         total += double(j);
       }
     }
@@ -201,44 +188,49 @@ int main(int argc, char** argv) {
     std::printf("\n\n");
   }
 
-  // Reference curves: uncached GEMMs convert two operands each -> O(NT^3);
-  // cached fills are one pack per (tile, precision) -> O(NT^2).
-  const double nt3 = double(nt) * nt * nt / 6.0;  // ~GEMM count
-  const double nt2 = double(nt) * (nt + 1) / 2.0; // ~tile count
+  // Reference curve: one fill per (tile, precision) -> O(NT^2).
+  const double nt2 = double(nt) * (nt + 1) / 2.0;  // ~tile count
+  const auto [fill_count, fill_bytes] = all_fills(first.pmap, pristine);
+  const double mib = double(1 << 20);
 
-  std::printf("%-22s %12s %14s %10s %10s\n", "variant", "median ms",
-              "conversions", "hits", "evicted");
-  std::printf("%-22s %12.2f %14llu %10s %10s\n", "uncached", off.median_ms,
-              (unsigned long long)off.conversions, "-", "-");
-  std::printf("%-22s %12.2f %14llu %10llu %10llu\n", "cached", on.median_ms,
-              (unsigned long long)on.conversions,
-              (unsigned long long)on.cache.hits,
-              (unsigned long long)on.cache.evictions);
-  std::printf("\nspeedup (median of %d interleaved pairs): %.2fx\n", reps,
-              speedup);
-  std::printf("factor bit-identity:         OK\n");
-  std::printf("conversion scaling:          uncached/NT^3 = %.2f  "
-              "cached/NT^2 = %.2f\n",
-              double(off.conversions) / nt3, double(on.conversions) / nt2);
-  std::printf("cache peak bytes:            %.1f MiB\n",
-              double(on.cache.peak_bytes) / double(1 << 20));
+  std::printf("%12s %14s %10s %10s %14s\n", "median ms", "conversions",
+              "hits", "fills", "invalidations");
+  std::printf("%12.2f %14llu %10llu %10llu %14llu\n", median_ms,
+              (unsigned long long)first.conversions,
+              (unsigned long long)first.cache.hits,
+              (unsigned long long)first.cache.misses,
+              (unsigned long long)first.cache.invalidations);
+  std::printf("\nconversion scaling:          conversions/NT(NT+1)/2 = %.2f\n",
+              double(first.conversions) / nt2);
+  std::printf("cache peak:                  %.2f MiB of %.2f MiB filled\n",
+              double(first.cache.peak_bytes) / mib, double(fill_bytes) / mib);
+
+  if (first.cache.misses != fill_count) {
+    std::fprintf(stderr,
+                 "FAIL: %llu fills for %zu distinct packs (a pack was freed "
+                 "before a later reader)\n",
+                 (unsigned long long)first.cache.misses, fill_count);
+    return 1;
+  }
+  if (first.cache.bytes != 0) {
+    std::fprintf(stderr, "FAIL: %zu pack bytes outlived the factorization\n",
+                 first.cache.bytes);
+    return 1;
+  }
 
   if (!json_path.empty()) {
     mpgeo::bench::JsonWriter writer;
-    auto& ru = writer.add("mp_cholesky/uncached", "ms");
-    ru.metrics.emplace_back("real_time", off.median_ms);
-    ru.metrics.emplace_back("conversions", double(off.conversions));
-    auto& rc = writer.add("mp_cholesky/cached", "ms");
-    rc.metrics.emplace_back("real_time", on.median_ms);
-    rc.metrics.emplace_back("conversions", double(on.conversions));
-    rc.metrics.emplace_back("cache_hits", double(on.cache.hits));
-    rc.metrics.emplace_back("cache_misses", double(on.cache.misses));
-    rc.metrics.emplace_back("cache_evictions", double(on.cache.evictions));
-    rc.metrics.emplace_back("cache_peak_bytes", double(on.cache.peak_bytes));
-    auto& rs = writer.add("mp_cholesky/speedup", "x");
-    rs.metrics.emplace_back("value", speedup);
-    rs.metrics.emplace_back("nt", double(nt));
-    rs.metrics.emplace_back("bit_identical", 1.0);
+    auto& rc = writer.add("mp_cholesky/operand_cache", "ms");
+    rc.metrics.emplace_back("real_time", median_ms);
+    rc.metrics.emplace_back("nt", double(nt));
+    rc.metrics.emplace_back("conversions", double(first.conversions));
+    rc.metrics.emplace_back("cache_hits", double(first.cache.hits));
+    rc.metrics.emplace_back("cache_misses", double(first.cache.misses));
+    rc.metrics.emplace_back("cache_invalidations",
+                            double(first.cache.invalidations));
+    rc.metrics.emplace_back("cache_peak_bytes",
+                            double(first.cache.peak_bytes));
+    rc.metrics.emplace_back("fill_bytes", double(fill_bytes));
     if (!writer.write_file(json_path)) return 1;
   }
   return 0;

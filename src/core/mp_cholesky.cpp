@@ -1,6 +1,7 @@
 #include "core/mp_cholesky.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -18,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "precision/convert.hpp"
 #include "runtime/fault_injection.hpp"
+#include "runtime/live_ranges.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace mpgeo {
@@ -146,11 +148,9 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
     if (ooc_mode) {
       const StreamedNorms norms = streamed_norms(a);
       keep = build_truncation_map_from_norms(nt, norms.tiles, norms.global,
-                                             pmap, options.u_req,
-                                             options.truncation.guard_bits);
+                                             pmap, options.u_req);
     } else {
-      keep = build_truncation_map(a, pmap, options.u_req,
-                                  options.truncation.guard_bits);
+      keep = build_truncation_map(a, pmap, options.u_req);
     }
     std::uint64_t truncated = 0;
     for (std::size_t m = 0; m < nt; ++m) {
@@ -355,13 +355,8 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   // each consumer observes (captured below at insertion time — insertion
   // order is the graph's sequential order, so the captured version is exactly
   // the one the task sees at runtime).
-  std::unique_ptr<OperandCache> cache;
-  if (options.use_operand_cache) {
-    cache = std::make_unique<OperandCache>(
-        options.operand_cache_bytes ? options.operand_cache_bytes
-                                    : OperandCache::kDefaultByteBudget);
-  }
-  OperandCache* cache_ptr = cache.get();
+  OperandCache cache;
+  OperandCache* cache_ptr = &cache;
 
   // Counts panels the numeric path actually rounded through the wire format
   // (the real-run analogue of the simulator's STC accounting). The handle is
@@ -527,30 +522,27 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
       p->before_task(t);
     };
   }
-  SharedOocPager::Tenant* pager_ptr = pager.get();
-  if (cache_ptr || pager_ptr) {
-    // Drop packs of any datum a retiring task wrote, before successors can
-    // run. In Cholesky proper every tile is write-finalized before its first
-    // operand read, so this never kills a live entry — but it bounds memory
-    // (dead versions free their bytes immediately) and keeps the cache
-    // correct for any graph shape, including read-write-read patterns.
-    // The pager runs second: after_task may spill a dead tile, and the
-    // cache must drop its packs of the old payload first.
-    exec_opts.retire_hook = [cache_ptr, pager_ptr,
-                             &tile_of_datum](const Task& t) {
-      if (cache_ptr) {
-        for (const Access& acc : t.accesses) {
-          if (acc.mode != AccessMode::Read) {
-            // Payload data (dist SEND outputs) map to no tile.
-            if (const AnyTile* tile = tile_of_datum[acc.data]) {
-              cache_ptr->invalidate(tile);
-            }
-          }
-        }
-      }
-      if (pager_ptr) pager_ptr->after_task(t);
-    };
+  // One lifetime rule for operand packs: a tile's packs die when the last
+  // declared access of its datum retires — the count the pager spills dead
+  // tiles by. By then every task touching the datum has retired, so no pack
+  // is dropped while a reader still needs it, and a successful run returns
+  // with the cache empty. The pager runs second: after_task may spill the
+  // dead tile, and the cache drops its packs first.
+  const std::vector<DataLiveRange> ranges = compute_live_ranges(graph);
+  std::vector<std::atomic<std::uint32_t>> accesses_left(ranges.size());
+  for (std::size_t d = 0; d < ranges.size(); ++d) {
+    accesses_left[d] = ranges[d].uses;
   }
+  SharedOocPager::Tenant* pager_ptr = pager.get();
+  exec_opts.retire_hook = [cache_ptr, pager_ptr, &accesses_left,
+                           &tile_of_datum](const Task& t) {
+    for_each_distinct_datum(t, [&](DataId d) {
+      if (accesses_left[d].fetch_sub(1) != 1) return;
+      // Payload data (dist SEND outputs) map to no tile.
+      if (const AnyTile* tile = tile_of_datum[d]) cache_ptr->invalidate(tile);
+    });
+    if (pager_ptr) pager_ptr->after_task(t);
+  };
   result.exec = execute(graph, exec_opts);
   if (pager) {
     // Detach and collect the outcome even on a failed attempt (a thrown
@@ -571,10 +563,8 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
       result.breakdown_tile = e.tile;
     }
   }
-  if (cache_ptr) {
-    result.operand_cache = cache_ptr->stats();
-    if (options.metrics) cache_ptr->publish(*options.metrics);
-  }
+  result.operand_cache = cache.stats();
+  if (options.metrics) cache.publish(*options.metrics);
   if (dist) {
     result.wire = dist->log.stats();
     result.wire_log = sorted_records(dist->log);

@@ -63,8 +63,6 @@ struct EscalationOptions {
 /// bit-identical to single-rank runs.
 struct TruncationOptions {
   bool enabled = false;
-  /// Extra mantissa bits kept beyond the rule's requirement.
-  int guard_bits = 2;
 };
 
 struct MpCholeskyOptions {
@@ -80,13 +78,6 @@ struct MpCholeskyOptions {
   std::size_t num_threads = 0;  ///< worker pool size; 0 = hardware
   /// Round STC broadcasts through the wire format (see header comment).
   bool apply_wire_rounding = true;
-  /// Memoize packed + input-rounded kernel operands keyed by data version
-  /// (the shared-memory analogue of STC): the first consumer of a panel tile
-  /// converts it, later SYRK/GEMMs reuse the pack. Bit-identical on/off —
-  /// this knob only moves conversion work, never values.
-  bool use_operand_cache = true;
-  /// Operand-cache byte budget; 0 = OperandCache::kDefaultByteBudget.
-  std::size_t operand_cache_bytes = 0;
   /// Capture the per-task trace (ExecutorOptions::capture_trace) and keep
   /// the executed TaskGraph in the result, so the run can be exported with
   /// write_chrome_trace / analyzed with critical_path.
@@ -167,7 +158,8 @@ struct MpCholeskyResult {
   std::vector<RunReport> attempt_failures;
   ExecutionReport exec;
   std::size_t stored_bytes = 0;  ///< matrix footprint after storage mapping
-  /// Operand-cache counters for this factorization (all-zero when disabled).
+  /// Operand-cache counters for this factorization. Every pack is freed when
+  /// its tile's last access retires, so `bytes` is 0 after a successful run.
   OperandCache::Stats operand_cache;
   /// The executed TaskGraph, kept when MpCholeskyOptions::capture_trace so
   /// exec.trace can be rendered/analyzed against it. For inspection only:

@@ -4,6 +4,13 @@
 #include "linalg/tile_codec.hpp"
 
 namespace mpgeo {
+namespace {
+
+/// Mantissa bits the truncation rule keeps beyond what the Higham–Mary
+/// slack requires.
+constexpr int kTruncationGuardBits = 2;
+
+}  // namespace
 
 std::vector<Precision> default_precision_ladder() {
   return {Precision::FP64, Precision::FP32, Precision::FP16_32,
@@ -153,8 +160,7 @@ PrecisionMap build_precision_map(const TileMatrix& a, double u_req,
 }
 
 std::vector<int> build_truncation_map(const TileMatrix& a,
-                                      const PrecisionMap& pmap, double u_req,
-                                      int guard_bits) {
+                                      const PrecisionMap& pmap, double u_req) {
   const std::size_t nt = a.num_tiles();
   std::vector<double> norms(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
@@ -163,16 +169,15 @@ std::vector<int> build_truncation_map(const TileMatrix& a,
     }
   }
   return build_truncation_map_from_norms(nt, norms, a.frobenius_norm(), pmap,
-                                         u_req, guard_bits);
+                                         u_req);
 }
 
 std::vector<int> build_truncation_map_from_norms(
     std::size_t nt, std::span<const double> tile_norms, double global_norm,
-    const PrecisionMap& pmap, double u_req, int guard_bits) {
+    const PrecisionMap& pmap, double u_req) {
   MPGEO_REQUIRE(pmap.nt() == nt, "build_truncation_map: map size mismatch");
   MPGEO_REQUIRE(tile_norms.size() == nt * (nt + 1) / 2,
                 "build_truncation_map: norms size mismatch");
-  MPGEO_REQUIRE(guard_bits >= 0, "build_truncation_map: negative guard_bits");
   std::vector<int> keep(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
@@ -182,7 +187,7 @@ std::vector<int> build_truncation_map_from_norms(
       int bits = full;
       if (norm > 0 && global_norm > 0 && u_req > 0) {
         const double u_allowed = u_req * global_norm / (double(nt) * norm);
-        bits = keep_bits_for_roundoff(u_allowed, s) + guard_bits;
+        bits = keep_bits_for_roundoff(u_allowed, s) + kTruncationGuardBits;
         if (bits > full) bits = full;
       }
       keep[m * (m + 1) / 2 + k] = bits;

@@ -84,14 +84,13 @@ PrecisionMap build_precision_map_from_norms(std::size_t nt,
 /// truncation rule (DESIGN.md 5h). Tile (m, k) tolerates a relative
 /// perturbation u_allowed = u_req * ||A||_F / (NT * ||A_mk||_F), the same
 /// quantity the precision rule compares against each rung's u_low; keeping
-/// keep_bits_for_roundoff(u_allowed) + guard_bits mantissa bits (clamped to
-/// the tile's storage format) therefore stays within the factorization's own
+/// keep_bits_for_roundoff(u_allowed) plus two guard bits (clamped to the
+/// tile's storage format) therefore stays within the factorization's own
 /// error budget while zeroing the bits lossless compression feeds on.
 /// Zero-norm tiles keep full precision. Indexed m*(m+1)/2+k (packed lower
 /// triangle), like the maps.
 std::vector<int> build_truncation_map(const TileMatrix& a,
-                                      const PrecisionMap& pmap, double u_req,
-                                      int guard_bits = 2);
+                                      const PrecisionMap& pmap, double u_req);
 
 /// Same rule from externally supplied per-tile norms and global norm — the
 /// out-of-core path streams norms tile-by-tile instead of requiring the
@@ -99,7 +98,7 @@ std::vector<int> build_truncation_map(const TileMatrix& a,
 /// norms match.
 std::vector<int> build_truncation_map_from_norms(
     std::size_t nt, std::span<const double> tile_norms, double global_norm,
-    const PrecisionMap& pmap, double u_req, int guard_bits = 2);
+    const PrecisionMap& pmap, double u_req);
 
 // --- Precision escalation (breakdown recovery, DESIGN.md 5e) ---
 //

@@ -68,15 +68,10 @@ struct TenantSt {
 /// declare Read + Write on the same datum).
 template <typename F>
 void for_each_tile(const TenantSt& tn, const Task& t, F&& f) {
-  for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-    const std::size_t idx = tn.tile_of_datum[t.accesses[i].data];
-    if (idx == SharedOocPager::npos) continue;
-    bool dup = false;
-    for (std::size_t j = 0; j < i && !dup; ++j) {
-      dup = t.accesses[j].data == t.accesses[i].data;
-    }
-    if (!dup) f(idx, t.accesses[i].data);
-  }
+  for_each_distinct_datum(t, [&](DataId d) {
+    const std::size_t idx = tn.tile_of_datum[d];
+    if (idx != SharedOocPager::npos) f(idx, d);
+  });
 }
 
 }  // namespace

@@ -6,14 +6,12 @@
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/operand_cache.hpp"
-#include "precision/convert.hpp"
 #include "precision/mixed_gemm.hpp"
 
 namespace mpgeo {
 namespace {
 
-// Grow-only per-worker scratch for the in-out C tile round trip (the only
-// double staging the cached kernels still do per call).
+// Grow-only per-worker scratch for the in-out C tile round trip.
 std::vector<double>& c_scratch(std::size_t n) {
   thread_local std::vector<double> c;
   c.resize(n);
@@ -33,10 +31,6 @@ int potrf_tile(AnyTile& ckk) {
     for (std::size_t i = 0; i < j; ++i) a[i + j * n] = 0.0;
   ckk.from_double(a);
   return 0;
-}
-
-void trsm_tile(Precision prec, const AnyTile& ckk, AnyTile& cmk) {
-  trsm_tile(prec, TileOperand{&ckk, 0}, cmk, nullptr);
 }
 
 void trsm_tile(Precision prec, TileOperand ckk, AnyTile& cmk,
@@ -64,10 +58,6 @@ void trsm_tile(Precision prec, TileOperand ckk, AnyTile& cmk,
   cmk.from_double(b);
 }
 
-void syrk_tile(const AnyTile& cmk, AnyTile& cmm) {
-  syrk_tile(TileOperand{&cmk, 0}, cmm, nullptr);
-}
-
 void syrk_tile(TileOperand cmk, AnyTile& cmm, OperandCache* cache) {
   MPGEO_REQUIRE(cmm.rows() == cmm.cols(), "syrk_tile: Cmm must be square");
   MPGEO_REQUIRE(cmk.tile->rows() == cmm.rows(), "syrk_tile: shape mismatch");
@@ -82,30 +72,8 @@ void syrk_tile(TileOperand cmk, AnyTile& cmm, OperandCache* cache) {
   cmm.from_double(c);
 }
 
-void gemm_tile(Precision prec, const AnyTile& cmk, const AnyTile& cnk,
-               AnyTile& cmn) {
-  // Cacheless baseline: per-consumer operand preparation, exactly what a
-  // runtime without STC does — each call widens both panels and mixed_gemm
-  // re-packs and re-rounds them.
-  MPGEO_REQUIRE(cmk.cols() == cnk.cols(), "gemm_tile: inner dim mismatch");
-  MPGEO_REQUIRE(cmn.rows() == cmk.rows() && cmn.cols() == cnk.rows(),
-                "gemm_tile: output shape mismatch");
-  const std::size_t m = cmn.rows();
-  const std::size_t n = cmn.cols();
-  const std::size_t k = cmk.cols();
-  std::vector<double> a = cmk.to_double();
-  count_operand_conversion();
-  std::vector<double> b = cnk.to_double();
-  count_operand_conversion();
-  std::vector<double> c = cmn.to_double();
-  mixed_gemm(prec, 'N', 'T', m, n, k, -1.0, a.data(), m, b.data(), n, 1.0,
-             c.data(), m);
-  cmn.from_double(c);
-}
-
 void gemm_tile(Precision prec, TileOperand cmk, TileOperand cnk, AnyTile& cmn,
                OperandCache* cache) {
-  if (cache == nullptr) return gemm_tile(prec, *cmk.tile, *cnk.tile, cmn);
   MPGEO_REQUIRE(cmk.tile->cols() == cnk.tile->cols(),
                 "gemm_tile: inner dim mismatch");
   MPGEO_REQUIRE(cmn.rows() == cmk.tile->rows() &&

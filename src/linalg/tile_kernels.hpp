@@ -12,12 +12,12 @@
 // rounding semantics, and writes the result back through the output tile's
 // storage format.
 //
-// The TileOperand overloads take an optional OperandCache: read-only operands
-// are then fetched as versioned packed panels, so the first consumer of a
+// Read-only operands are TileOperand{tile, version}. With an OperandCache
+// they are fetched as versioned packed panels, so the first consumer of a
 // panel tile prepares it and every later kernel reuses the pack — the
-// shared-memory analogue of the paper's sender-side conversion. Results are
-// bit-identical to the cacheless overloads (which remain the per-consumer
-// conversion baseline).
+// shared-memory analogue of the paper's sender-side conversion. A null cache
+// packs each operand privately, the per-consumer conversion of a runtime
+// without STC; the results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -42,17 +42,13 @@ struct TileOperand {
 int potrf_tile(AnyTile& ckk);
 
 /// Panel solve. `prec` must be FP64 or FP32 (throws otherwise).
-void trsm_tile(Precision prec, const AnyTile& ckk, AnyTile& cmk);
 void trsm_tile(Precision prec, TileOperand ckk, AnyTile& cmk,
                OperandCache* cache);
 
 /// Diagonal trailing update, FP64 (the paper's DSYRK).
-void syrk_tile(const AnyTile& cmk, AnyTile& cmm);
 void syrk_tile(TileOperand cmk, AnyTile& cmm, OperandCache* cache);
 
 /// Off-diagonal trailing update at any supported precision.
-void gemm_tile(Precision prec, const AnyTile& cmk, const AnyTile& cnk,
-               AnyTile& cmn);
 void gemm_tile(Precision prec, TileOperand cmk, TileOperand cnk, AnyTile& cmn,
                OperandCache* cache);
 

@@ -194,27 +194,24 @@ void write_chrome_trace(const ExecutionReport& report, const TaskGraph& graph,
                 e.start_seconds, e.end_seconds);
   }
 
-  if (options.flow_events) emit_flows(em, graph, spans);
+  emit_flows(em, graph, spans);
 
-  if (options.counter_tracks) {
-    // Tasks-in-flight track: +1 at each start, -1 at each end, sampled at
-    // every transition. Shows how well the DAG kept the pool fed.
-    std::vector<std::pair<double, int>> deltas;
-    deltas.reserve(2 * report.trace.size());
-    for (const TaskTraceEntry& e : report.trace) {
-      deltas.emplace_back(e.start_seconds, +1);
-      deltas.emplace_back(e.end_seconds, -1);
-    }
-    std::sort(deltas.begin(), deltas.end());
-    int in_flight = 0;
-    for (const auto& [t, d] : deltas) {
-      in_flight += d;
-      em.counter("tasks_in_flight", 0, t, "tasks",
-                 std::to_string(in_flight));
-    }
-    emit_extra_counters(em, options);
-    if (options.metrics) emit_registry_counters(em, *options.metrics, t_end);
+  // Tasks-in-flight track: +1 at each start, -1 at each end, sampled at
+  // every transition. Shows how well the DAG kept the pool fed.
+  std::vector<std::pair<double, int>> deltas;
+  deltas.reserve(2 * report.trace.size());
+  for (const TaskTraceEntry& e : report.trace) {
+    deltas.emplace_back(e.start_seconds, +1);
+    deltas.emplace_back(e.end_seconds, -1);
   }
+  std::sort(deltas.begin(), deltas.end());
+  int in_flight = 0;
+  for (const auto& [t, d] : deltas) {
+    in_flight += d;
+    em.counter("tasks_in_flight", 0, t, "tasks", std::to_string(in_flight));
+  }
+  emit_extra_counters(em, options);
+  if (options.metrics) emit_registry_counters(em, *options.metrics, t_end);
 
   em.finish();
 }
@@ -271,30 +268,28 @@ void write_sim_chrome_trace(const SimReport& report, const TaskGraph& graph,
                 t.end_seconds);
   }
 
-  if (options.flow_events) emit_flows(em, graph, spans);
+  emit_flows(em, graph, spans);
 
-  if (options.counter_tracks) {
-    // Cumulative bytes per (device, link class): one counter sample at each
-    // transfer's completion. The end value of sim.device.<d> tracks equals
-    // DeviceSimStats::bytes_received for incoming links.
-    std::vector<const SimTransferRecord*> order;
-    order.reserve(report.transfers.size());
-    for (const SimTransferRecord& t : report.transfers) order.push_back(&t);
-    std::sort(order.begin(), order.end(),
-              [](const SimTransferRecord* a, const SimTransferRecord* b) {
-                return a->end_seconds < b->end_seconds;
-              });
-    std::map<std::pair<int, SimLinkClass>, std::size_t> cumulative;
-    for (const SimTransferRecord* t : order) {
-      std::size_t& acc = cumulative[{t->device, t->link}];
-      acc += t->bytes;
-      em.counter("bytes." + to_string(t->link), t->device, t->end_seconds,
-                 "bytes", std::to_string(acc));
-    }
-    emit_extra_counters(em, options);
-    if (options.metrics) {
-      emit_registry_counters(em, *options.metrics, report.makespan_seconds);
-    }
+  // Cumulative bytes per (device, link class): one counter sample at each
+  // transfer's completion. The end value of sim.device.<d> tracks equals
+  // DeviceSimStats::bytes_received for incoming links.
+  std::vector<const SimTransferRecord*> order;
+  order.reserve(report.transfers.size());
+  for (const SimTransferRecord& t : report.transfers) order.push_back(&t);
+  std::sort(order.begin(), order.end(),
+            [](const SimTransferRecord* a, const SimTransferRecord* b) {
+              return a->end_seconds < b->end_seconds;
+            });
+  std::map<std::pair<int, SimLinkClass>, std::size_t> cumulative;
+  for (const SimTransferRecord* t : order) {
+    std::size_t& acc = cumulative[{t->device, t->link}];
+    acc += t->bytes;
+    em.counter("bytes." + to_string(t->link), t->device, t->end_seconds,
+               "bytes", std::to_string(acc));
+  }
+  emit_extra_counters(em, options);
+  if (options.metrics) {
+    emit_registry_counters(em, *options.metrics, report.makespan_seconds);
   }
 
   em.finish();

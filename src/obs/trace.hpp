@@ -12,7 +12,8 @@
 //     pid = device ("gpu<d>") with tid 0 = compute, 1 = copy-in,
 //     2 = copy-out;
 //   * flow events ("ph":"s"/"f"): one arrow per DAG dependency edge, id =
-//     edge index, from the producer's end to the consumer's start;
+//     edge index, from the producer's end to the consumer's start (edges
+//     whose endpoints were not traced are skipped);
 //   * counter tracks ("ph":"C"): tasks in flight (real), cumulative bytes
 //     per link class (sim), plus a final sample of every MetricsRegistry
 //     counter when a registry is attached.
@@ -37,11 +38,6 @@ namespace mpgeo {
 class MetricsRegistry;
 
 struct TraceExportOptions {
-  /// Emit one flow arrow per DAG dependency edge (producer end -> consumer
-  /// start). Edges whose endpoints were not traced are skipped.
-  bool flow_events = true;
-  /// Emit counter tracks (tasks in flight / cumulative bytes per link class).
-  bool counter_tracks = true;
   /// Append a final counter sample per registry counter and gauge
   /// (null = none).
   const MetricsRegistry* metrics = nullptr;

@@ -3,75 +3,6 @@
 namespace mpgeo {
 
 // ---------------------------------------------------------------------------
-// Reference converters: the original branchy scalar implementations, kept
-// verbatim as ground truth. The fast inline kernels in the header must agree
-// with these bit-for-bit (pinned by the converter property tests).
-// ---------------------------------------------------------------------------
-
-std::uint16_t float_to_half_bits_ref(float f) {
-  const std::uint32_t u = detail::float_bits(f);
-  const std::uint32_t sign = (u >> 16) & 0x8000u;
-  const std::int32_t exp32 = static_cast<std::int32_t>((u >> 23) & 0xFF);
-  std::uint32_t mant = u & 0x007FFFFFu;
-
-  if (exp32 == 0xFF) {  // Inf or NaN
-    if (mant == 0) return static_cast<std::uint16_t>(sign | 0x7C00u);
-    return static_cast<std::uint16_t>(sign | 0x7C00u | (mant >> 13) | 1u);
-  }
-
-  // Unbiased exponent, then rebias for half (bias 15).
-  std::int32_t exp16 = exp32 - 127 + 15;
-
-  if (exp16 >= 0x1F) {  // overflow -> Inf
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-
-  if (exp16 <= 0) {
-    // Subnormal half (or zero). Shift in the implicit bit, then round.
-    if (exp16 < -10) return static_cast<std::uint16_t>(sign);  // underflow to 0
-    mant |= 0x00800000u;  // implicit leading 1
-    const int shift = 14 - exp16;  // 14..24
-    const std::uint32_t rounded = mant >> shift;
-    const std::uint32_t rem = mant & ((1u << shift) - 1);
-    const std::uint32_t half_ulp = 1u << (shift - 1);
-    std::uint32_t result = rounded;
-    if (rem > half_ulp || (rem == half_ulp && (rounded & 1u))) ++result;
-    return static_cast<std::uint16_t>(sign | result);
-  }
-
-  // Normal half; round mantissa from 23 to 10 bits (RNE).
-  std::uint32_t result = (static_cast<std::uint32_t>(exp16) << 10) | (mant >> 13);
-  const std::uint32_t rem = mant & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (result & 1u))) {
-    ++result;  // may carry into exponent; 0x7C00 (Inf) is then correct
-  }
-  return static_cast<std::uint16_t>(sign | result);
-}
-
-float half_bits_to_float_ref(std::uint16_t h) {
-  const std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000u) << 16;
-  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
-  std::uint32_t mant = h & 0x3FFu;
-
-  if (exp16 == 0x1F) {  // Inf or NaN
-    return detail::bits_float(sign | 0x7F800000u | (mant << 13));
-  }
-  if (exp16 == 0) {
-    if (mant == 0) return detail::bits_float(sign);  // +-0
-    // Subnormal: normalize.
-    std::int32_t e = -1;
-    do {
-      ++e;
-      mant <<= 1;
-    } while ((mant & 0x400u) == 0);
-    mant &= 0x3FFu;
-    return detail::bits_float(sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
-                              (mant << 13));
-  }
-  return detail::bits_float(sign | ((exp16 - 15 + 127) << 23) | (mant << 13));
-}
-
-// ---------------------------------------------------------------------------
 // Batched kernels. The loops are written as 4-wide straight-line blocks of
 // the inline converters so the compiler can pipeline the independent integer
 // chains (and vectorize the branch-free sub-paths); the remainder runs the

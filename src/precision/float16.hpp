@@ -10,9 +10,10 @@
 // Conversion is the cost the operand cache amortizes, so the scalar hot-path
 // converters here are branch-minimal straight-line integer kernels (inline so
 // buffer loops vectorize/pipeline), and batched 4-wide entry points cover the
-// bulk paths. The original branchy scalar implementations are kept as
-// `*_ref` references; a property test pins the fast versions to them
-// bit-for-bit across normals, subnormals, NaN and +-Inf.
+// bulk paths. The original branchy scalar implementations live on in
+// tests/test_operand_cache.cpp as the reference, and its property tests pin
+// the fast versions to them bit-for-bit across normals, subnormals, NaN and
+// +-Inf.
 #pragma once
 
 #include <cstdint>
@@ -86,11 +87,6 @@ inline float half_bits_to_float(std::uint16_t h) {
   }
   return detail::bits_float(o | sign);
 }
-
-/// Reference (original branchy) implementations, kept verbatim as the
-/// semantic ground truth for the fast kernels above. Test-only.
-std::uint16_t float_to_half_bits_ref(float f);
-float half_bits_to_float_ref(std::uint16_t h);
 
 /// Batched conversions over contiguous buffers, structured as 4-wide
 /// straight-line blocks for auto-vectorization. Bit-identical to elementwise

@@ -5,21 +5,12 @@ namespace mpgeo {
 std::vector<DataLiveRange> compute_live_ranges(const TaskGraph& graph) {
   std::vector<DataLiveRange> ranges(graph.num_data());
   for (TaskId id = 0; id < graph.num_tasks(); ++id) {
-    const Task& t = graph.task(id);
-    for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-      const DataId d = t.accesses[i].data;
-      // A task may declare a datum twice (e.g. Read + Write instead of
-      // ReadWrite); it retires once, so count it once.
-      bool dup = false;
-      for (std::size_t j = 0; j < i; ++j) {
-        if (t.accesses[j].data == d) { dup = true; break; }
-      }
-      if (dup) continue;
+    for_each_distinct_datum(graph.task(id), [&](DataId d) {
       DataLiveRange& r = ranges[d];
       if (r.uses == 0) r.first_use = id;
       r.last_use = id;  // ids ascend, so the last update wins
       r.uses += 1;
-    }
+    });
   }
   return ranges;
 }

@@ -42,8 +42,7 @@ struct Access {
   /// by its last-writer dependence); for Write/ReadWrite, the new version
   /// the task produces. Insertion order is a topological order, so the
   /// stamped version is exactly what the task sees at runtime. Consumers use
-  /// it to key the operand cache; the executor's retire hook uses produced
-  /// versions to invalidate stale packs.
+  /// it to key the operand cache.
   std::uint64_t version = 0;
 };
 

@@ -395,8 +395,8 @@ class TileKernelTest : public ::testing::Test {
 
 TEST_F(TileKernelTest, TwoByTwoTileCholeskyMatchesDense) {
   ASSERT_EQ(potrf_tile(c00_), 0);
-  trsm_tile(Precision::FP64, c00_, c10_);
-  syrk_tile(c10_, c11_);
+  trsm_tile(Precision::FP64, TileOperand{&c00_}, c10_, nullptr);
+  syrk_tile(TileOperand{&c10_}, c11_, nullptr);
   ASSERT_EQ(potrf_tile(c11_), 0);
 
   Matrix<double> l = dense_;
@@ -415,8 +415,8 @@ TEST_F(TileKernelTest, TwoByTwoTileCholeskyMatchesDense) {
 TEST_F(TileKernelTest, Fp32TrsmIntroducesBoundedError) {
   ASSERT_EQ(potrf_tile(c00_), 0);
   AnyTile fp64 = c10_, fp32 = c10_;
-  trsm_tile(Precision::FP64, c00_, fp64);
-  trsm_tile(Precision::FP32, c00_, fp32);
+  trsm_tile(Precision::FP64, TileOperand{&c00_}, fp64, nullptr);
+  trsm_tile(Precision::FP32, TileOperand{&c00_}, fp32, nullptr);
   double max_diff = 0.0, max_mag = 0.0;
   for (std::size_t j = 0; j < nb_; ++j)
     for (std::size_t i = 0; i < nb_; ++i) {
@@ -430,7 +430,8 @@ TEST_F(TileKernelTest, Fp32TrsmIntroducesBoundedError) {
 TEST_F(TileKernelTest, GemmTileMatchesManualUpdate) {
   // C11 -= C10 * C10^T via gemm_tile (using c10 as both operands).
   AnyTile c11_copy = c11_;
-  gemm_tile(Precision::FP64, c10_, c10_, c11_);
+  gemm_tile(Precision::FP64, TileOperand{&c10_}, TileOperand{&c10_}, c11_,
+            nullptr);
   std::vector<double> a = c10_.to_double();
   std::vector<double> expect = c11_copy.to_double();
   gemm<double>('N', 'T', nb_, nb_, nb_, -1.0, a.data(), nb_, a.data(), nb_,
@@ -443,9 +444,10 @@ TEST_F(TileKernelTest, GemmTileMatchesManualUpdate) {
 TEST_F(TileKernelTest, KernelShapeValidation) {
   AnyTile bad(4, 8, Storage::FP64);
   EXPECT_THROW(potrf_tile(bad), Error);
-  EXPECT_THROW(trsm_tile(Precision::FP16, c00_, c10_), Error);  // no fp16 TRSM
+  EXPECT_THROW(trsm_tile(Precision::FP16, TileOperand{&c00_}, c10_, nullptr),
+               Error);  // no fp16 TRSM
   AnyTile mismatched(8, 8, Storage::FP64);
-  EXPECT_THROW(syrk_tile(mismatched, c11_), Error);
+  EXPECT_THROW(syrk_tile(TileOperand{&mismatched}, c11_, nullptr), Error);
 }
 
 }  // namespace

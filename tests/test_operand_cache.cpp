@@ -1,20 +1,21 @@
 // Tests for the versioned operand cache (shared-memory STC) and the
 // vectorized precision-conversion kernels it leans on:
-//   * cache mechanics — hit/miss, fill-once under contention, LRU eviction
-//     against the byte budget, per-datum invalidation;
+//   * cache mechanics — hit/miss, fill-once under contention, per-datum
+//     invalidation, buffers outliving their entry;
 //   * pack semantics — cached packs hold exactly the bytes the uncached
 //     pack_gemm_operand preparation would produce for either GEMM operand
 //     role, and float-stored packs widen to exactly the double packs for
 //     every sub-FP64 precision;
 //   * converter properties — the branch-minimal half converters, the fused
 //     through_half and the batched 4-wide kernels are pinned bit-for-bit to
-//     the branchy reference implementations across normals, subnormals,
-//     NaN and +-Inf;
-//   * stale-pack safety — a write retiring in the task graph invalidates
-//     the datum's packs, and readers of the new version never see old bytes;
-//   * end-to-end bit-identity — mp_cholesky produces the same factor bits
-//     with the cache on and off across precision ladders and both
-//     conversion strategies.
+//     the branchy reference implementations below across normals,
+//     subnormals, NaN and +-Inf;
+//   * stale-pack safety — readers of a new data version never see a pack of
+//     the old one;
+//   * end-to-end — mp_cholesky's factor bits match a serial loop over the
+//     same kernels without a cache, across precision ladders and both
+//     conversion strategies, and every pack dies with its tile's last
+//     access.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,10 +26,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/comm_map.hpp"
 #include "core/mp_cholesky.hpp"
+#include "core/precision_map.hpp"
 #include "core/tile_matrix.hpp"
 #include "linalg/anytile.hpp"
 #include "linalg/operand_cache.hpp"
+#include "linalg/tile_kernels.hpp"
 #include "precision/convert.hpp"
 #include "precision/float16.hpp"
 #include "precision/mixed_gemm.hpp"
@@ -99,163 +103,6 @@ TEST(OperandCache, ConcurrentGettersFillOnce) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(fills.load(), 1);
-}
-
-TEST(OperandCache, LruEvictionRespectsByteBudget) {
-  // Budget of 3 x 64 doubles: the 4th distinct entry must evict the least
-  // recently used one. Cold tier off — this pins the plain drop-on-evict
-  // hot-LRU mechanics; demotion/restore has its own tests below.
-  OperandCache cache(3 * 64 * sizeof(double), /*cold_tier=*/false);
-  const auto fill = [](std::span<double> dst) {
-    for (auto& x : dst) x = 1.0;
-  };
-  int data[4] = {};
-  for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 4u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_LE(s.bytes, cache.byte_budget());
-  EXPECT_EQ(s.peak_bytes, 4u * 64 * sizeof(double));
-  // The evicted entry was &data[0] (least recently used): re-fetch misses.
-  cache.get(OperandKey{&data[0], 0, Precision::FP64}, 64, fill);
-  EXPECT_EQ(cache.stats().misses, 5u);
-  // &data[3] is still resident.
-  cache.get(OperandKey{&data[3], 0, Precision::FP64}, 64, fill);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(OperandCache, ZeroBudgetDisablesCaching) {
-  // byte_budget == 0 means *off*, not "use the default": every get packs a
-  // private buffer and nothing is retained.
-  OperandCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  int datum = 0, fills = 0;
-  const OperandKey key{&datum, 0, Precision::FP64};
-  const auto fill = [&](std::span<double> dst) {
-    ++fills;
-    for (auto& x : dst) x = 3.0;
-  };
-  const auto a = cache.get(key, 8, fill);
-  const auto b = cache.get(key, 8, fill);
-  EXPECT_EQ(fills, 2);          // no memoization
-  EXPECT_NE(a.get(), b.get());  // distinct private buffers
-  EXPECT_EQ((*a)[7], 3.0);
-  EXPECT_EQ((*b)[7], 3.0);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.bypasses, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.bytes, 0u);
-  // A positive budget reports enabled.
-  EXPECT_TRUE(OperandCache(1024).enabled());
-}
-
-TEST(OperandCache, ColdTierDemotesAndRestoresBitExactly) {
-  // Budget of 3 x 64 doubles, cold tier on: the 4th entry demotes the LRU
-  // one into the compressed tier instead of dropping it. Re-fetching the
-  // demoted key restores from the compressed bytes — a *hit* whose payload
-  // is bit-identical to the original fill, with the fill never re-run.
-  OperandCache cache(3 * 64 * sizeof(double));
-  int data[4] = {};
-  int fills = 0;
-  const auto fill_for = [&](int which) {
-    return [&fills, which](std::span<double> dst) {
-      ++fills;
-      for (std::size_t i = 0; i < dst.size(); ++i)
-        dst[i] = double(which) + double(i) / 64.0;
-    };
-  };
-  for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill_for(i));
-  {
-    const auto s = cache.stats();
-    EXPECT_EQ(fills, 4);
-    EXPECT_EQ(s.misses, 4u);
-    EXPECT_GE(s.demotions, 1u);
-    EXPECT_EQ(s.evictions, s.demotions);  // every hot eviction demoted
-    EXPECT_EQ(s.cold_evictions, 0u);      // smooth payloads compress small
-    EXPECT_GT(s.compressed_bytes, 0u);
-    EXPECT_LE(s.bytes, cache.byte_budget());
-  }
-  // &data[0] was demoted first: this get restores it without re-filling.
-  const auto buf = cache.get(
-      OperandKey{&data[0], 0, Precision::FP64}, 64, fill_for(0));
-  EXPECT_EQ(fills, 4);  // restore, not a re-pack
-  for (std::size_t i = 0; i < 64; ++i)
-    EXPECT_EQ((*buf)[i], double(0) + double(i) / 64.0);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.restores, 1u);
-  EXPECT_LE(s.bytes, cache.byte_budget());
-}
-
-TEST(OperandCache, ColdTierEvictsForRealWhenCompressedBytesOverflow) {
-  // Incompressible payloads: the codec's stored fallback keeps cold entries
-  // ~raw-sized, so demotions immediately overflow the budget and the cold
-  // tier must evict for real. A dropped key then misses again.
-  Rng rng(5);
-  OperandCache cache(2 * 64 * sizeof(double));
-  int data[4] = {};
-  int fills = 0;
-  const auto fill = [&](std::span<double> dst) {
-    ++fills;
-    for (auto& x : dst) x = rng.uniform(-1.0, 1.0);
-  };
-  for (int i = 0; i < 4; ++i)
-    cache.get(OperandKey{&data[i], 0, Precision::FP64}, 64, fill);
-  const auto s = cache.stats();
-  EXPECT_GE(s.demotions, 1u);
-  EXPECT_GE(s.cold_evictions, 1u);
-  EXPECT_LE(s.bytes, cache.byte_budget());
-  // &data[0] went cold first and was dropped first: a re-get is a miss.
-  cache.get(OperandKey{&data[0], 0, Precision::FP64}, 64, fill);
-  EXPECT_EQ(cache.stats().misses, 5u);
-}
-
-TEST(OperandCache, InvalidateDropsColdEntries) {
-  // Demote a datum's pack, then invalidate the datum: the cold entry and its
-  // compressed bytes must go with it. Budget of one pack plus slack, so the
-  // demoted entry survives in the cold tier instead of overflowing it.
-  OperandCache cache(64 * sizeof(double) + 256);
-  int datum = 0, other = 0;
-  const auto fill = [](std::span<double> dst) {
-    for (auto& x : dst) x = 1.0;
-  };
-  cache.get(OperandKey{&datum, 0, Precision::FP64}, 64, fill);
-  cache.get(OperandKey{&other, 0, Precision::FP64}, 64,
-            fill);  // demotes &datum's pack
-  ASSERT_GE(cache.stats().demotions, 1u);
-  ASSERT_GT(cache.stats().compressed_bytes, 0u);
-  cache.invalidate(&datum);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.compressed_bytes, 0u);
-  // The cold entry is gone: re-getting the key is a miss, not a restore.
-  cache.get(OperandKey{&datum, 0, Precision::FP64}, 64, fill);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().restores, 0u);
-}
-
-TEST(OperandCache, ColdTierRestoresFloatPacksBitExactly) {
-  // The f32 pack path demotes and restores through the same machinery with
-  // elem_size 4. One-pack budget plus cold-tier slack; a repeating payload
-  // keeps the cold bytes comfortably inside it.
-  OperandCache cache(64 * sizeof(float) + 128);
-  int datum = 0, other = 0, fills = 0;
-  const auto fill = [&](std::span<float> dst) {
-    ++fills;
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = float(i & 3);
-  };
-  cache.get_f32(OperandKey{&datum, 0, Precision::FP32}, 64, fill);
-  cache.get_f32(OperandKey{&other, 0, Precision::FP32},
-                64, fill);  // demotes &datum's pack
-  ASSERT_GE(cache.stats().demotions, 1u);
-  const auto buf = cache.get_f32(
-      OperandKey{&datum, 0, Precision::FP32}, 64, fill);
-  EXPECT_EQ(fills, 2);  // restored, not re-filled
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ((*buf)[i], float(i & 3));
-  EXPECT_EQ(cache.stats().restores, 1u);
 }
 
 TEST(OperandCache, InvalidateDropsEveryKeyOfDatum) {
@@ -352,6 +199,73 @@ TEST(OperandPack, FloatPackWidensToDoublePackBits) {
 // Converter properties: fast kernels pinned to the branchy references
 // ---------------------------------------------------------------------------
 
+// The original branchy scalar converters, kept verbatim as ground truth. The
+// fast inline kernels in precision/float16.hpp must agree with them
+// bit-for-bit.
+std::uint16_t float_to_half_bits_ref(float f) {
+  const std::uint32_t u = detail::float_bits(f);
+  const std::uint32_t sign = (u >> 16) & 0x8000u;
+  const std::int32_t exp32 = static_cast<std::int32_t>((u >> 23) & 0xFF);
+  std::uint32_t mant = u & 0x007FFFFFu;
+
+  if (exp32 == 0xFF) {  // Inf or NaN
+    if (mant == 0) return static_cast<std::uint16_t>(sign | 0x7C00u);
+    return static_cast<std::uint16_t>(sign | 0x7C00u | (mant >> 13) | 1u);
+  }
+
+  // Unbiased exponent, then rebias for half (bias 15).
+  std::int32_t exp16 = exp32 - 127 + 15;
+
+  if (exp16 >= 0x1F) {  // overflow -> Inf
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+
+  if (exp16 <= 0) {
+    // Subnormal half (or zero). Shift in the implicit bit, then round.
+    if (exp16 < -10) return static_cast<std::uint16_t>(sign);  // underflow to 0
+    mant |= 0x00800000u;  // implicit leading 1
+    const int shift = 14 - exp16;  // 14..24
+    const std::uint32_t rounded = mant >> shift;
+    const std::uint32_t rem = mant & ((1u << shift) - 1);
+    const std::uint32_t half_ulp = 1u << (shift - 1);
+    std::uint32_t result = rounded;
+    if (rem > half_ulp || (rem == half_ulp && (rounded & 1u))) ++result;
+    return static_cast<std::uint16_t>(sign | result);
+  }
+
+  // Normal half; round mantissa from 23 to 10 bits (RNE).
+  std::uint32_t result = (static_cast<std::uint32_t>(exp16) << 10) | (mant >> 13);
+  const std::uint32_t rem = mant & 0x1FFFu;
+  if (rem > 0x1000u || (rem == 0x1000u && (result & 1u))) {
+    ++result;  // may carry into exponent; 0x7C00 (Inf) is then correct
+  }
+  return static_cast<std::uint16_t>(sign | result);
+}
+
+float half_bits_to_float_ref(std::uint16_t h) {
+  const std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000u) << 16;
+  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
+  std::uint32_t mant = h & 0x3FFu;
+
+  if (exp16 == 0x1F) {  // Inf or NaN
+    return detail::bits_float(sign | 0x7F800000u | (mant << 13));
+  }
+  if (exp16 == 0) {
+    if (mant == 0) return detail::bits_float(sign);  // +-0
+    // Subnormal: normalize.
+    std::int32_t e = -1;
+    do {
+      ++e;
+      mant <<= 1;
+    } while ((mant & 0x400u) == 0);
+    mant &= 0x3FFu;
+    return detail::bits_float(sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
+                              (mant << 13));
+  }
+  return detail::bits_float(sign | ((exp16 - 15 + 127) << 23) | (mant << 13));
+}
+
+
 TEST(ConverterProperty, HalfToFloatAllBitPatterns) {
   for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
     const auto bits = std::uint16_t(h);
@@ -441,9 +355,9 @@ TEST(ConverterProperty, BatchedHalfRoundingMatchesScalar) {
 // ---------------------------------------------------------------------------
 
 TEST(OperandCacheGraph, WriterInvalidatesAndReadersSeeNewVersion) {
-  // read(v0) -> write -> read(v1) on one tile, wired exactly like
-  // mp_cholesky: consumers key the cache with the version captured at
-  // insertion; the retire hook invalidates written data.
+  // read(v0) -> write -> read(v1) on one tile: consumers key the cache with
+  // the version captured at insertion, as mp_cholesky does, and the retire
+  // hook invalidates written data — the most eager rule a caller could pick.
   AnyTile tile(4, 4, Storage::FP64);
   std::vector<double> init(16, 1.0);
   tile.from_double(init);
@@ -485,7 +399,7 @@ TEST(OperandCacheGraph, WriterInvalidatesAndReadersSeeNewVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: mp_cholesky factor bits are cache-invariant
+// End-to-end: mp_cholesky against a serial oracle, and pack lifetimes
 // ---------------------------------------------------------------------------
 
 TileMatrix spd_problem(std::size_t n, std::size_t nb, std::uint64_t seed) {
@@ -516,6 +430,40 @@ TileMatrix spd_problem(std::size_t n, std::size_t nb, std::uint64_t seed) {
   return tiles;
 }
 
+/// Test-local oracle: Algorithm 1 as a serial right-looking loop over the
+/// same tile kernels, on mp_cholesky's precision, storage and comm maps, with
+/// STC panels rounded through their wire format where the comm map says. A
+/// null `cache` packs every operand privately; a cache that is never
+/// invalidated keeps every pack the factorization fills.
+void factor_serially(TileMatrix& a, const MpCholeskyOptions& opts,
+                     OperandCache* cache) {
+  const std::size_t nt = a.num_tiles();
+  const PrecisionMap pmap = build_precision_map(a, opts.u_req, opts.ladder,
+                                                opts.fp16_32_rule_eps);
+  const CommMap cmap = build_comm_map(pmap, opts.comm);
+  for (std::size_t m = 0; m < nt; ++m)
+    for (std::size_t k = 0; k <= m; ++k)
+      a.tile(m, k).convert_storage(pmap.storage(m, k));
+  for (std::size_t k = 0; k < nt; ++k) {
+    ASSERT_EQ(potrf_tile(a.tile(k, k)), 0) << "tile " << k;
+    for (std::size_t m = k + 1; m < nt; ++m) {
+      trsm_tile(pmap.trsm_precision(m, k), TileOperand{&a.tile(k, k)},
+                a.tile(m, k), cache);
+      if (opts.apply_wire_rounding && cmap.uses_stc(m, k, pmap))
+        a.tile(m, k).round_through_wire(wire_storage(cmap.comm(m, k)));
+    }
+    for (std::size_t m = k + 1; m < nt; ++m)
+      syrk_tile(TileOperand{&a.tile(m, k)}, a.tile(m, m), cache);
+    for (std::size_t m = k + 2; m < nt; ++m)
+      for (std::size_t n = k + 1; n < m; ++n)
+        gemm_tile(pmap.kernel(m, n), TileOperand{&a.tile(m, k)},
+                  TileOperand{&a.tile(n, k)}, a.tile(m, n), cache);
+  }
+}
+
+const std::vector<Precision> kMixedLadder = {
+    Precision::FP64, Precision::FP32, Precision::FP16_32, Precision::FP16};
+
 void expect_factors_bit_identical(const TileMatrix& a, const TileMatrix& b) {
   for (std::size_t m = 0; m < a.num_tiles(); ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
@@ -532,60 +480,71 @@ void expect_factors_bit_identical(const TileMatrix& a, const TileMatrix& b) {
 }
 
 TEST(MpCholeskyCache, BitIdenticalAcrossLaddersAndStrategies) {
+  // With FP32 on the ladder, u_req 1e-6 keeps this problem's off-diagonal
+  // tiles at FP32; at 1e-4 the mixed ladder drops them to FP16 and Auto
+  // ships the panels STC, so the oracle's wire rounding runs too.
   const std::size_t n = 160, nb = 32;
   const TileMatrix pristine = spd_problem(n, nb, 31);
   const std::vector<std::vector<Precision>> ladders = {
-      {Precision::FP64},
-      {Precision::FP64, Precision::FP32},
-      {Precision::FP64, Precision::FP32, Precision::FP16_32,
-       Precision::FP16}};
-  for (const auto& ladder : ladders) {
-    for (const ConversionStrategy strat :
-         {ConversionStrategy::Auto, ConversionStrategy::AllTTC}) {
-      MpCholeskyOptions opts;
-      opts.u_req = 1e-6;
-      opts.ladder = ladder;
-      opts.comm.strategy = strat;
-      opts.num_threads = 3;
+      {Precision::FP64}, {Precision::FP64, Precision::FP32}, kMixedLadder};
+  std::size_t stc_panels = 0;
+  for (const double u_req : {1e-6, 1e-4}) {
+    for (const auto& ladder : ladders) {
+      for (const ConversionStrategy strat :
+           {ConversionStrategy::Auto, ConversionStrategy::AllTTC}) {
+        MpCholeskyOptions opts;
+        opts.u_req = u_req;
+        opts.ladder = ladder;
+        opts.comm.strategy = strat;
+        opts.num_threads = 3;
 
-      TileMatrix cached = pristine;
-      opts.use_operand_cache = true;
-      const MpCholeskyResult rc = mp_cholesky(cached, opts);
-      ASSERT_EQ(rc.info, 0);
+        TileMatrix cached = pristine;
+        const MpCholeskyResult rc = mp_cholesky(cached, opts);
+        ASSERT_EQ(rc.info, 0);
 
-      TileMatrix uncached = pristine;
-      opts.use_operand_cache = false;
-      const MpCholeskyResult ru = mp_cholesky(uncached, opts);
-      ASSERT_EQ(ru.info, 0);
+        TileMatrix oracle = pristine;
+        factor_serially(oracle, opts, nullptr);
 
-      EXPECT_GT(rc.operand_cache.hits, 0u);
-      EXPECT_EQ(ru.operand_cache.hits, 0u);
-      expect_factors_bit_identical(cached, uncached);
+        EXPECT_GT(rc.operand_cache.hits, 0u);
+        expect_factors_bit_identical(cached, oracle);
+        for (std::size_t m = 0; m < rc.pmap.nt(); ++m)
+          for (std::size_t k = 0; k < m; ++k)
+            stc_panels += rc.cmap.uses_stc(m, k, rc.pmap) ? 1 : 0;
+      }
     }
   }
+  EXPECT_GT(stc_panels, 0u);
 }
 
-TEST(MpCholeskyCache, TinyBudgetStillBitIdentical) {
-  // A budget of one tile pack forces constant eviction; values must not
-  // change, only the hit rate.
-  const std::size_t n = 128, nb = 32;
-  const TileMatrix pristine = spd_problem(n, nb, 57);
+TEST(MpCholeskyCache, PacksDieWithTheirLastAccess) {
+  // A tile's packs are freed when the last access of its datum retires: the
+  // cache is empty on return at any pool size, and the serial run's peak
+  // stays below the bytes of all fills together. The fills equal those of a
+  // cache that frees nothing, so no pack died before a later reader.
+  const std::size_t n = 192, nb = 32;
+  const TileMatrix pristine = spd_problem(n, nb, 31);
   MpCholeskyOptions opts;
-  opts.u_req = 1e-6;
-  opts.num_threads = 2;
+  opts.u_req = 1e-5;  // GEMMs at FP32, FP16_32 and FP16 on this problem
+  opts.ladder = kMixedLadder;
 
-  TileMatrix cached = pristine;
-  opts.use_operand_cache = true;
-  opts.operand_cache_bytes = nb * nb * sizeof(double);
-  const MpCholeskyResult rc = mp_cholesky(cached, opts);
-  ASSERT_EQ(rc.info, 0);
-  EXPECT_GT(rc.operand_cache.evictions, 0u);
+  TileMatrix kept = pristine;
+  OperandCache keep_all;
+  factor_serially(kept, opts, &keep_all);
+  const OperandCache::Stats all = keep_all.stats();
+  ASSERT_GT(all.bytes, 0u);
 
-  TileMatrix uncached = pristine;
-  opts.use_operand_cache = false;
-  const MpCholeskyResult ru = mp_cholesky(uncached, opts);
-  ASSERT_EQ(ru.info, 0);
-  expect_factors_bit_identical(cached, uncached);
+  for (const std::size_t threads : {1u, 3u}) {
+    opts.num_threads = threads;
+    TileMatrix a = pristine;
+    const MpCholeskyResult r = mp_cholesky(a, opts);
+    ASSERT_EQ(r.info, 0);
+    EXPECT_EQ(r.operand_cache.bytes, 0u) << threads << " workers";
+    EXPECT_EQ(r.operand_cache.misses, all.misses) << threads << " workers";
+    if (threads == 1) {
+      EXPECT_LT(r.operand_cache.peak_bytes, all.bytes);
+    }
+    expect_factors_bit_identical(a, kept);
+  }
 }
 
 }  // namespace
