@@ -20,6 +20,7 @@
 #include "core/sim_graph.hpp"
 #include "gpusim/sim_executor.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fault_injection.hpp"
@@ -245,12 +246,14 @@ class JsonWriter {
     out << "{\n  \"benchmarks\": [\n";
     for (std::size_t r = 0; r < records_.size(); ++r) {
       const JsonRecord& rec = records_[r];
-      out << "    {\"name\": \"" << escaped(rec.name) << "\"";
-      if (!rec.unit.empty()) out << ", \"unit\": \"" << escaped(rec.unit) << "\"";
+      out << "    {\"name\": \"" << json_escape(rec.name) << "\"";
+      if (!rec.unit.empty()) {
+        out << ", \"unit\": \"" << json_escape(rec.unit) << "\"";
+      }
       for (const auto& [key, value] : rec.metrics) {
         char buf[64];
         std::snprintf(buf, sizeof buf, "%.17g", value);
-        out << ", \"" << escaped(key) << "\": " << buf;
+        out << ", \"" << json_escape(key) << "\": " << buf;
       }
       out << "}" << (r + 1 < records_.size() ? "," : "") << "\n";
     }
@@ -259,16 +262,6 @@ class JsonWriter {
   }
 
  private:
-  static std::string escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
-
   std::vector<JsonRecord> records_;
 };
 

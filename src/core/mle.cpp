@@ -112,25 +112,9 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
     // A mid-factorization throw (injected fault, kernel invariant) leaves
     // tiles re-stored per the precision map; the workspace outlives this
     // evaluation, so restore FP64 storage before propagating or the caller
-    // inherits a degraded Sigma buffer. Spilled tiles are re-targeted by
-    // discarding their blobs (reset_storage requires residency, and the
-    // next fill overwrites every value anyway).
-    if (sigma.spill_enabled()) {
-      for (std::size_t m = 0; m < sigma.num_tiles(); ++m) {
-        for (std::size_t k = 0; k <= m; ++k) {
-          if (sigma.spilled(m, k)) {
-            if (sigma.tile(m, k).storage() != Storage::FP64) {
-              sigma.discard_spilled(m, k, Storage::FP64);
-              sigma.spill(m, k);
-            }
-          } else if (sigma.tile(m, k).storage() != Storage::FP64) {
-            sigma.set_storage(m, k, Storage::FP64);
-          }
-        }
-      }
-    } else {
-      sigma.reset_storage(Storage::FP64);
-    }
+    // inherits a degraded Sigma buffer. Spilled tiles stay spilled (the next
+    // fill overwrites every value anyway).
+    sigma.reset_storage(Storage::FP64);
     throw;
   }
   if (ooc) {

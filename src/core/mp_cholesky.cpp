@@ -80,7 +80,7 @@ struct DistState {
 
 /// Per-tile + global Frobenius norms without requiring residency: a spilled
 /// tile's blob is decompressed into a scratch tile (bit-exact, no residency
-/// change, no log garbage). Accumulation order matches
+/// change). Accumulation order matches
 /// TileMatrix::frobenius_norm / build_precision_map exactly, so the maps
 /// built from these norms are identical to the fully-resident ones.
 struct StreamedNorms {
@@ -134,7 +134,6 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
       if (was_spilled) a.spill(m, k);
     }
   }
-  if (a.spill_enabled()) a.resync_resident_bytes();  // footprints changed
 
   // Sub-ladder truncation (DESIGN.md 5h): zero the mantissa bits the
   // Higham–Mary slack says carry no information, before any task — and in
@@ -613,8 +612,8 @@ MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
     if (options.regenerate) {
       options.regenerate(a);
     } else {
-      // Assignment copes with a partially-spilled destination: the dead
-      // blobs become log garbage and `a` comes back fully resident.
+      // Assignment copes with a partially-spilled destination: `a` comes
+      // back fully resident and its slots are free for the next spill.
       a = *snapshot;
     }
   }

@@ -182,7 +182,7 @@ struct SharedOocPager::Impl {
 
   /// Spill one unpinned resident tile on the calling thread: the bytes stay
   /// accounted (Evicting) while the tile is encoded off-lock, and leave the
-  /// ledger once the blob is in the log.
+  /// ledger once the blob is in the spill file.
   void spill_locked(std::unique_lock<std::mutex>& lk, std::size_t slot,
                     std::size_t tile) {
     TenantSt& tn = tenants[slot];
@@ -523,9 +523,9 @@ void SharedOocPager::Tenant::finish() {
   // Spill every unpinned resident tile and wait out codec jobs other
   // workers run on this tenant's tiles: the ledger must not keep counting a
   // detached tenant, and what it stops counting must actually leave memory
-  // (the finished factor lives in the log; streamed logdet/solve restore it
-  // tile by tile under a Lease). No task of this tenant runs any more, so a
-  // spilled tile stays spilled.
+  // (the finished factor lives in the spill file; streamed logdet/solve
+  // restore it tile by tile under a Lease). No task of this tenant runs any
+  // more, so a spilled tile stays spilled.
   for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
     if (tn.tiles[j].res == Res::Resident && tn.tiles[j].pinned == 0) {
       im.spill_locked(lk, slot_, j);

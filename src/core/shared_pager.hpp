@@ -19,7 +19,7 @@
 //   * after_task (the retire hook) unpins, and the retiring worker encodes
 //     every tile whose last declared consumer just retired (live ranges from
 //     runtime/live_ranges.hpp; the spill preserves the final value, so the
-//     finished factor lives in the log, not in memory).
+//     finished factor lives in the spill file, not in memory).
 //   * Admission: a demand fault (or write install, or byte lease) waits until
 //     accounted bytes (resident + in flight + leased) fit the budget. The
 //     admitting worker encodes cold victims itself; while another worker's
@@ -127,7 +127,7 @@ class SharedOocPager {
     void after_task(const Task& t);
     /// Detach: spill every unpinned resident tile on the calling thread,
     /// wait out other workers' codec jobs on this tenant's tiles (the
-    /// finished factor lives in the log, and the ledger stays truthful),
+    /// finished factor lives in the spill file and the ledger stays truthful),
     /// release the ledger, and report the ooc.* counters. Pins leaked by a
     /// failed attempt stay resident but are un-accounted — callers
     /// restore/regenerate before reuse. Idempotent.

@@ -1,5 +1,6 @@
 #include "core/tile_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -10,20 +11,23 @@
 
 namespace mpgeo {
 
-/// Out-of-core backing store: one append-only stdio file plus a per-tile
-/// directory of (offset, header) for the live blob of each spilled tile.
+/// Out-of-core backing store: one stdio file with a fixed slot of
+/// `slot_bytes` per tile at `packed index x slot_bytes`, plus a per-tile
+/// directory of the header and size of the blob in each spilled tile's slot.
 struct TileMatrix::SpillState {
   SpillOptions options;
   std::FILE* file = nullptr;
+  std::size_t slot_bytes = 0;  ///< nb^2 x 8: the widest raw tile payload
 
   struct Slot {
     CompressedBlob header;  ///< blob metadata; header.buf.data stays empty
-    long offset = -1;       ///< file offset of the blob's data bytes
     std::size_t data_bytes = 0;
     bool spilled = false;
   };
   std::vector<Slot> slots;
   SpillStats stats;
+
+  long offset(std::size_t idx) const { return long(idx * slot_bytes); }
 
   ~SpillState() {
     if (file) std::fclose(file);
@@ -75,24 +79,21 @@ TileMatrix::TileMatrix(const TileMatrix& other)
 TileMatrix& TileMatrix::operator=(const TileMatrix& other) {
   if (this == &other) return *this;
   if (spill_) {
-    // Overwriting spilled tiles strands their live blobs as log garbage
-    // (the next compaction reclaims them). A geometry-matched destination
-    // keeps its tier usable, otherwise the slot directory no longer fits
-    // and the tier is dropped.
-    for (std::size_t idx = 0; idx < spill_->slots.size(); ++idx) {
-      if (spill_->slots[idx].spilled) drop_slot_garbage(idx);
+    // The destination comes back fully resident, so every slot is free. A
+    // geometry-matched destination keeps its tier usable, otherwise the
+    // slot directory no longer fits and the tier is dropped.
+    if (n_ != other.n_ || nb_ != other.nb_) {
+      spill_.reset();
+    } else {
+      spill_->slots.assign(spill_->slots.size(), SpillState::Slot{});
+      spill_->stats.spilled_bytes = 0;
     }
-    if (n_ != other.n_ || nb_ != other.nb_) spill_.reset();
   }
   TileMatrix copy(other);  // materializes other's spilled tiles
   n_ = copy.n_;
   nb_ = copy.nb_;
   nt_ = copy.nt_;
   tiles_ = std::move(copy.tiles_);
-  if (spill_) {
-    spill_->stats.resident_bytes = bytes();
-    note_resident_delta(0);  // refresh peak + gauges
-  }
   return *this;
 }
 
@@ -123,15 +124,19 @@ void TileMatrix::set_storage(std::size_t m, std::size_t k, Storage s) {
   const std::size_t idx = index(m, k);
   MPGEO_REQUIRE(!spilled(m, k),
                 "TileMatrix::set_storage: tile is spilled (restore first)");
-  const std::ptrdiff_t before = std::ptrdiff_t(tiles_[idx].bytes());
   tiles_[idx] = AnyTile(tile_rows(m), tile_rows(k), s);
-  note_resident_delta(std::ptrdiff_t(tiles_[idx].bytes()) - before);
 }
 
 void TileMatrix::reset_storage(Storage s) {
   for (std::size_t m = 0; m < nt_; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
-      if (tile(m, k).storage() != s) set_storage(m, k, s);
+      if (tile(m, k).storage() == s) continue;
+      if (spilled(m, k)) {
+        discard_spilled(m, k, s);
+        spill(m, k);
+      } else {
+        set_storage(m, k, s);
+      }
     }
   }
 }
@@ -164,11 +169,9 @@ void TileMatrix::enable_spill(const SpillOptions& options) {
   auto state = std::make_unique<SpillState>();
   state->options = options;
   state->file = open_spill_file(options.path);
+  state->slot_bytes = nb_ * nb_ * sizeof(double);
   state->slots.resize(tiles_.size());
-  state->stats.resident_bytes = bytes();  // tier starts fully resident
-  state->stats.peak_resident_bytes = state->stats.resident_bytes;
   spill_ = std::move(state);
-  note_resident_delta(0);  // publish the initial gauges
 }
 
 std::size_t TileMatrix::spill(std::size_t m, std::size_t k) {
@@ -188,31 +191,31 @@ std::size_t TileMatrix::spill_with(std::size_t m, std::size_t k,
   MPGEO_REQUIRE(blob.rows == t.rows() && blob.cols == t.cols(),
                 "TileMatrix::spill_with: blob does not match the tile");
 
-  const bool seek_ok = std::fseek(spill_->file, 0, SEEK_END) == 0;
-  slot.offset = seek_ok ? std::ftell(spill_->file) : -1;
+  // The codec never outputs more than the raw payload, so the blob fits the
+  // slot and a re-spill overwrites only its own tile's bytes.
+  const std::size_t data_bytes = blob.buf.data.size();
+  MPGEO_REQUIRE(data_bytes <= spill_->slot_bytes,
+                "TileMatrix::spill_with: blob larger than its slot");
+  const long offset = spill_->offset(idx);
   const bool write_ok =
-      slot.offset >= 0 &&
-      std::fwrite(blob.buf.data.data(), 1, blob.buf.data.size(),
-                  spill_->file) == blob.buf.data.size();
+      std::fseek(spill_->file, offset, SEEK_SET) == 0 &&
+      std::fwrite(blob.buf.data.data(), 1, data_bytes, spill_->file) ==
+          data_bytes;
   MPGEO_REQUIRE(write_ok, "TileMatrix::spill: write to backing file failed");
-  slot.data_bytes = blob.buf.data.size();
+  slot.data_bytes = data_bytes;
   blob.buf.data = std::vector<std::byte>();  // header only; frees the bytes
   slot.header = std::move(blob);
   slot.spilled = true;
-  const std::size_t released = t.bytes();
   t.release();
 
-  spill_->stats.spills += 1;
-  spill_->stats.spilled_bytes += slot.data_bytes;
-  spill_->stats.file_bytes += slot.data_bytes;
-  spill_->stats.log_bytes += slot.data_bytes;
-  note_resident_delta(-std::ptrdiff_t(released));
+  SpillStats& st = spill_->stats;
+  st.spills += 1;
+  st.spilled_bytes += data_bytes;
+  st.file_bytes = std::max(st.file_bytes, std::size_t(offset) + data_bytes);
   if (spill_->options.metrics) {
     spill_->options.metrics->counter("tile.spills").add(1);
   }
-  const std::size_t appended = slot.data_bytes;
-  maybe_autocompact();
-  return appended;
+  return data_bytes;
 }
 
 void TileMatrix::restore(std::size_t m, std::size_t k) {
@@ -227,12 +230,13 @@ void TileMatrix::restore(std::size_t m, std::size_t k) {
 CompressedBlob TileMatrix::read_spilled(std::size_t m, std::size_t k) const {
   MPGEO_REQUIRE(spill_ != nullptr,
                 "TileMatrix::read_spilled: tier not enabled");
-  const SpillState::Slot& slot = spill_->slots[index(m, k)];
+  const std::size_t idx = index(m, k);
+  const SpillState::Slot& slot = spill_->slots[idx];
   MPGEO_REQUIRE(slot.spilled, "TileMatrix::read_spilled: tile not spilled");
   CompressedBlob blob = slot.header;
   blob.buf.data.resize(slot.data_bytes);
   const bool read_ok =
-      std::fseek(spill_->file, slot.offset, SEEK_SET) == 0 &&
+      std::fseek(spill_->file, spill_->offset(idx), SEEK_SET) == 0 &&
       std::fread(blob.buf.data.data(), 1, slot.data_bytes, spill_->file) ==
           slot.data_bytes;
   MPGEO_REQUIRE(read_ok, "TileMatrix::restore: read from backing file failed");
@@ -250,10 +254,8 @@ void TileMatrix::install(std::size_t m, std::size_t k, AnyTile&& restored) {
                     restored.storage() == t.storage(),
                 "TileMatrix::install: payload does not match the tile");
   t = std::move(restored);
-
-  drop_slot_garbage(idx);  // the appended blob becomes log garbage
+  free_slot(idx);
   spill_->stats.restores += 1;
-  note_resident_delta(std::ptrdiff_t(t.bytes()));
   if (spill_->options.metrics) {
     spill_->options.metrics->counter("tile.restores").add(1);
   }
@@ -267,8 +269,7 @@ void TileMatrix::discard_spilled(std::size_t m, std::size_t k, Storage s) {
                 "TileMatrix::discard_spilled: tile not spilled");
   AnyTile& t = tiles_[idx];
   t = AnyTile(t.rows(), t.cols(), s);
-  drop_slot_garbage(idx);  // stale blob becomes log garbage, undecompressed
-  note_resident_delta(std::ptrdiff_t(t.bytes()));
+  free_slot(idx);  // the stale blob is never decompressed
   if (spill_->options.metrics) {
     spill_->options.metrics->counter("tile.discards").add(1);
   }
@@ -293,102 +294,15 @@ void TileMatrix::restore_all() {
   }
 }
 
-std::size_t TileMatrix::compact() {
-  if (!spill_) return 0;
-  SpillStats& st = spill_->stats;
-  const std::size_t garbage = st.garbage_bytes();
-  if (garbage == 0) return 0;
-
-  // Rewrite live blobs into a fresh log. For a named path the copy goes to
-  // `path + ".compact"` and is renamed over the old log; the open handle
-  // survives the rename (same inode), so no reopen is needed.
-  const std::string& path = spill_->options.path;
-  const std::string tmp_path = path.empty() ? path : path + ".compact";
-  std::FILE* fresh = open_spill_file(tmp_path);
-  std::vector<unsigned char> buf;
-  for (SpillState::Slot& slot : spill_->slots) {
-    if (!slot.spilled) continue;
-    buf.resize(slot.data_bytes);
-    const bool read_ok =
-        std::fseek(spill_->file, slot.offset, SEEK_SET) == 0 &&
-        std::fread(buf.data(), 1, slot.data_bytes, spill_->file) ==
-            slot.data_bytes;
-    MPGEO_REQUIRE(read_ok, "TileMatrix::compact: read from old log failed");
-    const long offset = std::ftell(fresh);
-    const bool write_ok =
-        offset >= 0 &&
-        std::fwrite(buf.data(), 1, slot.data_bytes, fresh) == slot.data_bytes;
-    MPGEO_REQUIRE(write_ok, "TileMatrix::compact: write to fresh log failed");
-    slot.offset = offset;
-  }
-  std::fclose(spill_->file);
-  if (!path.empty()) {
-    MPGEO_REQUIRE(std::rename(tmp_path.c_str(), path.c_str()) == 0,
-                  "TileMatrix::compact: cannot rename fresh log into place");
-  }
-  spill_->file = fresh;
-
-  st.compactions += 1;
-  st.file_bytes += st.spilled_bytes;  // live bytes copied into the fresh log
-  st.log_bytes = st.spilled_bytes;
-  if (spill_->options.metrics) {
-    spill_->options.metrics->counter("tile.compactions").add(1);
-    spill_->options.metrics->counter("tile.compacted_bytes").add(garbage);
-  }
-  return garbage;
-}
-
 SpillStats TileMatrix::spill_stats() const {
   return spill_ ? spill_->stats : SpillStats{};
 }
 
-void TileMatrix::resync_resident_bytes() {
-  if (!spill_) return;
-  std::size_t resident = 0;
-  for (const AnyTile& t : tiles_) {
-    if (t.resident()) resident += t.bytes();
-  }
-  spill_->stats.resident_bytes = resident;
-  note_resident_delta(0);  // refresh peak + gauges
-}
-
-void TileMatrix::drop_slot_garbage(std::size_t idx) {
+void TileMatrix::free_slot(std::size_t idx) {
   SpillState::Slot& slot = spill_->slots[idx];
   MPGEO_ASSERT(slot.spilled);
   spill_->stats.spilled_bytes -= slot.data_bytes;
-  // log_bytes is unchanged — the blob still occupies the file until the
-  // next compaction — so garbage_bytes() grows by exactly this much.
-  if (spill_->options.metrics) {
-    spill_->options.metrics->counter("tile.log_garbage_bytes")
-        .add(slot.data_bytes);
-  }
   slot = SpillState::Slot{};
-}
-
-void TileMatrix::note_resident_delta(std::ptrdiff_t delta) {
-  if (!spill_) return;
-  SpillStats& st = spill_->stats;
-  st.resident_bytes = std::size_t(std::ptrdiff_t(st.resident_bytes) + delta);
-  if (st.resident_bytes > st.peak_resident_bytes) {
-    st.peak_resident_bytes = st.resident_bytes;
-  }
-  if (spill_->options.metrics) {
-    spill_->options.metrics->gauge("tile.resident_bytes")
-        .set(double(st.resident_bytes));
-    spill_->options.metrics->gauge("tile.peak_resident_bytes")
-        .set_max(double(st.peak_resident_bytes));
-  }
-}
-
-void TileMatrix::maybe_autocompact() {
-  const SpillOptions& opt = spill_->options;
-  if (opt.compact_garbage_ratio <= 0.0) return;
-  const SpillStats& st = spill_->stats;
-  if (st.log_bytes < opt.compact_min_bytes) return;
-  if (double(st.garbage_bytes()) >
-      opt.compact_garbage_ratio * double(st.log_bytes)) {
-    compact();
-  }
 }
 
 Matrix<double> TileMatrix::to_dense() const {

@@ -78,28 +78,15 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
     if (stream) {
       // Storage normalization before the pager attaches: a mid-task
       // set_storage would change the tile's byte footprint under the
-      // pager's ledger. Spilled non-FP64 tiles are discarded to fresh FP64
-      // (no decompress — the fill overwrites everything) and re-spilled.
-      // Resident tiles — pins leaked by a failed escalation attempt, or a
-      // caller that never spilled — are spilled too: under a shared global
-      // budget an attach with a resident start position would blow straight
-      // past the budget with nothing the arbiter can do about bytes already
-      // in memory, so the generator always attaches from an empty set.
-      for (std::size_t m = 0; m < nt; ++m) {
-        for (std::size_t k = 0; k <= m; ++k) {
-          if (a.spilled(m, k)) {
-            if (a.tile(m, k).storage() != Storage::FP64) {
-              a.discard_spilled(m, k, Storage::FP64);
-              a.spill(m, k);
-            }
-          } else {
-            if (a.tile(m, k).storage() != Storage::FP64) {
-              a.set_storage(m, k, Storage::FP64);
-            }
-            a.spill(m, k);
-          }
-        }
-      }
+      // pager's ledger. Spilled non-FP64 tiles are re-targeted without a
+      // decompress (the fill overwrites everything). Resident tiles — pins
+      // leaked by a failed escalation attempt, or a caller that never
+      // spilled — are spilled too: under a shared global budget an attach
+      // with a resident start position would blow straight past the budget
+      // with nothing the arbiter can do about bytes already in memory, so
+      // the generator always attaches from an empty set.
+      a.reset_storage(Storage::FP64);
+      a.spill_all();
     }
     TaskGraph graph;
     for (std::size_t m = 0; m < nt; ++m) {
@@ -146,7 +133,7 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
     for (std::size_t m = 0; m < nt; ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
         fill_one_tile(a, cov, locs, theta, nugget, options, m, k);
-        // Streamed serial fill: hand the tile straight back to the log so
+        // Streamed serial fill: hand the tile straight back to its slot so
         // at most one generated tile is resident at a time.
         if (stream) a.spill(m, k);
       }

@@ -646,37 +646,24 @@ void decompress_bytes(const CompressedBuffer& c, std::span<std::byte> out) {
 
 namespace {
 
-/// Compress one raw payload of `fmt` elements, truncating a copy first when
-/// opts asks for fewer mantissa bits than the format carries.
 CompressedBlob compress_raw(Storage fmt, std::size_t rows, std::size_t cols,
-                            std::span<const std::byte> bytes,
-                            const TileCodecOptions& opts) {
+                            std::span<const std::byte> bytes) {
   CompressedBlob c;
   c.format = fmt;
   c.rows = std::uint32_t(rows);
   c.cols = std::uint32_t(cols);
-  const bool truncating =
-      opts.keep_bits >= 0 && opts.keep_bits < mantissa_bits(fmt);
-  if (!truncating) {
-    c.buf = compress_bytes(bytes, elem_size_of(fmt));
-    return c;
-  }
-  c.keep_bits = std::int16_t(opts.keep_bits);
-  std::vector<std::byte> truncated(bytes.begin(), bytes.end());
-  truncate_mantissa(truncated, fmt, opts.keep_bits);
-  c.buf = compress_bytes(truncated, elem_size_of(fmt));
+  c.buf = compress_bytes(bytes, elem_size_of(fmt));
   return c;
 }
 
 }  // namespace
 
-CompressedBlob compress_payload(const WirePayload& p,
-                                const TileCodecOptions& opts) {
-  return compress_raw(p.format, p.rows, p.cols, p.bytes, opts);
+CompressedBlob compress_payload(const WirePayload& p) {
+  return compress_raw(p.format, p.rows, p.cols, p.bytes);
 }
 
-CompressedBlob compress_tile(const AnyTile& t, const TileCodecOptions& opts) {
-  return compress_raw(t.storage(), t.rows(), t.cols(), t.raw_bytes(), opts);
+CompressedBlob compress_tile(const AnyTile& t) {
+  return compress_raw(t.storage(), t.rows(), t.cols(), t.raw_bytes());
 }
 
 WirePayload decompress_payload(const CompressedBlob& c) {

@@ -6,13 +6,15 @@
 // and the rung it landed on; GDAL RFC 99 (SNIPPETS.md) shows how to harvest
 // that slack without changing type: zero the least-significant mantissa bits
 // down to the declared precision, then let a lossless entropy stage compress
-// the (now highly repetitive) low bytes away. The pipeline here is
+// the (now highly repetitive) low bytes away. Truncation happens in place on
+// the stored values (truncate_mantissa, before anything is compressed or
+// shipped); the codec itself is
 //
-//   truncate(keep_bits)  ->  byte-shuffle  ->  LZ
+//   byte-shuffle  ->  LZ
 //
 // and every stage is exactly invertible over what the previous stage emitted,
-// so decompress(compress(x)) is bit-identical *at the declared precision*:
-// lossless when keep_bits is off, equal to trunc_k(x) otherwise.
+// so decompress(compress(x)) is bit-identical to x — to trunc_k(x) when the
+// caller truncated first.
 //
 // The LZ stage is a small self-contained LZ77 byte codec (hash matching,
 // 16-bit offsets, LZ4-block-style token stream). It searches only where a
@@ -80,12 +82,6 @@ std::vector<std::byte> lz_compress(std::span<const std::byte> in);
 /// on a malformed or truncated stream (never reads or writes out of bounds).
 bool lz_decompress(std::span<const std::byte> in, std::span<std::byte> out);
 
-/// Knobs for one compression pass.
-struct TileCodecOptions {
-  /// Mantissa bits to keep before compressing; -1 keeps every bit (lossless).
-  int keep_bits = -1;
-};
-
 /// A compressed byte buffer plus the flags needed to invert it. With `lz`
 /// set, `data` is the LZ stream of the byte-shuffled input (elem_size > 1)
 /// or of the input itself (elem_size == 1); otherwise `data` holds the input
@@ -99,9 +95,8 @@ struct CompressedBuffer {
   std::size_t size_bytes() const { return data.size(); }
 };
 
-/// Compress `in` (n elements of `elem_size` bytes). This layer is
-/// format-agnostic and never truncates; keep_bits applies only through the
-/// typed wrappers below.
+/// Compress `in` (n elements of `elem_size` bytes). Format-agnostic and
+/// lossless.
 CompressedBuffer compress_bytes(std::span<const std::byte> in,
                                 std::size_t elem_size);
 
@@ -110,13 +105,10 @@ CompressedBuffer compress_bytes(std::span<const std::byte> in,
 void decompress_bytes(const CompressedBuffer& c, std::span<std::byte> out);
 
 /// A compressed tile: the WirePayload header plus the compressed payload.
-/// `keep_bits` records the truncation depth the payload went through (-1 =
-/// lossless), so the declared precision travels with the bytes.
 struct CompressedBlob {
   Storage format = Storage::FP64;
   std::uint32_t rows = 0;
   std::uint32_t cols = 0;
-  std::int16_t keep_bits = -1;
   CompressedBuffer buf;
 
   std::size_t size_bytes() const { return buf.size_bytes(); }
@@ -124,15 +116,13 @@ struct CompressedBlob {
 };
 
 /// Compress a serialized payload (the STC wire path: the sender has already
-/// converted to wire format; compression rides on top). With the default
-/// lossless options the round trip reproduces `p.bytes` bit-exactly.
-CompressedBlob compress_payload(const WirePayload& p,
-                                const TileCodecOptions& opts = {});
+/// converted to wire format; compression rides on top). The round trip
+/// reproduces `p.bytes` bit-exactly.
+CompressedBlob compress_payload(const WirePayload& p);
 
 /// Compress a tile at its own storage format (the at-rest path: TileMatrix
-/// spill). Lossless passes shuffle straight from the tile's payload.
-CompressedBlob compress_tile(const AnyTile& t,
-                             const TileCodecOptions& opts = {});
+/// spill), shuffling straight from the tile's payload.
+CompressedBlob compress_tile(const AnyTile& t);
 
 /// Exact inverses. decompress_into requires dst pre-sized rows x cols with
 /// storage >= the blob format (same contract as deserialize_into); when the

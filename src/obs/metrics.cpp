@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace mpgeo {
 namespace {
@@ -98,27 +99,18 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   const Snapshot s = snapshot();
-  // Metric names are dotted ASCII identifiers by convention; escape quotes
-  // and backslashes anyway so arbitrary names cannot break the document.
-  const auto escaped = [](const std::string& in) {
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  };
+  // Metric names are dotted ASCII identifiers by convention; escape them
+  // anyway so arbitrary names cannot break the document.
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < s.counters.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << '"' << escaped(s.counters[i].first)
+    os << (i ? ",\n    " : "\n    ") << '"' << json_escape(s.counters[i].first)
        << "\": " << s.counters[i].second;
   }
   os << (s.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < s.gauges.size(); ++i) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", s.gauges[i].second);
-    os << (i ? ",\n    " : "\n    ") << '"' << escaped(s.gauges[i].first)
+    os << (i ? ",\n    " : "\n    ") << '"' << json_escape(s.gauges[i].first)
        << "\": " << buf;
   }
   os << (s.gauges.empty() ? "" : "\n  ") << "}\n}\n";

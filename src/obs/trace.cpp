@@ -10,41 +10,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace mpgeo {
 namespace {
-
-/// JSON string escape. Control characters become \u00XX escapes — the old
-/// writer silently dropped them, which corrupted any name containing one.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", u);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Microsecond timestamp in fixed-point notation. operator<<(double) uses 6
-/// significant digits, which truncates microsecond timestamps past ~1 s of
-/// run time (1.23457e+06) and reorders events in the viewer; three decimals
-/// keep nanosecond resolution at any run length.
-std::string fmt_us(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
 
 /// One traced task execution, backend-neutral: pid/tid locate the track
 /// (host worker or simulated device channel), start/end are seconds.
@@ -70,15 +40,15 @@ class Emitter {
     begin();
     os_ << "{\"name\": \"" << kind << "\", \"ph\": \"M\", \"pid\": " << pid;
     if (with_tid) os_ << ", \"tid\": " << tid;
-    os_ << ", \"args\": {\"name\": \"" << escape(name) << "\"}}";
+    os_ << ", \"args\": {\"name\": \"" << json_escape(name) << "\"}}";
   }
 
   void complete(const std::string& name, const std::string& cat, int pid,
                 int tid, double start, double end) {
     begin();
-    os_ << "{\"name\": \"" << escape(name) << "\", \"cat\": \"" << cat
-        << "\", \"ph\": \"X\", \"ts\": " << fmt_us(start)
-        << ", \"dur\": " << fmt_us(end - start) << ", \"pid\": " << pid
+    os_ << "{\"name\": \"" << json_escape(name) << "\", \"cat\": \"" << cat
+        << "\", \"ph\": \"X\", \"ts\": " << trace_us(start)
+        << ", \"dur\": " << trace_us(end - start) << ", \"pid\": " << pid
         << ", \"tid\": " << tid << "}";
   }
 
@@ -87,16 +57,16 @@ class Emitter {
     os_ << "{\"name\": \"dep\", \"cat\": \"dep\", \"ph\": \"" << phase
         << "\"";
     if (phase == 'f') os_ << ", \"bp\": \"e\"";
-    os_ << ", \"id\": " << id << ", \"ts\": " << fmt_us(ts)
+    os_ << ", \"id\": " << id << ", \"ts\": " << trace_us(ts)
         << ", \"pid\": " << pid << ", \"tid\": " << tid << "}";
   }
 
   void counter(const std::string& name, int pid, double ts,
                const std::string& key, const std::string& value) {
     begin();
-    os_ << "{\"name\": \"" << escape(name) << "\", \"ph\": \"C\", \"pid\": "
-        << pid << ", \"ts\": " << fmt_us(ts) << ", \"args\": {\"" << key
-        << "\": " << value << "}}";
+    os_ << "{\"name\": \"" << json_escape(name)
+        << "\", \"ph\": \"C\", \"pid\": " << pid << ", \"ts\": " << trace_us(ts)
+        << ", \"args\": {\"" << key << "\": " << value << "}}";
   }
 
  private:
@@ -130,7 +100,7 @@ void emit_flows(Emitter& em, const TaskGraph& graph,
 }
 
 /// Final sample of every registry counter and gauge, as its own counter
-/// track (gauges carry e.g. tile.resident_bytes / tile.peak_resident_bytes).
+/// track (gauges carry e.g. ooc.shared.resident_bytes / operand_cache.bytes).
 void emit_registry_counters(Emitter& em, const MetricsRegistry& metrics,
                             double ts) {
   const MetricsRegistry::Snapshot snap = metrics.snapshot();

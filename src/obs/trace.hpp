@@ -45,7 +45,7 @@ struct TraceExportOptions {
   /// one entry per track name, samples as (seconds, value) pairs. Used for
   /// series the registry's final-sample dump cannot carry — e.g. the
   /// out-of-core pager's resident-byte transitions
-  /// (MpCholeskyResult::ooc_residency) as a "tile.resident_bytes" track.
+  /// (MpCholeskyResult::ooc_residency) as an "ooc.resident_bytes" track.
   std::vector<std::pair<std::string, std::vector<std::pair<double, double>>>>
       extra_counters;
 };

@@ -7,7 +7,6 @@
 // driver slot; categories FIT / SHED / FAILED color outcomes apart; a
 // serve.queue_depth counter track is derived from the submit/start edges.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <set>
@@ -16,35 +15,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 #include "serve/fit_server.hpp"
 
 namespace mpgeo {
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", u);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string fmt_us(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
 
 const char* outcome_category(FitOutcome o) {
   switch (o) {
@@ -91,10 +66,10 @@ void write_fit_spans_chrome_trace(const std::vector<FitSpan>& spans,
     // Shed spans are instant (start == end); a 0-duration X event still
     // renders as a tick mark on the slot-0 track.
     begin();
-    os << "{\"name\": \"" << escape(name) << "\", \"cat\": \""
+    os << "{\"name\": \"" << json_escape(name) << "\", \"cat\": \""
        << outcome_category(s.outcome) << "\", \"ph\": \"X\", \"ts\": "
-       << fmt_us(s.start_seconds)
-       << ", \"dur\": " << fmt_us(s.end_seconds - s.start_seconds)
+       << trace_us(s.start_seconds)
+       << ", \"dur\": " << trace_us(s.end_seconds - s.start_seconds)
        << ", \"pid\": 0, \"tid\": " << s.slot << "}";
   }
 
@@ -113,7 +88,7 @@ void write_fit_spans_chrome_trace(const std::vector<FitSpan>& spans,
     begin();
     os << "{\"name\": \"serve.queue_depth\", \"ph\": \"C\", \"pid\": 0, "
           "\"ts\": "
-       << fmt_us(t) << ", \"args\": {\"fits\": " << depth << "}}";
+       << trace_us(t) << ", \"args\": {\"fits\": " << depth << "}}";
   }
 
   // Caller-provided counter tracks (e.g. the shared pager's global
@@ -121,9 +96,9 @@ void write_fit_spans_chrome_trace(const std::vector<FitSpan>& spans,
   for (const auto& [name, samples] : extra_counters) {
     for (const auto& [t, v] : samples) {
       begin();
-      os << "{\"name\": \"" << escape(name) << "\", \"ph\": \"C\", \"pid\": "
-            "0, \"ts\": "
-         << fmt_us(t) << ", \"args\": {\"value\": " << v << "}}";
+      os << "{\"name\": \"" << json_escape(name)
+         << "\", \"ph\": \"C\", \"pid\": 0, \"ts\": " << trace_us(t)
+         << ", \"args\": {\"value\": " << v << "}}";
     }
   }
 

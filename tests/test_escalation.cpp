@@ -303,20 +303,21 @@ TEST(Escalation, MleInjectionRetryMatchesCleanValue) {
 
 // Regression for the workspace bug: a mid-factorization throw used to leave
 // MleWorkspace::sigma tiles in degraded (FP16/FP32) storage, corrupting
-// every later evaluation of the same fit. The error path must restore FP64.
+// every later evaluation of the same fit. The error path must restore FP64,
+// both for a resident Sigma and for an out-of-core one whose degraded tiles
+// are spilled when the throw lands.
 TEST(Escalation, MleWorkspaceStorageRestoredAfterInjectedThrow) {
   const BreakingProblem p;
-  MleOptions o;
-  o.u_req = BreakingProblem::kUreq;  // coarse: storage genuinely degrades
-  o.tile = BreakingProblem::kNb;
-  o.nugget = BreakingProblem::kNugget;
-  o.escalation = EscalationOptions{0, false};
+  MleOptions base;
+  base.u_req = BreakingProblem::kUreq;  // coarse: storage genuinely degrades
+  base.tile = BreakingProblem::kNb;
+  base.nugget = BreakingProblem::kNugget;
 
   // Precondition: this configuration demotes tile storage below FP64.
   {
     TileMatrix a = p.matrix();
     const PrecisionMap pm =
-        build_precision_map(a, o.u_req, default_precision_ladder());
+        build_precision_map(a, base.u_req, default_precision_ladder());
     bool any_demoted = false;
     for (std::size_t m = 0; m < pm.nt(); ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
@@ -326,33 +327,46 @@ TEST(Escalation, MleWorkspaceStorageRestoredAfterInjectedThrow) {
     ASSERT_TRUE(any_demoted);
   }
 
-  // Every task armed: the first task to start throws InjectedFault, which
-  // is not a breakdown and must propagate through mp_log_likelihood.
-  FaultInjectionOptions fi;
-  fi.kind = FaultKind::TaskException;
-  fi.probability = 1.0;
-  fi.seed = 11;
-  FaultInjector inj(fi);
-  o.fault_injector = &inj;
+  for (const bool ooc : {false, true}) {
+    SCOPED_TRACE(ooc ? "out-of-core" : "resident");
+    MleOptions o = base;
+    o.escalation = EscalationOptions{0, false};
+    o.ooc.enabled = ooc;
+    o.ooc.resident_byte_budget = ooc ? p.matrix().bytes() / 3 : 0;
 
-  MleWorkspace workspace;
-  EXPECT_THROW(mp_log_likelihood(p.cov, p.locs, p.theta, p.z, o, workspace),
-               InjectedFault);
-  ASSERT_TRUE(workspace.sigma);
-  for (std::size_t m = 0; m < workspace.sigma->num_tiles(); ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      EXPECT_EQ(workspace.sigma->tile(m, k).storage(), Storage::FP64)
-          << "tile (" << m << "," << k << ") left degraded";
+    // Every task armed: the first task to start throws InjectedFault, which
+    // is not a breakdown and must propagate through mp_log_likelihood.
+    FaultInjectionOptions fi;
+    fi.kind = FaultKind::TaskException;
+    fi.probability = 1.0;
+    fi.seed = 11;
+    FaultInjector inj(fi);
+    o.fault_injector = &inj;
+
+    MleWorkspace workspace;
+    EXPECT_THROW(
+        mp_log_likelihood(p.cov, p.locs, p.theta, p.z, o, workspace),
+        InjectedFault);
+    ASSERT_TRUE(workspace.sigma);
+    EXPECT_EQ(workspace.sigma->spill_enabled(), ooc);
+    bool any_spilled = false;
+    for (std::size_t m = 0; m < workspace.sigma->num_tiles(); ++m) {
+      for (std::size_t k = 0; k <= m; ++k) {
+        any_spilled |= workspace.sigma->spilled(m, k);
+        EXPECT_EQ(workspace.sigma->tile(m, k).storage(), Storage::FP64)
+            << "tile (" << m << "," << k << ") left degraded";
+      }
     }
-  }
+    EXPECT_EQ(any_spilled, ooc);
 
-  // And the workspace is immediately reusable: a clean evaluation against
-  // the same buffer succeeds.
-  o.fault_injector = nullptr;
-  o.escalation = EscalationOptions{8, true};
-  const double ll =
-      mp_log_likelihood(p.cov, p.locs, p.theta, p.z, o, workspace);
-  EXPECT_GT(ll, -1e99);
+    // And the workspace is immediately reusable: a clean evaluation against
+    // the same buffer succeeds.
+    o.fault_injector = nullptr;
+    o.escalation = EscalationOptions{8, true};
+    const double ll =
+        mp_log_likelihood(p.cov, p.locs, p.theta, p.z, o, workspace);
+    EXPECT_GT(ll, -1e99);
+  }
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // fully-resident run at every budget x pool size, pager stats sanity (the
 // budget holds to budget + one tile unless a fault takes the overshoot
 // escape), rank-sharded paging (eviction racing the late SEND-side read),
-// spill-log compaction accounting, and escalation recovery through the
+// the spill file's fixed-slot size bound, and escalation recovery through the
 // copy-from-spilled snapshot path. Labelled tsan: the workers' restores,
 // cold evictions and dead spills race on the pager mutex for real here.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "common/error.hpp"
@@ -254,83 +256,56 @@ TEST(OutOfCoreCholeskyTest, DistShardedPagingStaysBitIdentical) {
   EXPECT_TRUE(factors_identical(ref, a));
 }
 
-TEST(SpillCompactionTest, CompactionReclaimsGarbageAndStaysBitExact) {
-  TileMatrix a = random_spd_problem(96, 24, 19);
-  std::vector<std::vector<std::byte>> before;
-  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      const auto raw = a.tile(m, k).raw_bytes();
-      before.emplace_back(raw.begin(), raw.end());
-    }
-  }
+/// The spill file holds one fixed slot per tile, so no sequence of spills,
+/// restores, storage changes and discards grows it past packed tiles x nb^2
+/// x 8 bytes, and every restore stays bit-exact.
+TEST(SpillSlotTest, FileStaysWithinSlotCapacityAcrossCycles) {
+  const std::size_t n = 96, nb = 24;
+  TileMatrix a = random_spd_problem(n, nb, 19);
+  TileMatrix ref = a;  // resident twin that takes the same storage changes
+  const std::size_t nt = a.num_tiles();
+  const std::size_t capacity = nt * (nt + 1) / 2 * nb * nb * sizeof(double);
 
-  MetricsRegistry reg;
   SpillOptions sopts;
   sopts.enabled = true;
-  sopts.metrics = &reg;
+  sopts.path = ::testing::TempDir() + "mpgeo_spill_slots.bin";
   a.enable_spill(sopts);
+  const auto within_capacity = [&](const char* when, int cycle) {
+    EXPECT_LE(a.spill_stats().file_bytes, capacity)
+        << when << ", cycle " << cycle;
+    EXPECT_LE(std::filesystem::file_size(sopts.path), capacity)
+        << when << ", cycle " << cycle;
+  };
 
-  // Repeated spill/restore cycles: the append-only log grows, the live set
-  // does not.
-  std::size_t live = 0;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    live = a.spill_all();
-    if (cycle < 3) a.restore_all();
-  }
-  const SpillStats grown = a.spill_stats();
-  EXPECT_EQ(grown.spilled_bytes, live);
-  EXPECT_GT(grown.log_bytes, 3 * live);  // 4 generations of blobs on disk
-  EXPECT_EQ(grown.garbage_bytes(), grown.log_bytes - live);
-  EXPECT_EQ(reg.counter_value("tile.log_garbage_bytes"),
-            grown.garbage_bytes());
-
-  // Explicit compaction reclaims exactly the garbage; restores afterwards
-  // read the fresh log bit-exactly.
-  const std::size_t reclaimed = a.compact();
-  EXPECT_EQ(reclaimed, grown.garbage_bytes());
-  const SpillStats compacted = a.spill_stats();
-  EXPECT_EQ(compacted.log_bytes, live);
-  EXPECT_EQ(compacted.garbage_bytes(), 0u);
-  EXPECT_EQ(compacted.compactions, 1u);
-  EXPECT_EQ(reg.counter_value("tile.compactions"), 1u);
-  EXPECT_EQ(reg.counter_value("tile.compacted_bytes"), reclaimed);
-  a.restore_all();
-  std::size_t idx = 0;
-  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
-    for (std::size_t k = 0; k <= m; ++k, ++idx) {
-      const auto raw = a.tile(m, k).raw_bytes();
-      ASSERT_EQ(raw.size(), before[idx].size());
-      EXPECT_EQ(std::memcmp(raw.data(), before[idx].data(), raw.size()), 0)
-          << "tile " << idx;
-    }
-  }
-  // The restore_all stranded the compacted blobs; one more spill/compact
-  // cycle reclaims exactly those, after which the log is garbage-free and
-  // compact() is a no-op.
-  a.spill_all();
-  EXPECT_EQ(a.compact(), live);
-  EXPECT_EQ(a.compact(), 0u);
-}
-
-TEST(SpillCompactionTest, AutoCompactionBoundsTheLog) {
-  TileMatrix a = random_spd_problem(96, 24, 23);
-  SpillOptions sopts;
-  sopts.enabled = true;
-  sopts.compact_garbage_ratio = 0.5;
-  sopts.compact_min_bytes = 1;  // no grace size in the test
-  a.enable_spill(sopts);
-
-  std::size_t live = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
-    live = a.spill_all();
-    const SpillStats s = a.spill_stats();
-    // The policy holds the invariant garbage <= ratio * log at every step.
-    EXPECT_LE(double(s.garbage_bytes()), 0.5 * double(s.log_bytes) + 1.0);
-    if (cycle < 7) a.restore_all();
+    if (cycle == 2) {
+      // Storage change: narrowing the off-diagonal tiles changes every
+      // re-spilled blob's size inside its slot.
+      for (std::size_t m = 1; m < nt; ++m) {
+        for (std::size_t k = 0; k < m; ++k) {
+          const Storage s = (m + k) % 2 ? Storage::FP32 : Storage::FP16;
+          a.tile(m, k).convert_storage(s);
+          ref.tile(m, k).convert_storage(s);
+        }
+      }
+    }
+    a.spill_all();
+    within_capacity("after spill_all", cycle);
+    if (cycle == 4) {
+      // discard_spilled frees a slot without decompressing; reset_storage
+      // re-targets the degraded spilled tiles through the same path and
+      // spills them again.
+      a.discard_spilled(1, 0, Storage::FP64);
+      ref.set_storage(1, 0, Storage::FP64);
+      a.reset_storage(Storage::FP64);
+      ref.reset_storage(Storage::FP64);
+      within_capacity("after reset_storage", cycle);
+    }
+    a.restore_all();
+    EXPECT_TRUE(factors_identical(ref, a)) << "cycle " << cycle;
   }
-  const SpillStats s = a.spill_stats();
-  EXPECT_GT(s.compactions, 0u);
-  EXPECT_LE(s.log_bytes, 3 * live);  // bounded, not 8 generations
+  EXPECT_EQ(a.spill_stats().spilled_bytes, 0u);
+  std::remove(sopts.path.c_str());
 }
 
 /// Escalation + out-of-core: a mid-run breakdown aborts the attempt with
@@ -387,8 +362,6 @@ TEST(OutOfCoreCholeskyTest, ConcurrentPagingStress) {
     TileMatrix a = pristine;
     SpillOptions sopts;
     sopts.enabled = true;
-    sopts.compact_garbage_ratio = 0.6;
-    sopts.compact_min_bytes = 1;
     a.enable_spill(sopts);
     a.spill_all();
     MpCholeskyOptions opt = base;

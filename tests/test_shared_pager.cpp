@@ -420,9 +420,16 @@ TEST(OocStatsSplitTest, PerRunCountersResetWhileLifetimeAccumulates) {
   const MleResult r1 = fit_mle(cov, locs, z, opts, workspace);
   EXPECT_GT(r1.ooc.uses, 0u);
   EXPECT_EQ(workspace.ooc.uses, r1.ooc.uses);
+  const std::size_t file_after_r1 = workspace.sigma->spill_stats().file_bytes;
 
   const MleResult r2 = fit_mle(cov, locs, z, opts, workspace);
   EXPECT_GT(r2.ooc.uses, 0u);
+  // Each tile re-spills into its own fixed slot: the second fit leaves the
+  // workspace's spill file exactly as large as the first did, within one
+  // FP64 slot per packed tile.
+  const std::size_t file_after_r2 = workspace.sigma->spill_stats().file_bytes;
+  EXPECT_EQ(file_after_r2, file_after_r1);
+  EXPECT_LE(file_after_r2, packed_tiles(locs.size()) * kTileBytes);
   // The result is per-run, not the lifetime accumulation (the regression).
   EXPECT_EQ(workspace.ooc.uses, r1.ooc.uses + r2.ooc.uses);
   EXPECT_LT(r2.ooc.uses, workspace.ooc.uses);

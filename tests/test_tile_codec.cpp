@@ -402,10 +402,11 @@ TEST(TileCodecTest, LosslessRoundTripEveryLadderRung) {
 TEST(TileCodecTest, TruncatingRoundTripIsExactAtDeclaredPrecision) {
   const AnyTile t = random_tile(Storage::FP64, 40, 40, 71);
   for (int keep : {6, 12, 20, 40}) {
-    TileCodecOptions opts;
-    opts.keep_bits = keep;
-    const CompressedBlob c = compress_tile(t, opts);
-    EXPECT_EQ(c.keep_bits, keep);
+    // Storage truncation happens in place; the codec then round-trips the
+    // truncated values losslessly.
+    AnyTile truncated = t;
+    truncate_mantissa(truncated.raw_bytes(), truncated.storage(), keep);
+    const CompressedBlob c = compress_tile(truncated);
     AnyTile dst(t.rows(), t.cols(), t.storage());
     decompress_into(c, dst);
     for (std::size_t j = 0; j < t.cols(); ++j) {
@@ -413,8 +414,9 @@ TEST(TileCodecTest, TruncatingRoundTripIsExactAtDeclaredPrecision) {
         ASSERT_EQ(dst.at(i, j), truncate_mantissa(t.at(i, j), keep));
       }
     }
-    // Compressing the truncated result again is a fixed point.
-    const CompressedBlob c2 = compress_tile(dst, opts);
+    // Truncating and compressing the result again is a fixed point.
+    truncate_mantissa(dst.raw_bytes(), dst.storage(), keep);
+    const CompressedBlob c2 = compress_tile(dst);
     AnyTile dst2(t.rows(), t.cols(), t.storage());
     decompress_into(c2, dst2);
     const auto a = dst.raw_bytes();
@@ -437,9 +439,9 @@ TEST(TileCodecTest, TruncationMakesSmoothTilesCompressSmaller) {
   }
   t.from_double(v);
   const CompressedBlob lossless = compress_tile(t);
-  TileCodecOptions opts;
-  opts.keep_bits = 13;  // ~u_req 1e-4
-  const CompressedBlob truncated = compress_tile(t, opts);
+  AnyTile kept = t;
+  truncate_mantissa(kept.raw_bytes(), kept.storage(), 13);  // ~u_req 1e-4
+  const CompressedBlob truncated = compress_tile(kept);
   EXPECT_LT(lossless.size_bytes(), t.bytes());
   EXPECT_LT(truncated.size_bytes(), lossless.size_bytes());
 }
@@ -495,6 +497,7 @@ TEST(SpillTierTest, SpillAndRestoreRoundTripsBitExactly) {
   const std::vector<std::vector<std::byte>> before = tile_bytes(a);
   const std::size_t at_rest = a.bytes();
   const std::size_t ntiles = a.num_tiles() * (a.num_tiles() + 1) / 2;
+  const std::size_t slot = a.nb() * a.nb() * sizeof(double);
 
   EXPECT_FALSE(a.spill_enabled());
   EXPECT_THROW(a.spill(0, 0), Error);  // tier not enabled
@@ -513,16 +516,19 @@ TEST(SpillTierTest, SpillAndRestoreRoundTripsBitExactly) {
       EXPECT_FALSE(a.tile(m, k).resident());
     }
   }
+  // Every tile sits in its own fixed slot, the last one ending the file.
+  const std::size_t file_bytes = a.spill_stats().file_bytes;
+  EXPECT_GT(file_bytes, (ntiles - 1) * slot);
+  EXPECT_LE(file_bytes, ntiles * slot);
   {
     const SpillStats s = a.spill_stats();
     EXPECT_EQ(s.spills, ntiles);
     EXPECT_EQ(s.restores, 0u);
     EXPECT_EQ(s.spilled_bytes, appended);
-    EXPECT_EQ(s.file_bytes, appended);
   }
-  // Re-spilling a spilled tile is a no-op, not a second append.
+  // Re-spilling a spilled tile is a no-op, not a second write.
   EXPECT_EQ(a.spill(0, 0), 0u);
-  EXPECT_EQ(a.spill_stats().file_bytes, appended);
+  EXPECT_EQ(a.spill_stats().spills, ntiles);
 
   a.restore_all();
   const std::vector<std::vector<std::byte>> after = tile_bytes(a);
@@ -537,7 +543,7 @@ TEST(SpillTierTest, SpillAndRestoreRoundTripsBitExactly) {
   const SpillStats s = a.spill_stats();
   EXPECT_EQ(s.restores, ntiles);
   EXPECT_EQ(s.spilled_bytes, 0u);
-  EXPECT_EQ(s.file_bytes, appended);  // the log never shrinks
+  EXPECT_EQ(s.file_bytes, file_bytes);  // restores never grow the file
 }
 
 #if defined(__GLIBC__)
@@ -600,7 +606,7 @@ TEST(SpillTierTest, CopyMaterializesSpilledTilesThroughTheCodec) {
 
   // Copying a partially-spilled matrix reads the spilled blobs through the
   // codec: the copy comes out fully resident and bit-identical while the
-  // source's residency set, restore count and log are untouched.
+  // source's residency set, restore count and file are untouched.
   TileMatrix copy(a);
   EXPECT_FALSE(copy.spill_enabled());  // copies start without a tier
   EXPECT_TRUE(a.spill_enabled());
@@ -609,7 +615,7 @@ TEST(SpillTierTest, CopyMaterializesSpilledTilesThroughTheCodec) {
   const SpillStats post = a.spill_stats();
   EXPECT_EQ(post.restores, pre.restores);
   EXPECT_EQ(post.spilled_bytes, pre.spilled_bytes);
-  EXPECT_EQ(post.log_bytes, pre.log_bytes);
+  EXPECT_EQ(post.file_bytes, pre.file_bytes);
   const auto copied = tile_bytes(copy);
   for (std::size_t i = 0; i < before.size(); ++i) {
     ASSERT_EQ(copied[i].size(), before[i].size());
@@ -619,14 +625,14 @@ TEST(SpillTierTest, CopyMaterializesSpilledTilesThroughTheCodec) {
   }
 
   // Same-geometry copy-assignment over the partially-spilled destination:
-  // the destination's live blobs become log garbage, the destination comes
-  // back fully resident, and the tier survives.
+  // the destination comes back fully resident with every slot free, and
+  // the tier survives.
   TileMatrix fresh = spd_matrix(48, 16, 6);
   a = fresh;
   EXPECT_TRUE(a.spill_enabled());
   EXPECT_FALSE(a.spilled(0, 0));
   EXPECT_FALSE(a.spilled(2, 1));
-  EXPECT_GT(a.spill_stats().garbage_bytes(), 0u);
+  EXPECT_EQ(a.spill_stats().spilled_bytes, 0u);
   const auto want = tile_bytes(fresh);
   const auto got = tile_bytes(a);
   for (std::size_t i = 0; i < want.size(); ++i) {

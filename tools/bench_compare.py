@@ -15,10 +15,16 @@ change > parent * (1 + bound), for a higher-is-better one when
 change < parent * (1 - bound). Per-layer metrics carry no bound and are not
 compared.
 
+Failed operations are checked per key as well: each result line carries
+`attempted` and `failed` operation counts and a `correct` flag. A key is
+flagged when the change side's share of failed operations (the sum of
+`failed` over the sum of `attempted`, across that side's runs) exceeds the
+parent's, or when any change run reports `correct: false`.
+
 Usage: python3 tools/bench_compare.py BENCH_16.json
 
-Exits 1 when any metric is flagged (or a side is missing), 0 otherwise.
-Standard library only.
+Exits 1 when any metric or key is flagged (or a side is missing), 0
+otherwise. Standard library only.
 """
 import argparse
 import json
@@ -41,6 +47,15 @@ def median_metric(results, name):
     values = [r["metrics"][name]["value"] for r in results
               if name in r.get("metrics", {})]
     return statistics.median(values) if values else None
+
+
+def failed_share(results):
+    """Sum of failed over sum of attempted operations across `results`."""
+    attempted = sum(int(r.get("attempted", 0)) for r in results)
+    failed = sum(int(r.get("failed", 0)) for r in results)
+    if attempted == 0:
+        return 0.0 if failed == 0 else float("inf")
+    return failed / attempted
 
 
 def worse_by(parent, change, better):
@@ -71,6 +86,7 @@ def main(argv=None):
               file=sys.stderr)
 
     flagged = []
+    failures = []
     print(f"{'workload':<13}{'seed':>5}{'trace':>6}  {'metric':<28}"
           f"{'parent':>12}{'change':>12}{'ratio':>8}  bound")
     for key in keys:
@@ -87,11 +103,24 @@ def main(argv=None):
             print(f"{key[0]:<13}{key[1]:>5}{key[2]:>6}  {m['name']:<28}"
                   f"{p:>12.4g}{c:>12.4g}{ratio:>8.3f}  {m['bound']:.2f}"
                   f" {mark}")
+        p = failed_share(parent[key])
+        c = failed_share(change[key])
+        incorrect = sum(1 for r in change[key] if r.get("correct") is False)
+        flag = c > p or incorrect > 0
+        if flag:
+            failures.append((key, p, c, incorrect))
+        mark = "FLAGGED" if flag else ""
+        print(f"{key[0]:<13}{key[1]:>5}{key[2]:>6}  {'failed share':<28}"
+              f"{p:>12.4g}{c:>12.4g}{'':>8}  -    {mark}")
     for (w, seed, trace), name, p, c in flagged:
         print(f"bench_compare: {w} seed {seed} trace {trace}: {name} "
               f"moved from {p:.4g} to {c:.4g}, past its bound",
               file=sys.stderr)
-    return 1 if flagged or missing else 0
+    for (w, seed, trace), p, c, incorrect in failures:
+        print(f"bench_compare: {w} seed {seed} trace {trace}: failed "
+              f"share {c:.4g} against {p:.4g} at the parent; {incorrect} "
+              f"change run(s) not correct", file=sys.stderr)
+    return 1 if flagged or failures or missing else 0
 
 
 if __name__ == "__main__":
