@@ -79,10 +79,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-void Rng::fill_normal(std::vector<double>& out) {
-  for (auto& x : out) x = normal();
-}
-
 Rng Rng::spawn(std::uint64_t stream_id) {
   std::uint64_t x = s_[0] ^ rotl(stream_id, 32) ^ 0xD1B54A32D192ED03ULL;
   return Rng(splitmix64(x));

@@ -34,9 +34,6 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Fill `out` with iid standard normals.
-  void fill_normal(std::vector<double>& out);
-
   /// Split off an independent stream (jump-free: reseeds from splitmix64 of
   /// the current state plus `stream_id`). Used to give each Monte-Carlo
   /// replica its own generator without correlation.

@@ -161,7 +161,7 @@ std::size_t broadcast_payload_bytes(const PrecisionMap& pmap,
 
 std::size_t expected_wire_bytes(const PrecisionMap& pmap, const CommMap& cmap,
                                 const OwnerMap& owners, std::size_t n,
-                                std::size_t nb, bool apply_wire_rounding) {
+                                std::size_t nb) {
   const std::size_t nt = pmap.nt();
   MPGEO_REQUIRE(cmap.nt() == nt && owners.nt() == nt,
                 "expected_wire_bytes: map size mismatch");
@@ -173,13 +173,10 @@ std::size_t expected_wire_bytes(const PrecisionMap& pmap, const CommMap& cmap,
     for (std::size_t k = 0; k <= m; ++k) {
       const std::size_t consumers = cholesky_consumer_ranks(owners, m, k).size();
       if (consumers == 0) continue;
-      const std::size_t storage_bpe = bytes_per_element(pmap.storage(m, k));
-      // The codec never widens: wire width is clamped at storage width, and
-      // without wire rounding the dist layer ships storage bytes verbatim.
+      // The codec never widens: wire width is clamped at storage width.
       const std::size_t bpe =
-          apply_wire_rounding
-              ? std::min(cmap.wire_bytes_per_element(m, k), storage_bpe)
-              : storage_bpe;
+          std::min(cmap.wire_bytes_per_element(m, k),
+                   bytes_per_element(pmap.storage(m, k)));
       total += consumers * rows(m) * rows(k) * bpe;
     }
   }

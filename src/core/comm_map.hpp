@@ -103,16 +103,14 @@ std::size_t broadcast_payload_bytes(const PrecisionMap& pmap,
 /// not once per consumer task like broadcast_payload_bytes), each message
 /// rows(m) x rows(k) elements (ragged last tile) at the comm map's wire
 /// width clamped to the tile's storage width (the codec never widens on
-/// the wire). With apply_wire_rounding == false the dist layer ships
-/// storage bytes everywhere, so the fold uses storage widths.
+/// the wire).
 ///
 /// Built on the same cholesky_consumer_ranks helper the SEND/RECV
 /// materialization uses, so measured wire.bytes must reconcile exactly —
 /// bench_data_motion asserts it.
 std::size_t expected_wire_bytes(const PrecisionMap& pmap, const CommMap& cmap,
                                 const OwnerMap& owners, std::size_t n,
-                                std::size_t nb,
-                                bool apply_wire_rounding = true);
+                                std::size_t nb);
 
 /// Analytic message count of the same fold: one message per (tile, distinct
 /// remote consumer rank). Must equal WireStats::messages of the sharded run

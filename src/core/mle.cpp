@@ -123,19 +123,16 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   }
   if (res.info != 0) return kFailedLogLik;
 
+  // Out of core the factor stays spilled: both passes decode one tile at a
+  // time into scratch, leased against the shared pager's budget when set.
   double logdet = 0.0;
   try {
-    logdet = ooc ? logdet_tiled_streamed(sigma, options.ooc.shared)
-                 : logdet_tiled(sigma);
+    logdet = logdet_tiled(sigma, options.ooc.shared);
   } catch (const Error&) {
     return kFailedLogLik;  // rounding drove a pivot non-positive
   }
   std::vector<double> y(z.begin(), z.end());
-  if (ooc) {
-    forward_solve_tiled_streamed(sigma, y, options.ooc.shared);
-  } else {
-    forward_solve_tiled(sigma, y);
-  }
+  forward_solve_tiled(sigma, y, nullptr, options.ooc.shared);
   double quad = 0.0;
   for (double v : y) quad += v * v;
   const double ll = -0.5 * double(n) * kLog2Pi - 0.5 * logdet - 0.5 * quad;

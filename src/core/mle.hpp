@@ -74,13 +74,13 @@ struct MleOptions {
   /// tmpfile unless it already has one) and every evaluation pages —
   /// generation write-installs + dead-spills tiles, the factorization pages
   /// under OutOfCoreOptions as usual (each graph on a pager of its own
-  /// under ooc.resident_byte_budget), and logdet / forward-solve stream the
-  /// factor one tile at a time instead of re-materializing it. With
-  /// ooc.shared set, both graphs register as tenants of the process-wide
-  /// pager and the streamed solves lease their single-tile residency from
-  /// the same global budget — this is how the FitServer oversubscribes
-  /// memory across concurrent fits. Every combination is bit-identical to
-  /// the fully resident fit.
+  /// under ooc.resident_byte_budget), and logdet / forward-solve read the
+  /// spilled factor in place, decoding one tile at a time into scratch
+  /// without restoring or re-spilling it. With ooc.shared set, both graphs
+  /// register as tenants of the process-wide pager and logdet / solve lease
+  /// each decoded tile's bytes from the same global budget — this is how
+  /// the FitServer oversubscribes memory across concurrent fits. Every
+  /// combination is bit-identical to the fully resident fit.
   OutOfCoreOptions ooc;
 };
 

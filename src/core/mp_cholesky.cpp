@@ -78,40 +78,6 @@ struct DistState {
   std::vector<MetricsRegistry::Counter> pair_bytes;  ///< src * ranks + dst
 };
 
-/// Per-tile + global Frobenius norms without requiring residency: a spilled
-/// tile's blob is decompressed into a scratch tile (bit-exact, no residency
-/// change). Accumulation order matches
-/// TileMatrix::frobenius_norm / build_precision_map exactly, so the maps
-/// built from these norms are identical to the fully-resident ones.
-struct StreamedNorms {
-  std::vector<double> tiles;  ///< packed lower triangle, m*(m+1)/2+k
-  double global = 0.0;
-};
-
-StreamedNorms streamed_norms(const TileMatrix& a) {
-  const std::size_t nt = a.num_tiles();
-  StreamedNorms out;
-  out.tiles.resize(nt * (nt + 1) / 2);
-  double acc = 0.0;
-  for (std::size_t m = 0; m < nt; ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      const AnyTile& t = a.tile(m, k);
-      double f;
-      if (a.spilled(m, k)) {
-        AnyTile tmp(t.rows(), t.cols(), t.storage());
-        decompress_into(a.read_spilled(m, k), tmp);
-        f = tmp.frobenius_norm();
-      } else {
-        f = t.frobenius_norm();
-      }
-      out.tiles[m * (m + 1) / 2 + k] = f;
-      acc += (m == k ? 1.0 : 2.0) * f * f;  // off-diagonal mirrored
-    }
-  }
-  out.global = std::sqrt(acc);
-  return out;
-}
-
 MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
                               PrecisionMap pmap) {
   const std::size_t nt = a.num_tiles();
@@ -140,17 +106,10 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   // particular before any serialization — so every rank computes on (and
   // ships) identical truncated values. Escalation re-enters run_cholesky
   // with pristine values and a promoted map, so the depth is re-derived per
-  // attempt. The streamed norms equal the resident norms bit-exactly, so
+  // attempt. The norm pass reads spilled tiles in place, bit-exactly, so
   // the keep map is residency-independent.
   if (options.truncation.enabled) {
-    std::vector<int> keep;
-    if (ooc_mode) {
-      const StreamedNorms norms = streamed_norms(a);
-      keep = build_truncation_map_from_norms(nt, norms.tiles, norms.global,
-                                             pmap, options.u_req);
-    } else {
-      keep = build_truncation_map(a, pmap, options.u_req);
-    }
+    const std::vector<int> keep = build_truncation_map(a, pmap, options.u_req);
     std::uint64_t truncated = 0;
     for (std::size_t m = 0; m < nt; ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
@@ -241,13 +200,11 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
     const int src = owner(m, k);
     const AnyTile* tile = &a.tile(m, k);
     const Storage storage_fmt = pmap.storage(m, k);
-    // Without wire rounding the numeric path never rounds panels through
-    // the wire, so payloads must ship at storage width to stay bit-exact.
-    Storage wire_fmt = storage_fmt;
-    if (options.apply_wire_rounding) {
-      const Storage w = wire_storage(cmap.comm(m, k));
-      if (bytes_per_element(w) < bytes_per_element(storage_fmt)) wire_fmt = w;
-    }
+    // The payload ships at the comm map's wire format, never wider than the
+    // tile's storage.
+    const Storage w = wire_storage(cmap.comm(m, k));
+    const Storage wire_fmt =
+        bytes_per_element(w) < bytes_per_element(storage_fmt) ? w : storage_fmt;
     const std::string tname =
         "(" + std::to_string(m) + "," + std::to_string(k) + ")";
 
@@ -410,7 +367,7 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
       const auto [ckk, dkk] = view(k, k, owner(m, k));
       AnyTile* cmk = &a.tile(m, k);
       const Precision trsm_prec = ti.prec;
-      const bool stc = options.apply_wire_rounding && cmap.uses_stc(m, k, pmap);
+      const bool stc = cmap.uses_stc(m, k, pmap);
       const Storage wire = wire_storage(cmap.comm(m, k));
       const std::uint64_t vkk = graph.data_version(dkk);
       FaultInjector* inj = options.fault_injector;
@@ -627,22 +584,11 @@ MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
 
 MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options) {
   MPGEO_REQUIRE(!options.ladder.empty(), "mp_cholesky: empty precision ladder");
-  const bool ooc = options.ooc.enabled && a.spill_enabled();
-  if (ooc) {
-    // Out-of-core: spilled tiles stay spilled. The Higham–Mary rule streams
-    // its norms through the codec — bit-identical to the resident norms, so
-    // the map (and with it every downstream value) matches the fully
-    // resident run exactly.
-    const StreamedNorms norms = streamed_norms(a);
-    PrecisionMap pmap = build_precision_map_from_norms(
-        a.num_tiles(), norms.tiles, norms.global, options.u_req,
-        options.ladder, options.fp16_32_rule_eps);
-    return cholesky_with_escalation(a, options, std::move(pmap));
-  }
-  // The factorization touches every tile (and the precision rule reads every
-  // norm), so a spill-enabled matrix is made fully resident up front; the
-  // spill tier stays idle for the duration of the run.
-  if (a.spill_enabled()) a.restore_all();
+  // Out of core, spilled tiles stay spilled and the Higham–Mary rule reads
+  // their norms in place, bit-identical to the resident norms. Otherwise the
+  // factorization touches every tile, so a spill-enabled matrix is made
+  // fully resident up front and its spill tier stays idle for the run.
+  if (a.spill_enabled() && !options.ooc.enabled) a.restore_all();
   PrecisionMap pmap = build_precision_map(a, options.u_req, options.ladder,
                                           options.fp16_32_rule_eps);
   return cholesky_with_escalation(a, options, std::move(pmap));
@@ -659,10 +605,16 @@ MpCholeskyResult fp64_cholesky(TileMatrix& a,
   return cholesky_with_escalation(a, opts, std::move(pmap));
 }
 
-double logdet_tiled(const TileMatrix& l) {
+double logdet_tiled(const TileMatrix& l, SharedOocPager* shared) {
   double acc = 0.0;
   for (std::size_t k = 0; k < l.num_tiles(); ++k) {
-    const AnyTile& t = l.tile(k, k);
+    // The lease outlives the scratch a spilled tile decodes into.
+    SharedOocPager::Lease lease;
+    if (shared && l.spilled(k, k)) {
+      lease = shared->lease_bytes(l.tile(k, k).bytes());
+    }
+    AnyTile scratch;
+    const AnyTile& t = l.read_tile(k, k, scratch);
     for (std::size_t i = 0; i < t.rows(); ++i) {
       const double d = t.at(i, i);
       MPGEO_REQUIRE(d > 0.0, "logdet_tiled: non-positive factor diagonal");
@@ -673,85 +625,34 @@ double logdet_tiled(const TileMatrix& l) {
 }
 
 void forward_solve_tiled(const TileMatrix& l, std::vector<double>& z,
-                         OperandCache* cache) {
+                         OperandCache* cache, SharedOocPager* shared) {
   MPGEO_REQUIRE(z.size() == l.n(), "forward_solve_tiled: size mismatch");
   const std::size_t nt = l.num_tiles();
   const std::size_t nb = l.nb();
   for (std::size_t m = 0; m < nt; ++m) {
     const std::size_t rows = l.tile_rows(m);
     double* zm = z.data() + m * nb;
-    // zm -= L(m,k) * zk for factored panels left of the diagonal. The factor
-    // is immutable across solves, so cached widenings use version 0: inside a
-    // Monte-Carlo or kriging loop each tile is widened once, not per solve.
-    for (std::size_t k = 0; k < m; ++k) {
-      const AnyTile& t = l.tile(m, k);
-      const auto buf =
-          cached_operand(cache, t, 0, Precision::FP64);
-      gemv_notrans<double>(rows, t.cols(), -1.0, buf->data(), rows,
-                           z.data() + k * nb, 1.0, zm);
-    }
-    const AnyTile& diag = l.tile(m, m);
-    const auto lbuf =
-        cached_operand(cache, diag, 0, Precision::FP64);
-    trsm_left_lower_notrans<double>(rows, 1, 1.0, lbuf->data(), rows, zm,
-                                    rows);
-  }
-}
-
-double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared) {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < l.num_tiles(); ++k) {
-    // Restore one diagonal tile at a time under a byte lease, so the pass
-    // stays accountable to the global budget instead of re-materializing the
-    // factor. Restore is bit-exact, so the sum matches logdet_tiled on the
-    // resident factor bit for bit.
-    const bool was_spilled = l.spilled(k, k);
-    SharedOocPager::Lease lease;
-    if (was_spilled) {
-      if (shared) lease = shared->lease_bytes(l.tile(k, k).bytes());
-      l.restore(k, k);
-    }
-    const AnyTile& t = l.tile(k, k);
-    for (std::size_t i = 0; i < t.rows(); ++i) {
-      const double d = t.at(i, i);
-      MPGEO_REQUIRE(d > 0.0, "logdet_tiled: non-positive factor diagonal");
-      acc += std::log(d);
-    }
-    if (was_spilled) l.spill(k, k);
-  }
-  return 2.0 * acc;
-}
-
-void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
-                                  SharedOocPager* shared) {
-  MPGEO_REQUIRE(z.size() == l.n(), "forward_solve_tiled: size mismatch");
-  const std::size_t nt = l.num_tiles();
-  const std::size_t nb = l.nb();
-  // Same arithmetic and operand widening as forward_solve_tiled with a null
-  // cache — each tile is restored (bit-exact), consumed exactly once in the
-  // same order, and re-spilled, so z matches the resident solve bitwise
-  // while at most one tile's payload is resident at a time.
-  for (std::size_t m = 0; m < nt; ++m) {
-    const std::size_t rows = l.tile_rows(m);
-    double* zm = z.data() + m * nb;
+    // zm -= L(m,k) * zk for factored panels left of the diagonal, then solve
+    // against L(m,m). The factor is immutable across solves, so cached
+    // widenings use version 0: inside a Monte-Carlo or kriging loop each tile
+    // is widened once, not per solve. A spilled tile decodes into scratch
+    // under a lease, as in logdet_tiled, and bypasses the cache, which keys
+    // packs by tile address.
     for (std::size_t k = 0; k <= m; ++k) {
-      const bool was_spilled = l.spilled(m, k);
+      const bool spilled = l.spilled(m, k);
       SharedOocPager::Lease lease;
-      if (was_spilled) {
-        if (shared) lease = shared->lease_bytes(l.tile(m, k).bytes());
-        l.restore(m, k);
-      }
-      const AnyTile& t = l.tile(m, k);
+      if (shared && spilled) lease = shared->lease_bytes(l.tile(m, k).bytes());
+      AnyTile scratch;
+      const AnyTile& t = l.read_tile(m, k, scratch);
+      const auto buf =
+          cached_operand(spilled ? nullptr : cache, t, 0, Precision::FP64);
       if (k < m) {
-        const auto buf = cached_operand(nullptr, t, 0, Precision::FP64);
         gemv_notrans<double>(rows, t.cols(), -1.0, buf->data(), rows,
                              z.data() + k * nb, 1.0, zm);
       } else {
-        const auto lbuf = cached_operand(nullptr, t, 0, Precision::FP64);
-        trsm_left_lower_notrans<double>(rows, 1, 1.0, lbuf->data(), rows, zm,
+        trsm_left_lower_notrans<double>(rows, 1, 1.0, buf->data(), rows, zm,
                                         rows);
       }
-      if (was_spilled) l.spill(m, k);
     }
   }
 }

@@ -76,8 +76,6 @@ struct MpCholeskyOptions {
   double fp16_32_rule_eps = 0.0;
   CommMapOptions comm;
   std::size_t num_threads = 0;  ///< worker pool size; 0 = hardware
-  /// Round STC broadcasts through the wire format (see header comment).
-  bool apply_wire_rounding = true;
   /// Capture the per-task trace (ExecutorOptions::capture_trace) and keep
   /// the executed TaskGraph in the result, so the run can be exported with
   /// write_chrome_trace / analyzed with critical_path.
@@ -113,8 +111,7 @@ struct MpCholeskyOptions {
   /// ranks == 1 (default) is the zero-copy shared-memory path. Results are
   /// bitwise identical across rank counts and pool sizes: STC panels are
   /// wire-rounded in place before serialization, so every payload round-trips
-  /// the codec exactly, and with apply_wire_rounding == false payloads ship
-  /// at storage width.
+  /// the codec exactly, and TTC payloads ship at storage width.
   DistOptions dist;
   /// Compress wire payloads with the tile codec (byte-shuffle + LZ) before
   /// posting — compression composes with STC: the sender converts *and*
@@ -128,14 +125,16 @@ struct MpCholeskyOptions {
   TruncationOptions truncation;
   /// Out-of-core execution against the spill tier (core/ooc_pager.hpp).
   /// With ooc.enabled and a spill-enabled matrix, the up-front restore_all
-  /// is dropped: precision/truncation maps are built by streaming norms
-  /// through the codec, storage conversion touches one tile at a time, and
-  /// during the factorization the pager keeps residency at the working set
-  /// (budgeted; each worker restores and spills the tiles its own tasks
-  /// need). Factors are bit-identical to the fully-resident run at every
-  /// budget — spill/restore is bit-exact and the task graph is unchanged.
-  /// On return the factor is spilled; call restore_all() before reading
-  /// tiles directly. The flag is ignored when the matrix has no spill tier.
+  /// is dropped: the precision and truncation maps read spilled tiles in
+  /// place (TileMatrix::read_tile), storage conversion touches one tile at a
+  /// time, and during the factorization the pager keeps residency at the
+  /// working set (budgeted; each worker restores and spills the tiles its
+  /// own tasks need). Factors are bit-identical to the fully-resident run at
+  /// every budget — spill/restore is bit-exact and the task graph is
+  /// unchanged. On return the factor is spilled; logdet_tiled and
+  /// forward_solve_tiled read it in place, and only direct tile() access
+  /// needs restore_all() first. The flag is ignored when the matrix has no
+  /// spill tier.
   OutOfCoreOptions ooc;
 };
 
@@ -196,30 +195,23 @@ MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options = {
 MpCholeskyResult fp64_cholesky(TileMatrix& a,
                                const MpCholeskyOptions& options = {});
 
-/// log|A| = 2 sum log diag(L) from a factored TileMatrix.
-double logdet_tiled(const TileMatrix& l);
+/// log|A| = 2 sum log diag(L) from a factored TileMatrix. A spilled
+/// diagonal tile is decoded into scratch (TileMatrix::read_tile), under a
+/// lease of its bytes against `shared`'s budget when non-null, and never
+/// restored: residency and the spill file are unchanged, and the sum is
+/// bit-identical to the resident factor's.
+double logdet_tiled(const TileMatrix& l, SharedOocPager* shared = nullptr);
 
 /// Solve L y = z in place (tiled forward substitution); z.size() == l.n().
-/// With a non-null `cache`, each factor tile's widened operand is fetched
-/// from the cache (version 0 — the factor is immutable across solves), so
-/// repeated solves against one factor (Monte Carlo sampling, kriging loops)
-/// widen every tile once instead of once per solve. Bit-identical either way.
+/// With a non-null `cache`, each resident factor tile's widened operand is
+/// fetched from the cache (version 0 — the factor is immutable across
+/// solves), so repeated solves against one factor (Monte Carlo sampling,
+/// kriging loops) widen every tile once instead of once per solve. Spilled
+/// tiles are read as in logdet_tiled and widened without the cache. z is
+/// bit-identical in every case.
 void forward_solve_tiled(const TileMatrix& l, std::vector<double>& z,
-                         OperandCache* cache = nullptr);
-
-/// Out-of-core logdet: restores each spilled diagonal tile one at a time
-/// (under a byte lease against `shared`'s global budget when non-null) and
-/// re-spills it, instead of re-materializing the factor. Bit-identical to
-/// logdet_tiled on the resident factor.
-double logdet_tiled_streamed(TileMatrix& l, SharedOocPager* shared = nullptr);
-
-/// Out-of-core forward solve: same arithmetic and operand widening as
-/// forward_solve_tiled with a null cache, restoring each spilled tile
-/// exactly when consumed (leased against `shared` when non-null) and
-/// re-spilling it after — at most one tile resident at a time, z bitwise
-/// identical to the resident solve.
-void forward_solve_tiled_streamed(TileMatrix& l, std::vector<double>& z,
-                                  SharedOocPager* shared = nullptr);
+                         OperandCache* cache = nullptr,
+                         SharedOocPager* shared = nullptr);
 
 /// ||A - L L^T||_F / ||A||_F against a dense FP64 copy of the original
 /// matrix (test/diagnostic helper; O(n^3), small problems only).

@@ -148,45 +148,26 @@ bool precision_at_least(const PrecisionMap& a, const PrecisionMap& b) {
 PrecisionMap build_precision_map(const TileMatrix& a, double u_req,
                                  std::span<const Precision> ladder,
                                  double fp16_32_eps) {
-  const std::size_t nt = a.num_tiles();
-  std::vector<double> norms(nt * (nt + 1) / 2);
-  for (std::size_t m = 0; m < nt; ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      norms[m * (m + 1) / 2 + k] = a.tile(m, k).frobenius_norm();
-    }
-  }
-  return build_precision_map_from_norms(nt, norms, a.frobenius_norm(), u_req,
-                                        ladder, fp16_32_eps);
+  const TileNorms norms = a.norms();
+  return build_precision_map_from_norms(a.num_tiles(), norms.tiles,
+                                        norms.global, u_req, ladder,
+                                        fp16_32_eps);
 }
 
 std::vector<int> build_truncation_map(const TileMatrix& a,
                                       const PrecisionMap& pmap, double u_req) {
   const std::size_t nt = a.num_tiles();
-  std::vector<double> norms(nt * (nt + 1) / 2);
-  for (std::size_t m = 0; m < nt; ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      norms[m * (m + 1) / 2 + k] = a.tile(m, k).frobenius_norm();
-    }
-  }
-  return build_truncation_map_from_norms(nt, norms, a.frobenius_norm(), pmap,
-                                         u_req);
-}
-
-std::vector<int> build_truncation_map_from_norms(
-    std::size_t nt, std::span<const double> tile_norms, double global_norm,
-    const PrecisionMap& pmap, double u_req) {
   MPGEO_REQUIRE(pmap.nt() == nt, "build_truncation_map: map size mismatch");
-  MPGEO_REQUIRE(tile_norms.size() == nt * (nt + 1) / 2,
-                "build_truncation_map: norms size mismatch");
+  const TileNorms norms = a.norms();
   std::vector<int> keep(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
       const Storage s = pmap.storage(m, k);
       const int full = mantissa_bits(s);
-      const double norm = tile_norms[m * (m + 1) / 2 + k];
+      const double norm = norms.tiles[m * (m + 1) / 2 + k];
       int bits = full;
-      if (norm > 0 && global_norm > 0 && u_req > 0) {
-        const double u_allowed = u_req * global_norm / (double(nt) * norm);
+      if (norm > 0 && norms.global > 0 && u_req > 0) {
+        const double u_allowed = u_req * norms.global / (double(nt) * norm);
         bits = keep_bits_for_roundoff(u_allowed, s) + kTruncationGuardBits;
         if (bits > full) bits = full;
       }

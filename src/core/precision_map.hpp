@@ -59,6 +59,8 @@ class PrecisionMap {
 /// its FP64 form (norms must reflect the true values): applies the
 /// Higham–Mary threshold with required accuracy `u_req` over the precision
 /// `ladder` (ordered highest to lowest accuracy; must start with FP64).
+/// The norms come from TileMatrix::norms(), which reads spilled tiles in
+/// place, so the map does not depend on residency.
 ///
 /// `fp16_32_eps`: the u_low the rule uses for the FP16_32 format. 0 (the
 /// default) means the conservative theoretical block-FMA bound
@@ -88,17 +90,10 @@ PrecisionMap build_precision_map_from_norms(std::size_t nt,
 /// tile's storage format) therefore stays within the factorization's own
 /// error budget while zeroing the bits lossless compression feeds on.
 /// Zero-norm tiles keep full precision. Indexed m*(m+1)/2+k (packed lower
-/// triangle), like the maps.
+/// triangle), like the maps. Like build_precision_map, it reads spilled
+/// tiles in place.
 std::vector<int> build_truncation_map(const TileMatrix& a,
                                       const PrecisionMap& pmap, double u_req);
-
-/// Same rule from externally supplied per-tile norms and global norm — the
-/// out-of-core path streams norms tile-by-tile instead of requiring the
-/// whole matrix resident. Bit-identical to build_truncation_map when the
-/// norms match.
-std::vector<int> build_truncation_map_from_norms(
-    std::size_t nt, std::span<const double> tile_norms, double global_norm,
-    const PrecisionMap& pmap, double u_req);
 
 // --- Precision escalation (breakdown recovery, DESIGN.md 5e) ---
 //

@@ -523,9 +523,9 @@ void SharedOocPager::Tenant::finish() {
   // Spill every unpinned resident tile and wait out codec jobs other
   // workers run on this tenant's tiles: the ledger must not keep counting a
   // detached tenant, and what it stops counting must actually leave memory
-  // (the finished factor lives in the spill file; streamed logdet/solve
-  // restore it tile by tile under a Lease). No task of this tenant runs any
-  // more, so a spilled tile stays spilled.
+  // (the finished factor lives in the spill file; logdet and solve decode
+  // it tile by tile into scratch under a Lease). No task of this tenant
+  // runs any more, so a spilled tile stays spilled.
   for (std::size_t j = 0; j < tn.tiles.size(); ++j) {
     if (tn.tiles[j].res == Res::Resident && tn.tiles[j].pinned == 0) {
       im.spill_locked(lk, slot_, j);
@@ -581,7 +581,7 @@ SharedOocPager::Lease SharedOocPager::lease_bytes(std::size_t bytes) {
   // A tile-sized lease rides the same one-tile overshoot slack as a tile
   // admission (admit at measure <= budget, then add <= max_tile_bytes keeps
   // the budget + one tile bound) — making it stricter than tile faults
-  // would just starve the streamed solves under contention. Only leases
+  // would just starve logdet and solve under contention. Only leases
   // larger than any managed tile must wait for their full size.
   const std::size_t need = bytes <= im.st.max_tile_bytes ? 0 : bytes;
   im.admit_locked(lk, npos, need);

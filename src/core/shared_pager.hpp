@@ -158,8 +158,8 @@ class SharedOocPager {
                                  const TenantOptions& topts);
 
   /// RAII byte reservation against the same budget, for residency the pager
-  /// cannot see through a graph — e.g. the streamed logdet / forward-solve
-  /// restoring one tile at a time after the factorization.
+  /// cannot see through a graph — e.g. logdet_tiled / forward_solve_tiled
+  /// decoding a spilled factor one tile at a time into scratch.
   class Lease {
    public:
     Lease() = default;

@@ -61,17 +61,11 @@ TileMatrix::TileMatrix(const TileMatrix& other)
     : n_(other.n_), nb_(other.nb_), nt_(other.nt_) {
   tiles_ = other.tiles_;  // released payloads copy as released
   if (!other.spill_) return;
-  // Materialize the source's spilled tiles through the codec without
-  // touching its residency: read the live blob, decompress into a fresh
-  // payload. Restores are bit-exact, so the copy equals a resident copy.
+  // Decode the source's spilled tiles straight into the copy's released
+  // payloads, leaving the source's residency alone.
   for (std::size_t m = 0; m < nt_; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
-      if (!other.spilled(m, k)) continue;
-      const std::size_t idx = index(m, k);
-      AnyTile fresh(tiles_[idx].rows(), tiles_[idx].cols(),
-                    tiles_[idx].storage());
-      decompress_into(other.read_spilled(m, k), fresh);
-      tiles_[idx] = std::move(fresh);
+      if (other.spilled(m, k)) other.read_tile(m, k, tiles_[index(m, k)]);
     }
   }
 }
@@ -120,6 +114,18 @@ const AnyTile& TileMatrix::tile(std::size_t m, std::size_t k) const {
   return tiles_[index(m, k)];
 }
 
+const AnyTile& TileMatrix::read_tile(std::size_t m, std::size_t k,
+                                     AnyTile& scratch) const {
+  const AnyTile& t = tile(m, k);
+  if (!spilled(m, k)) return t;
+  if (!scratch.resident() || scratch.rows() != t.rows() ||
+      scratch.cols() != t.cols() || scratch.storage() != t.storage()) {
+    scratch = AnyTile(t.rows(), t.cols(), t.storage());
+  }
+  decompress_into(read_spilled(m, k), scratch);
+  return scratch;
+}
+
 void TileMatrix::set_storage(std::size_t m, std::size_t k, Storage s) {
   const std::size_t idx = index(m, k);
   MPGEO_REQUIRE(!spilled(m, k),
@@ -147,16 +153,23 @@ std::size_t TileMatrix::bytes() const {
   return total;
 }
 
-double TileMatrix::frobenius_norm() const {
+TileNorms TileMatrix::norms() const {
+  TileNorms out;
+  out.tiles.reserve(tiles_.size());
+  AnyTile scratch;
   double acc = 0.0;
   for (std::size_t m = 0; m < nt_; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
-      const double f = tile(m, k).frobenius_norm();
+      const double f = read_tile(m, k, scratch).frobenius_norm();
+      out.tiles.push_back(f);
       acc += (m == k ? 1.0 : 2.0) * f * f;  // off-diagonal mirrored
     }
   }
-  return std::sqrt(acc);
+  out.global = std::sqrt(acc);
+  return out;
 }
+
+double TileMatrix::frobenius_norm() const { return norms().global; }
 
 void TileMatrix::enable_spill(const SpillOptions& options) {
   MPGEO_REQUIRE(options.enabled, "TileMatrix::enable_spill: options.enabled "
@@ -221,9 +234,8 @@ std::size_t TileMatrix::spill_with(std::size_t m, std::size_t k,
 void TileMatrix::restore(std::size_t m, std::size_t k) {
   MPGEO_REQUIRE(spill_ != nullptr, "TileMatrix::restore: tier not enabled");
   if (!spilled(m, k)) return;
-  const AnyTile& t = tiles_[index(m, k)];
-  AnyTile fresh(t.rows(), t.cols(), t.storage());
-  decompress_into(read_spilled(m, k), fresh);
+  AnyTile fresh;
+  read_tile(m, k, fresh);
   install(m, k, std::move(fresh));
 }
 
@@ -239,7 +251,8 @@ CompressedBlob TileMatrix::read_spilled(std::size_t m, std::size_t k) const {
       std::fseek(spill_->file, spill_->offset(idx), SEEK_SET) == 0 &&
       std::fread(blob.buf.data.data(), 1, slot.data_bytes, spill_->file) ==
           slot.data_bytes;
-  MPGEO_REQUIRE(read_ok, "TileMatrix::restore: read from backing file failed");
+  MPGEO_REQUIRE(read_ok,
+                "TileMatrix::read_spilled: read from backing file failed");
   return blob;
 }
 

@@ -11,10 +11,13 @@
 // storage format is wider than FP64, so a re-spill overwrites its own slot
 // and the file never exceeds `packed tiles x nb^2 x 8` bytes however often
 // tiles are spilled and restored. Accessing a spilled tile's elements
-// without restoring first is a caller bug; the out-of-core pager
-// (core/shared_pager.hpp) keeps tiles resident exactly while the executor
-// needs them, and `mp_cholesky` without OutOfCoreOptions restores everything
-// up front. Spill/restore are not thread-safe against each other or against
+// through `tile()` without restoring first is a caller bug; `read_tile`
+// returns any tile's values without restoring it (decoding a spilled tile
+// into caller scratch), which is how the norm pass, logdet and forward solve
+// read an out-of-core factor. The out-of-core pager (core/shared_pager.hpp)
+// keeps tiles resident exactly while the executor needs them, and
+// `mp_cholesky` without OutOfCoreOptions restores everything up front.
+// Spill/restore/read_tile are not thread-safe against each other or against
 // tile access — callers (the pager) sequence them under a lock. The
 // read_spilled / install / spill_with split exists so that callers can keep
 // codec work (compress/decompress) outside that lock: only the file and
@@ -47,6 +50,12 @@ struct SpillOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
+/// Frobenius norms of every stored tile and of the whole matrix.
+struct TileNorms {
+  std::vector<double> tiles;  ///< packed lower triangle, m*(m+1)/2+k
+  double global = 0.0;        ///< full symmetric matrix
+};
+
 struct SpillStats {
   std::uint64_t spills = 0;
   std::uint64_t restores = 0;
@@ -64,11 +73,11 @@ class TileMatrix {
   TileMatrix(std::size_t n, std::size_t nb);
 
   /// Copies duplicate the tile values but not the spill tier: spilled source
-  /// tiles are materialized into the copy through the codec (read_spilled +
-  /// decompress) without touching the source's residency set, and the copy
-  /// starts fully resident with spilling disabled. Copying while another
-  /// thread spills/restores the source is a caller bug (no internal lock).
-  /// Moves carry the spill state along.
+  /// tiles are materialized into the copy through read_tile without
+  /// touching the source's residency set, and the copy starts fully
+  /// resident with spilling disabled. Copying while another thread
+  /// spills/restores the source is a caller bug (no internal lock). Moves
+  /// carry the spill state along.
   TileMatrix(const TileMatrix& other);
   /// Assignment follows the copy semantics: the destination's spilled
   /// tiles are forgotten (their slots are free for the next spill) and it
@@ -90,6 +99,14 @@ class TileMatrix {
   AnyTile& tile(std::size_t m, std::size_t k);
   const AnyTile& tile(std::size_t m, std::size_t k) const;
 
+  /// The values of tile (m, k) whatever its residency: the resident tile
+  /// itself, or a spilled tile's blob decoded into `scratch` (re-allocated
+  /// unless it already has the tile's shape and storage). Bit-identical to
+  /// restoring the tile, but never changes residency, the spill file or
+  /// spill_stats().
+  const AnyTile& read_tile(std::size_t m, std::size_t k,
+                           AnyTile& scratch) const;
+
   /// Re-allocate tile (m, k) with the given storage (contents reset to 0).
   /// The tile must be resident when the spill tier is enabled.
   void set_storage(std::size_t m, std::size_t k, Storage s);
@@ -106,8 +123,12 @@ class TileMatrix {
   /// the at-rest footprint, not the resident set (the pager accounts that).
   std::size_t bytes() const;
 
-  /// Frobenius norm of the full symmetric matrix (off-diagonal tiles counted
-  /// twice), used by the Higham–Mary precision rule.
+  /// One pass over the tiles in (m, k) order, spilled tiles read through
+  /// read_tile: each tile's Frobenius norm, and the full symmetric matrix's
+  /// (off-diagonal tiles counted twice) — the inputs of the Higham–Mary
+  /// precision rule and the truncation rule.
+  TileNorms norms() const;
+  /// Frobenius norm of the full symmetric matrix, norms().global.
   double frobenius_norm() const;
 
   /// Materialize the full symmetric matrix in FP64 (tests / small problems).
@@ -131,8 +152,8 @@ class TileMatrix {
   /// The restored payload is bit-identical to what was spilled.
   void restore(std::size_t m, std::size_t k);
   /// Read tile (m, k)'s blob (header + payload bytes) from its slot
-  /// without changing its residency — the copy constructor and the pager's
-  /// off-lock decompress read through this. Throws when not spilled.
+  /// without changing its residency — read_tile and the pager's off-lock
+  /// decompress read through this. Throws when not spilled.
   CompressedBlob read_spilled(std::size_t m, std::size_t k) const;
   /// Install a payload the caller decompressed from read_spilled(m, k) —
   /// the off-lock half of restore(). Marks the tile resident and frees its

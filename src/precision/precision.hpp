@@ -67,8 +67,4 @@ Precision higher_of(Precision a, Precision b);
 /// The less accurate of the two formats.
 Precision lower_of(Precision a, Precision b);
 
-inline bool is_mixed_16(Precision p) {
-  return p == Precision::FP16_32 || p == Precision::BF16_32;
-}
-
 }  // namespace mpgeo

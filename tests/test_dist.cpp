@@ -280,10 +280,10 @@ TEST(ShardedCholeskyTest, BitIdenticalAcrossRanksAndSchedulers) {
     }
   }
 
-  // Without wire rounding the payloads ship at storage width and the result
-  // still matches the unsharded no-rounding run bit for bit.
+  // All-TTC rounds no panel through the wire, so the payloads ship at storage
+  // width and the result still matches the unsharded all-TTC run bit for bit.
   MpCholeskyOptions raw = base;
-  raw.apply_wire_rounding = false;
+  raw.comm.strategy = ConversionStrategy::AllTTC;
   TileMatrix ref_raw = pristine;
   ASSERT_EQ(mp_cholesky(ref_raw, raw).info, 0);
   raw.dist.ranks = 3;

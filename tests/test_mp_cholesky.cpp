@@ -172,9 +172,8 @@ TEST(MpCholesky, WireRoundingOnlyPerturbsWithinUReq) {
   SpdProblem b = random_spd_problem(240, 40, 31);
   MpCholeskyOptions with_wire;
   with_wire.u_req = 1e-4;
-  with_wire.apply_wire_rounding = true;
   MpCholeskyOptions no_wire = with_wire;
-  no_wire.apply_wire_rounding = false;
+  no_wire.comm.strategy = ConversionStrategy::AllTTC;  // no STC panels
   const auto ra = mp_cholesky(a.tiles, with_wire);
   const auto rb = mp_cholesky(b.tiles, no_wire);
   ASSERT_EQ(ra.info, 0);

@@ -3,9 +3,11 @@
 // fully-resident run at every budget x pool size, pager stats sanity (the
 // budget holds to budget + one tile unless a fault takes the overshoot
 // escape), rank-sharded paging (eviction racing the late SEND-side read),
-// the spill file's fixed-slot size bound, and escalation recovery through the
-// copy-from-spilled snapshot path. Labelled tsan: the workers' restores,
-// cold evictions and dead spills race on the pager mutex for real here.
+// the spill file's fixed-slot size bound, reads of a spilled factor in place
+// (logdet, forward solve and both map builders), and escalation recovery
+// through the copy-from-spilled snapshot path. Labelled tsan: the workers'
+// restores, cold evictions and dead spills race on the pager mutex for real
+// here.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,9 +20,12 @@
 #include "common/rng.hpp"
 #include "core/mp_cholesky.hpp"
 #include "core/ooc_pager.hpp"
+#include "core/precision_map.hpp"
+#include "core/shared_pager.hpp"
 #include "core/tile_matrix.hpp"
 #include "core/tiled_covariance.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/operand_cache.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/live_ranges.hpp"
 #include "runtime/task_graph.hpp"
@@ -141,7 +146,7 @@ TEST(OutOfCoreCholeskyTest, BitIdenticalAcrossBudgetsAndSchedulers) {
       opt.ooc.resident_byte_budget = budget;
       const MpCholeskyResult r = mp_cholesky(a, opt);
       ASSERT_EQ(r.info, 0) << "budget=" << budget << " threads=" << threads;
-      // Same precision map (streamed norms == resident norms) and, after
+      // Same precision map (spilled norms == resident norms) and, after
       // restoring the spilled factor, the same bits.
       for (std::size_t m = 0; m < a.num_tiles(); ++m) {
         for (std::size_t k = 0; k <= m; ++k) {
@@ -306,6 +311,89 @@ TEST(SpillSlotTest, FileStaysWithinSlotCapacityAcrossCycles) {
   }
   EXPECT_EQ(a.spill_stats().spilled_bytes, 0u);
   std::remove(sopts.path.c_str());
+}
+
+/// Everything the likelihood and the map builders read comes straight out of
+/// the spill file: on a spilled factor, logdet, forward solve (with and
+/// without an operand cache), the precision map and the truncation map equal
+/// the resident copy's bit for bit, no tile is restored or re-spilled, and
+/// a shared pager whose budget is one tile sees at most one tile leased.
+TEST(SpilledReadTest, LogdetSolveAndMapsReadTheFactorInPlace) {
+  const std::size_t n = 160, nb = 32;
+  TileMatrix a = random_spd_problem(n, nb, 23);
+  MpCholeskyOptions opt;
+  opt.u_req = 1e-4;
+  opt.num_threads = 2;
+  const MpCholeskyResult r = mp_cholesky(a, opt);
+  ASSERT_EQ(r.info, 0);
+  const TileMatrix resident = a;
+
+  SpillOptions sopts;
+  sopts.enabled = true;
+  a.enable_spill(sopts);
+  a.spill_all();
+  const SpillStats before = a.spill_stats();
+  std::size_t max_tile = 0;
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      max_tile = std::max(max_tile, a.tile(m, k).bytes());
+    }
+  }
+  SharedPagerOptions popts;
+  popts.resident_byte_budget = max_tile;
+  SharedOocPager pager(popts);
+
+  const auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  const double logdet = logdet_tiled(resident);
+  EXPECT_TRUE(same_bits(logdet_tiled(a), logdet));
+  EXPECT_TRUE(same_bits(logdet_tiled(a, &pager), logdet));
+
+  Rng rng(5);
+  std::vector<double> z(n);
+  for (double& v : z) v = rng.normal();
+  std::vector<double> y_ref = z;
+  forward_solve_tiled(resident, y_ref);
+  std::vector<double> y = z;
+  forward_solve_tiled(a, y, nullptr, &pager);
+  EXPECT_EQ(std::memcmp(y.data(), y_ref.data(), n * sizeof(double)), 0);
+  // Decoded tiles bypass the cache: scratch addresses are no tile identity.
+  OperandCache cache;
+  std::vector<double> y_cached = z;
+  forward_solve_tiled(a, y_cached, &cache, &pager);
+  EXPECT_EQ(std::memcmp(y_cached.data(), y_ref.data(), n * sizeof(double)),
+            0);
+  EXPECT_EQ(cache.stats().misses, 0u);
+
+  const PrecisionMap pmap =
+      build_precision_map(a, opt.u_req, default_precision_ladder());
+  const PrecisionMap pmap_ref =
+      build_precision_map(resident, opt.u_req, default_precision_ladder());
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      EXPECT_EQ(pmap.kernel(m, k), pmap_ref.kernel(m, k));
+    }
+  }
+  EXPECT_EQ(build_truncation_map(a, r.pmap, opt.u_req),
+            build_truncation_map(resident, r.pmap, opt.u_req));
+  EXPECT_TRUE(same_bits(a.frobenius_norm(), resident.frobenius_norm()));
+
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      EXPECT_TRUE(a.spilled(m, k)) << "(" << m << "," << k << ")";
+    }
+  }
+  const SpillStats after = a.spill_stats();
+  EXPECT_EQ(after.spills, before.spills);
+  EXPECT_EQ(after.restores, before.restores);
+  EXPECT_EQ(after.spilled_bytes, before.spilled_bytes);
+  EXPECT_EQ(after.file_bytes, before.file_bytes);
+
+  const SharedPagerStats leased = pager.stats();
+  EXPECT_EQ(leased.resident_bytes, 0u);
+  EXPECT_GT(leased.peak_resident_bytes, 0u);
+  EXPECT_LE(leased.peak_resident_bytes, max_tile);
 }
 
 /// Escalation + out-of-core: a mid-run breakdown aborts the attempt with

@@ -449,7 +449,7 @@ void factor_serially(TileMatrix& a, const MpCholeskyOptions& opts,
     for (std::size_t m = k + 1; m < nt; ++m) {
       trsm_tile(pmap.trsm_precision(m, k), TileOperand{&a.tile(k, k)},
                 a.tile(m, k), cache);
-      if (opts.apply_wire_rounding && cmap.uses_stc(m, k, pmap))
+      if (cmap.uses_stc(m, k, pmap))
         a.tile(m, k).round_through_wire(wire_storage(cmap.comm(m, k)));
     }
     for (std::size_t m = k + 1; m < nt; ++m)
