@@ -19,14 +19,24 @@ using namespace mpgeo;
 
 namespace {
 
+/// C := A * B at `prec` for n x n A and B, through the packs the tile
+/// kernels consume.
+template <class T>
+void product(Precision prec, std::size_t n, const std::vector<double>& a,
+             const std::vector<double>& b, std::vector<double>& c) {
+  std::vector<T> ap, bp;
+  pack_gemm_operand('N', n, n, a.data(), n, prec, ap);
+  pack_gemm_operand('T', n, n, b.data(), n, prec, bp);
+  mixed_gemm_packed(prec, n, n, n, 1.0, ap.data(), bp.data(), 0.0, c.data(),
+                    n);
+}
+
 double gemm_relative_error(Precision prec, std::size_t n, Rng& rng) {
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0), ref(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(0.0, 1.0);
   for (auto& x : b) x = rng.uniform(0.0, 1.0);
-  mixed_gemm(Precision::FP64, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
-             0.0, ref.data(), n);
-  mixed_gemm(prec, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-             c.data(), n);
+  product<double>(Precision::FP64, n, a, b, ref);
+  product<float>(prec, n, a, b, c);
   double num = 0, den = 0;
   for (std::size_t i = 0; i < n * n; ++i) {
     num += (c[i] - ref[i]) * (c[i] - ref[i]);

@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks of the CPU substrate itself: emulated
-// mixed-precision GEMM and the TRSM/SYRK tile kernels, format conversions,
-// Bessel K_nu, covariance tile generation and the task-graph machinery.
-// These measure *this library's* throughput (the numeric path accuracy
-// experiments run through), not the simulated GPUs. Kernel rows report
-// FLOP/s as items_per_second and are labelled with the kernel variant that
-// ran (precision/simd_kernels.hpp); nb = 256 is the factor-sqexp tile.
+// mixed-precision GEMM and the TRSM/SYRK/POTRF tile kernels, format
+// conversions, Bessel K_nu, covariance tile generation and the task-graph
+// machinery. These measure *this library's* throughput (the numeric path
+// accuracy experiments run through), not the simulated GPUs. Kernel rows
+// report FLOP/s as items_per_second, run once per kernel variant the CPU
+// offers (precision/simd_kernels.hpp) and are named and labelled with it;
+// nb = 256 is the factor-sqexp tile.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,36 +28,46 @@ namespace {
 
 using namespace mpgeo;
 
-void BM_MixedGemm(benchmark::State& state) {
-  const auto prec = static_cast<Precision>(state.range(0));
-  const std::size_t n = std::size_t(state.range(1));
+// The tile kernels, registered in main() once per kernel variant this CPU
+// runs (the name's second field), so every variant's rate comes from one
+// binary on one host.
+
+/// The trailing update C -= A * B^T (nb x nb, k = nb) on operands packed
+/// once up front, as the operand cache hands them to gemm_tile.
+template <class T>
+void gemm_bench(benchmark::State& state, KernelVariant v, Precision prec) {
+  const std::size_t n = std::size_t(state.range(0));
   Rng rng(1);
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(-1, 1);
   for (auto& x : b) x = rng.uniform(-1, 1);
+  std::vector<T> ap, bp;
+  pack_gemm_operand('N', n, n, a.data(), n, prec, ap);
+  pack_gemm_operand('N', n, n, b.data(), n, prec, bp);
   for (auto _ : state) {
-    mixed_gemm(prec, 'N', 'T', n, n, n, -1.0, a.data(), n, b.data(), n, 1.0,
-               c.data(), n);
+    mixed_gemm_packed(v, prec, n, n, n, -1.0, ap.data(), bp.data(), 1.0,
+                      c.data(), n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(2 * n * n * n));
-  state.SetLabel(to_string(active_kernel_variant()));
+  state.SetLabel(to_string(v));
 }
-BENCHMARK(BM_MixedGemm)
-    ->Args({int(Precision::FP64), 128})
-    ->Args({int(Precision::FP32), 128})
-    ->Args({int(Precision::FP16_32), 128})
-    ->Args({int(Precision::FP16), 128})
-    ->Args({int(Precision::FP64), 256})
-    ->Args({int(Precision::FP32), 256})
-    ->Args({int(Precision::FP16_32), 256})
-    ->Args({int(Precision::FP16), 256});
 
-// The tile Cholesky's panel solve X * L^T = B (nb x nb), at FP64 (arg 0) and
-// FP32 (arg 1). B is restored from a pristine copy every iteration so the
-// repeated in-place solves never drift into subnormals.
+void BM_MixedGemm(benchmark::State& state, KernelVariant v, Precision prec) {
+  if (prec == Precision::FP64) {
+    gemm_bench<double>(state, v, prec);
+  } else {
+    gemm_bench<float>(state, v, prec);
+  }
+}
+
+// The tile Cholesky's panel solve X * L^T = B (nb x nb). B is restored from
+// a pristine copy every iteration so the repeated in-place solves never
+// drift into subnormals.
 template <class T>
-void trsm_bench(benchmark::State& state, std::size_t n) {
+void BM_Trsm(benchmark::State& state, KernelVariant v) {
+  const std::size_t n = std::size_t(state.range(0));
   std::vector<T> l(n * n, T(0)), b0(n * n);
   Rng rng(4);
   for (std::size_t j = 0; j < n; ++j) {
@@ -67,41 +79,84 @@ void trsm_bench(benchmark::State& state, std::size_t n) {
   std::vector<T> b = b0;
   for (auto _ : state) {
     std::copy(b0.begin(), b0.end(), b.begin());
-    trsm_right_lower_trans<T>(n, n, T(1), l.data(), n, b.data(), n);
+    trsm_right_lower_trans(v, n, n, T(1), l.data(), n, b.data(), n);
     benchmark::DoNotOptimize(b.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n * n * n));
-  state.SetLabel(to_string(active_kernel_variant()));
+  state.SetLabel(to_string(v));
 }
-
-void BM_Trsm(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(1));
-  if (state.range(0) == 0) {
-    trsm_bench<double>(state, n);
-  } else {
-    trsm_bench<float>(state, n);
-  }
-}
-BENCHMARK(BM_Trsm)->Args({0, 128})->Args({1, 128})->Args({0, 256})->Args(
-    {1, 256});
 
 // The tile Cholesky's diagonal update C -= A * A^T (FP64, nb x nb, k = nb).
-void BM_Syrk(benchmark::State& state) {
+void BM_Syrk(benchmark::State& state, KernelVariant v) {
   const std::size_t n = std::size_t(state.range(0));
   Rng rng(5);
   std::vector<double> a(n * n), c(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(-1, 1);
   for (auto _ : state) {
-    syrk_lower_notrans<double>(n, n, -1.0, a.data(), n, 1.0, c.data(), n);
+    syrk_lower_notrans(v, n, n, -1.0, a.data(), n, 1.0, c.data(), n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(n * (n + 1) * n));
-  state.SetLabel(to_string(active_kernel_variant()));
+  state.SetLabel(to_string(v));
 }
-BENCHMARK(BM_Syrk)->Arg(128)->Arg(256);
+
+// The tile Cholesky's diagonal factorization (FP64, nb x nb): n^3/3 flops.
+// The SPD input is copied back every iteration (n^2 copies, inside the
+// timing).
+void BM_Potrf(benchmark::State& state, KernelVariant v) {
+  const std::size_t n = std::size_t(state.range(0));
+  Rng rng(6);
+  std::vector<double> a0(n * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j; i < n; ++i) {
+      const double x = i == j ? rng.uniform(1.0, 2.0)
+                              : rng.uniform(-1.0, 1.0) / double(n);
+      a0[i + j * n] = x;
+      a0[j + i * n] = x;
+    }
+  }
+  std::vector<double> a = a0;
+  for (auto _ : state) {
+    std::copy(a0.begin(), a0.end(), a.begin());
+    benchmark::DoNotOptimize(potrf_lower(v, n, a.data(), n));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n * n * n / 3));
+  state.SetLabel(to_string(v));
+}
+
+void register_kernel_benchmarks() {
+  for (const KernelVariant v : {KernelVariant::Portable, KernelVariant::Avx2,
+                                KernelVariant::Avx512}) {
+    if (!kernel_variant_available(v)) continue;
+    const std::string tag = to_string(v);
+    for (const Precision p : {Precision::FP64, Precision::FP32,
+                              Precision::FP16_32, Precision::FP16}) {
+      benchmark::RegisterBenchmark(
+          ("BM_MixedGemm/" + tag + "/" + to_string(p)).c_str(), BM_MixedGemm,
+          v, p)
+          ->Arg(128)
+          ->Arg(256);
+    }
+    benchmark::RegisterBenchmark(("BM_Trsm/" + tag + "/FP64").c_str(),
+                                 BM_Trsm<double>, v)
+        ->Arg(128)
+        ->Arg(256);
+    benchmark::RegisterBenchmark(("BM_Trsm/" + tag + "/FP32").c_str(),
+                                 BM_Trsm<float>, v)
+        ->Arg(128)
+        ->Arg(256);
+    benchmark::RegisterBenchmark(("BM_Syrk/" + tag).c_str(), BM_Syrk, v)
+        ->Arg(128)
+        ->Arg(256);
+    benchmark::RegisterBenchmark(("BM_Potrf/" + tag).c_str(), BM_Potrf, v)
+        ->Arg(128)
+        ->Arg(256);
+  }
+}
 
 void BM_ConvertFp64ToFp16(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
@@ -193,4 +248,11 @@ BENCHMARK(BM_MpCholeskyNumeric)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecon
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  register_kernel_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

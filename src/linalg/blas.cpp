@@ -9,9 +9,13 @@
 
 namespace mpgeo {
 
+namespace {
+
+// The scalar loops: KernelVariant::Portable, the fallback on CPUs without
+// AVX2/FMA/F16C and the oracle the vector kernels are tested against.
+
 template <class T>
-int potrf_lower(std::size_t n, T* a, std::size_t lda) {
-  MPGEO_REQUIRE(lda >= n || n == 0, "potrf: lda too small");
+int potrf_loop(std::size_t n, T* a, std::size_t lda) {
   for (std::size_t j = 0; j < n; ++j) {
     // a(j,j) -= sum_{p<j} a(j,p)^2
     T diag = a[j + j * lda];
@@ -28,18 +32,13 @@ int potrf_lower(std::size_t n, T* a, std::size_t lda) {
   return 0;
 }
 
-namespace portable {
-
 template <class T>
-void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
-                            std::size_t ldl, T* b, std::size_t ldb) {
-  MPGEO_REQUIRE(ldl >= n || n == 0, "trsm: ldl too small");
-  MPGEO_REQUIRE(ldb >= m || m == 0, "trsm: ldb too small");
+void trsm_loop(std::size_t m, std::size_t n, T alpha, const T* l,
+               std::size_t ldl, T* b, std::size_t ldb) {
   // X L^T = B  =>  for j = 0..n-1:
   //   X(:,j) = (alpha*B(:,j) - sum_{p<j} X(:,p)*L(j,p)) / L(j,j)
   for (std::size_t j = 0; j < n; ++j) {
     const T ljj = l[j + j * ldl];
-    MPGEO_REQUIRE(ljj != T{0}, "trsm: singular triangular factor");
     for (std::size_t i = 0; i < m; ++i) {
       T v = alpha * b[i + j * ldb];
       for (std::size_t p = 0; p < j; ++p) v -= b[i + p * ldb] * l[j + p * ldl];
@@ -48,14 +47,11 @@ void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
   }
 }
 
-template <class T>
-void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
-                        std::size_t lda, T beta, T* c, std::size_t ldc) {
-  MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
-  MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
+void syrk_loop(std::size_t n, std::size_t k, double alpha, const double* a,
+               std::size_t lda, double beta, double* c, std::size_t ldc) {
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t i = j; i < n; ++i) {
-      T acc{};
+      double acc = 0.0;
       for (std::size_t p = 0; p < k; ++p)
         acc += a[i + p * lda] * a[j + p * lda];
       c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
@@ -63,20 +59,81 @@ void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
   }
 }
 
-}  // namespace portable
+void require_available(KernelVariant v) {
+  MPGEO_REQUIRE(kernel_variant_available(v),
+                "kernel variant not available on this CPU");
+}
+
+}  // namespace
+
+int potrf_lower(KernelVariant v, std::size_t n, double* a, std::size_t lda) {
+  require_available(v);
+  MPGEO_REQUIRE(lda >= n || n == 0, "potrf: lda too small");
+  switch (v) {
+    case KernelVariant::Avx512: return avx512::potrf_lower(n, a, lda);
+    case KernelVariant::Avx2: return avx2::potrf_lower(n, a, lda);
+    case KernelVariant::Portable: break;
+  }
+  return potrf_loop(n, a, lda);
+}
 
 template <class T>
-void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
-                            std::size_t ldl, T* b, std::size_t ldb) {
-  if (active_kernel_variant() != KernelVariant::Avx2) {
-    return portable::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
+int potrf_lower(std::size_t n, T* a, std::size_t lda) {
+  if constexpr (std::is_same_v<T, double>) {
+    return potrf_lower(active_kernel_variant(), n, a, lda);
+  } else {
+    MPGEO_REQUIRE(lda >= n || n == 0, "potrf: lda too small");
+    return potrf_loop(n, a, lda);
   }
+}
+
+template <class T>
+void trsm_right_lower_trans(KernelVariant v, std::size_t m, std::size_t n,
+                            T alpha, const T* l, std::size_t ldl, T* b,
+                            std::size_t ldb) {
+  require_available(v);
   MPGEO_REQUIRE(ldl >= n || n == 0, "trsm: ldl too small");
   MPGEO_REQUIRE(ldb >= m || m == 0, "trsm: ldb too small");
   for (std::size_t j = 0; j < n; ++j) {
     MPGEO_REQUIRE(l[j + j * ldl] != T{0}, "trsm: singular triangular factor");
   }
-  avx2::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
+  switch (v) {
+    case KernelVariant::Avx512:
+      return avx512::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
+    case KernelVariant::Avx2:
+      return avx2::trsm_right_lower_trans(m, n, alpha, l, ldl, b, ldb);
+    case KernelVariant::Portable:
+      return trsm_loop(m, n, alpha, l, ldl, b, ldb);
+  }
+}
+
+template <class T>
+void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
+                            std::size_t ldl, T* b, std::size_t ldb) {
+  trsm_right_lower_trans(active_kernel_variant(), m, n, alpha, l, ldl, b, ldb);
+}
+
+void syrk_lower_notrans(KernelVariant v, std::size_t n, std::size_t k,
+                        double alpha, const double* a, std::size_t lda,
+                        double beta, double* c, std::size_t ldc) {
+  require_available(v);
+  MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
+  MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
+  switch (v) {
+    case KernelVariant::Avx512:
+      return avx512::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
+    case KernelVariant::Avx2:
+      return avx2::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
+    case KernelVariant::Portable:
+      return syrk_loop(n, k, alpha, a, lda, beta, c, ldc);
+  }
+}
+
+void syrk_lower_notrans(std::size_t n, std::size_t k, double alpha,
+                        const double* a, std::size_t lda, double beta,
+                        double* c, std::size_t ldc) {
+  syrk_lower_notrans(active_kernel_variant(), n, k, alpha, a, lda, beta, c,
+                     ldc);
 }
 
 template <class T>
@@ -111,19 +168,6 @@ void trsm_left_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
       x[ii + j * ldx] = v / lii;
     }
   }
-}
-
-template <class T>
-void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
-                        std::size_t lda, T beta, T* c, std::size_t ldc) {
-  if constexpr (std::is_same_v<T, double>) {
-    if (active_kernel_variant() == KernelVariant::Avx2) {
-      MPGEO_REQUIRE(lda >= n || n == 0, "syrk: lda too small");
-      MPGEO_REQUIRE(ldc >= n || n == 0, "syrk: ldc too small");
-      return avx2::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
-    }
-  }
-  portable::syrk_lower_notrans(n, k, alpha, a, lda, beta, c, ldc);
 }
 
 // Packed + register-tiled GEMM below. Each output element keeps one
@@ -282,14 +326,15 @@ void symmetrize_from_lower(std::size_t n, T* a, std::size_t lda) {
   template void trsm_right_lower_trans<T>(std::size_t, std::size_t, T,         \
                                           const T*, std::size_t, T*,           \
                                           std::size_t);                        \
+  template void trsm_right_lower_trans<T>(KernelVariant, std::size_t,          \
+                                          std::size_t, T, const T*,            \
+                                          std::size_t, T*, std::size_t);       \
   template void trsm_left_lower_notrans<T>(std::size_t, std::size_t, T,        \
                                            const T*, std::size_t, T*,          \
                                            std::size_t);                       \
   template void trsm_left_lower_trans<T>(std::size_t, std::size_t, T,          \
                                          const T*, std::size_t, T*,            \
                                          std::size_t);                         \
-  template void syrk_lower_notrans<T>(std::size_t, std::size_t, T, const T*,   \
-                                      std::size_t, T, T*, std::size_t);        \
   template void gemm<T>(char, char, std::size_t, std::size_t, std::size_t, T,  \
                         const T*, std::size_t, const T*, std::size_t, T, T*,   \
                         std::size_t);                                          \
@@ -303,15 +348,5 @@ void symmetrize_from_lower(std::size_t n, T* a, std::size_t lda) {
 MPGEO_INSTANTIATE(double)
 MPGEO_INSTANTIATE(float)
 #undef MPGEO_INSTANTIATE
-
-#define MPGEO_INSTANTIATE_PORTABLE(T)                                          \
-  template void portable::trsm_right_lower_trans<T>(                           \
-      std::size_t, std::size_t, T, const T*, std::size_t, T*, std::size_t);    \
-  template void portable::syrk_lower_notrans<T>(                               \
-      std::size_t, std::size_t, T, const T*, std::size_t, T, T*, std::size_t);
-
-MPGEO_INSTANTIATE_PORTABLE(double)
-MPGEO_INSTANTIATE_PORTABLE(float)
-#undef MPGEO_INSTANTIATE_PORTABLE
 
 }  // namespace mpgeo

@@ -11,11 +11,17 @@
 
 #include <cstddef>
 
+#include "precision/simd_kernels.hpp"
+
 namespace mpgeo {
 
 /// In-place lower Cholesky of the leading n x n block (ld-strided, column
 /// major). Returns 0 on success, or 1-based index of the first non-positive
-/// pivot (matching LAPACK dpotrf's info).
+/// pivot (matching LAPACK dpotrf's info); the columns before it are then
+/// factored, it and the later ones untouched. Per element, for columns j
+/// ascending: v = a(i,j); v = v - L(i,p)*L(j,p) for p ascending; the pivot
+/// is v at i = j, L(j,j) = sqrt(pivot) and L(i,j) = v / L(j,j) below it.
+/// Runs active_kernel_variant() for double, the portable loop for float.
 template <class T>
 int potrf_lower(std::size_t n, T* a, std::size_t lda);
 
@@ -40,13 +46,13 @@ template <class T>
 void trsm_left_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
                            std::size_t ldl, T* x, std::size_t ldx);
 
-/// Lower triangle of C := alpha * A * A^T + beta * C; A is n x k, C n x n.
-/// Per element: acc = acc + a(i,p)*a(j,p) for p ascending from 0, then
-/// alpha*acc + beta*c. Runs active_kernel_variant() for double, the
-/// portable loop for float.
-template <class T>
-void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
-                        std::size_t lda, T beta, T* c, std::size_t ldc);
+/// Lower triangle of C := alpha * A * A^T + beta * C; A is n x k, C n x n,
+/// in double (the tile Cholesky's SYRK is the paper's DSYRK). Per element:
+/// acc = acc + a(i,p)*a(j,p) for p ascending from 0, then alpha*acc +
+/// beta*c. Runs active_kernel_variant().
+void syrk_lower_notrans(std::size_t n, std::size_t k, double alpha,
+                        const double* a, std::size_t lda, double beta,
+                        double* c, std::size_t ldc);
 
 /// C := alpha * op(A) * op(B) + beta * C (column major, full storage).
 template <class T>
@@ -71,16 +77,19 @@ double frobenius_norm(std::size_t m, std::size_t n, const T* a, std::size_t lda)
 template <class T>
 void symmetrize_from_lower(std::size_t n, T* a, std::size_t lda);
 
-// The textbook loops behind trsm_right_lower_trans and syrk_lower_notrans:
-// one accumulator per output, the fallback on CPUs without AVX2/FMA/F16C
-// and the oracle the vector kernels are tested against.
-namespace portable {
+// potrf_lower (double), trsm_right_lower_trans and syrk_lower_notrans on
+// kernel variant `v`, which must be available on this CPU
+// (kernel_variant_available). KernelVariant::Portable is the scalar loop:
+// the fallback, and the oracle the vector kernels are tested against. Tests
+// and benchmarks run every variant through these; the functions above run
+// active_kernel_variant().
+int potrf_lower(KernelVariant v, std::size_t n, double* a, std::size_t lda);
 template <class T>
-void trsm_right_lower_trans(std::size_t m, std::size_t n, T alpha, const T* l,
-                            std::size_t ldl, T* b, std::size_t ldb);
-template <class T>
-void syrk_lower_notrans(std::size_t n, std::size_t k, T alpha, const T* a,
-                        std::size_t lda, T beta, T* c, std::size_t ldc);
-}  // namespace portable
+void trsm_right_lower_trans(KernelVariant v, std::size_t m, std::size_t n,
+                            T alpha, const T* l, std::size_t ldl, T* b,
+                            std::size_t ldb);
+void syrk_lower_notrans(KernelVariant v, std::size_t n, std::size_t k,
+                        double alpha, const double* a, std::size_t lda,
+                        double beta, double* c, std::size_t ldc);
 
 }  // namespace mpgeo

@@ -43,7 +43,7 @@ double quadratic_form(const Matrix<double>& l, const std::vector<double>& z) {
 Matrix<double> multiply_llt(const Matrix<double>& l) {
   const std::size_t n = l.rows();
   Matrix<double> out(n, n);
-  syrk_lower_notrans<double>(n, n, 1.0, l.data(), l.ld(), 0.0, out.data(),
+  syrk_lower_notrans(n, n, 1.0, l.data(), l.ld(), 0.0, out.data(),
                              out.ld());
   symmetrize_from_lower<double>(n, out.data(), out.ld());
   return out;

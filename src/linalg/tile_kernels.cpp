@@ -67,7 +67,7 @@ void syrk_tile(TileOperand cmk, AnyTile& cmm, OperandCache* cache) {
       cached_operand(cache, *cmk.tile, cmk.version, Precision::FP64);
   auto& c = c_scratch(n * n);
   cmm.to_double(c);
-  syrk_lower_notrans<double>(n, k, -1.0, a->data(), n, 1.0, c.data(), n);
+  syrk_lower_notrans(n, k, -1.0, a->data(), n, 1.0, c.data(), n);
   symmetrize_from_lower<double>(n, c.data(), n);
   cmm.from_double(c);
 }

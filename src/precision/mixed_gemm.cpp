@@ -123,43 +123,32 @@ bool packed_args_ok(Precision prec, std::size_t m, std::size_t n,
 }
 
 template <class T>
-void dispatch_packed(Precision prec, std::size_t m, std::size_t n,
-                     std::size_t k, double alpha, const T* a, const T* b,
-                     double beta, double* c, std::size_t ldc) {
+void run_packed(KernelVariant v, Precision prec, std::size_t m, std::size_t n,
+                std::size_t k, double alpha, const T* a, const T* b,
+                double beta, double* c, std::size_t ldc) {
+  MPGEO_REQUIRE(kernel_variant_available(v),
+                "mixed_gemm_packed: kernel variant not available on this CPU");
   if (!packed_args_ok<T>(prec, m, n, ldc)) return;
-  if (active_kernel_variant() == KernelVariant::Avx2) {
-    avx2::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
-  } else {
-    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
+  switch (v) {
+    case KernelVariant::Avx512:
+      return avx512::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c,
+                                       ldc);
+    case KernelVariant::Avx2:
+      return avx2::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
+    case KernelVariant::Portable:
+      return portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
   }
 }
 
 }  // namespace
 
-namespace portable {
-
-void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, const double* a,
-                       const double* b, double beta, double* c,
-                       std::size_t ldc) {
-  if (packed_args_ok<double>(prec, m, n, ldc))
-    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
-}
-
-void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, const float* a,
-                       const float* b, double beta, double* c,
-                       std::size_t ldc) {
-  if (packed_args_ok<float>(prec, m, n, ldc))
-    portable_gemm(prec, m, n, k, alpha, a, b, beta, c, ldc);
-}
-
-}  // namespace portable
-
 template <class T>
 void pack_gemm_operand(char trans, std::size_t rows, std::size_t k,
                        const double* x, std::size_t ldx, Precision prec,
                        std::vector<T>& out) {
+  MPGEO_REQUIRE(trans == 'N' || trans == 'T', "pack_gemm_operand: bad trans");
+  MPGEO_REQUIRE(ldx >= (trans == 'N' ? rows : k),
+                "pack_gemm_operand: ldx too small");
   out.resize(rows * k);
   if (trans == 'N') {
     for (std::size_t p = 0; p < k; ++p)
@@ -185,54 +174,30 @@ void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
                        std::size_t k, double alpha, const double* a,
                        const double* b, double beta, double* c,
                        std::size_t ldc) {
-  dispatch_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
+  run_packed(active_kernel_variant(), prec, m, n, k, alpha, a, b, beta, c,
+             ldc);
 }
 
 void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
                        std::size_t k, double alpha, const float* a,
                        const float* b, double beta, double* c,
                        std::size_t ldc) {
-  dispatch_packed(prec, m, n, k, alpha, a, b, beta, c, ldc);
+  run_packed(active_kernel_variant(), prec, m, n, k, alpha, a, b, beta, c,
+             ldc);
 }
 
-namespace {
-
-template <class T>
-void pack_and_multiply(Precision prec, char transa, char transb,
-                       std::size_t m, std::size_t n, std::size_t k,
-                       double alpha, const double* a, std::size_t lda,
-                       const double* b, std::size_t ldb, double beta,
+void mixed_gemm_packed(KernelVariant v, Precision prec, std::size_t m,
+                       std::size_t n, std::size_t k, double alpha,
+                       const double* a, const double* b, double beta,
                        double* c, std::size_t ldc) {
-  // Grow-only thread-local scratch: tile kernels call this once per task on
-  // a worker thread, and reallocating the pack buffers per call dominated
-  // small-tile runtime. resize() never shrinks capacity, so each worker
-  // settles at its largest tile and stops touching the allocator.
-  thread_local std::vector<T> ap, bp;
-  pack_gemm_operand(transa, m, k, a, lda, prec, ap);
-  // op(B)^T is B itself for transb == 'T' and B^T for 'N'.
-  pack_gemm_operand(transb == 'N' ? 'T' : 'N', n, k, b, ldb, prec, bp);
-  mixed_gemm_packed(prec, m, n, k, alpha, ap.data(), bp.data(), beta, c, ldc);
+  run_packed(v, prec, m, n, k, alpha, a, b, beta, c, ldc);
 }
 
-}  // namespace
-
-void mixed_gemm(Precision prec, char transa, char transb, std::size_t m,
-                std::size_t n, std::size_t k, double alpha, const double* a,
-                std::size_t lda, const double* b, std::size_t ldb, double beta,
-                double* c, std::size_t ldc) {
-  MPGEO_REQUIRE(transa == 'N' || transa == 'T', "mixed_gemm: bad transa");
-  MPGEO_REQUIRE(transb == 'N' || transb == 'T', "mixed_gemm: bad transb");
-  MPGEO_REQUIRE(lda >= (transa == 'N' ? m : k), "mixed_gemm: lda too small");
-  MPGEO_REQUIRE(ldb >= (transb == 'N' ? k : n), "mixed_gemm: ldb too small");
-  MPGEO_REQUIRE(ldc >= m, "mixed_gemm: ldc too small");
-  if (m == 0 || n == 0) return;
-  if (prec == Precision::FP64) {
-    pack_and_multiply<double>(prec, transa, transb, m, n, k, alpha, a, lda, b,
-                              ldb, beta, c, ldc);
-  } else {
-    pack_and_multiply<float>(prec, transa, transb, m, n, k, alpha, a, lda, b,
-                             ldb, beta, c, ldc);
-  }
+void mixed_gemm_packed(KernelVariant v, Precision prec, std::size_t m,
+                       std::size_t n, std::size_t k, double alpha,
+                       const float* a, const float* b, double beta, double* c,
+                       std::size_t ldc) {
+  run_packed(v, prec, m, n, k, alpha, a, b, beta, c, ldc);
 }
 
 double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {

@@ -1,7 +1,9 @@
 // Emulation of tensor-core GEMM numerics on CPU.
 //
-// Computes C = alpha * op(A) * op(B) + beta * C on column-major buffers with
-// the rounding semantics of each Precision:
+// Computes C = alpha * op(A) * op(B) + beta * C on column-major buffers
+// (pack_gemm_operand lays out and input-rounds op(A) and op(B)^T,
+// mixed_gemm_packed multiplies them) with the rounding semantics of each
+// Precision:
 //
 //   FP64     — IEEE double throughout.
 //   FP32     — inputs, products and accumulation in IEEE float.
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "precision/precision.hpp"
+#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 
@@ -70,29 +73,20 @@ void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
                        const float* b, double beta, double* c,
                        std::size_t ldc);
 
-/// Emulated-precision GEMM, column-major. op(X) selected by trans flags
-/// ('N' or 'T'). Dimensions: C is m x n, op(A) m x k, op(B) k x n.
-/// lda/ldb/ldc are leading dimensions of the stored (untransposed) buffers.
-void mixed_gemm(Precision prec, char transa, char transb, std::size_t m,
-                std::size_t n, std::size_t k, double alpha, const double* a,
-                std::size_t lda, const double* b, std::size_t ldb, double beta,
-                double* c, std::size_t ldc);
+/// mixed_gemm_packed on kernel variant `v`, which must be available on this
+/// CPU (kernel_variant_available). Tests and benchmarks run every variant
+/// through these; the overloads above run active_kernel_variant().
+void mixed_gemm_packed(KernelVariant v, Precision prec, std::size_t m,
+                       std::size_t n, std::size_t k, double alpha,
+                       const double* a, const double* b, double beta,
+                       double* c, std::size_t ldc);
+void mixed_gemm_packed(KernelVariant v, Precision prec, std::size_t m,
+                       std::size_t n, std::size_t k, double alpha,
+                       const float* a, const float* b, double beta, double* c,
+                       std::size_t ldc);
 
 /// Number of flops a GEMM of these dimensions performs (2mnk + 2mn for the
 /// beta/alpha application), used by benchmarks.
 double gemm_flops(std::size_t m, std::size_t n, std::size_t k);
-
-// The portable variant behind mixed_gemm_packed, for tests and benchmarks
-// that run it explicitly (simd_kernels.hpp declares the AVX2 one).
-namespace portable {
-void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, const double* a,
-                       const double* b, double beta, double* c,
-                       std::size_t ldc);
-void mixed_gemm_packed(Precision prec, std::size_t m, std::size_t n,
-                       std::size_t k, double alpha, const float* a,
-                       const float* b, double beta, double* c,
-                       std::size_t ldc);
-}  // namespace portable
 
 }  // namespace mpgeo

@@ -1,23 +1,21 @@
-// Tests for src/linalg: BLAS kernels vs naive oracles (TRSM and SYRK bit
-// for bit, for every kernel variant the CPU offers), Cholesky reference,
+// Tests for src/linalg: BLAS kernels vs naive oracles (TRSM, SYRK and POTRF
+// bit for bit, for every kernel variant the CPU offers), Cholesky reference,
 // AnyTile storage semantics, tile kernels against dense equivalents.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "kernel_test_util.hpp"
 #include "linalg/anytile.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/reference.hpp"
 #include "linalg/tile_kernels.hpp"
 #include "precision/convert.hpp"
-#include "precision/simd_kernels.hpp"
 
 namespace mpgeo {
 namespace {
@@ -28,7 +26,7 @@ Matrix<double> random_spd(std::size_t n, Rng& rng) {
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < n; ++i) b(i, j) = rng.uniform(-1.0, 1.0);
   Matrix<double> a(n, n);
-  syrk_lower_notrans<double>(n, n, 1.0, b.data(), n, 0.0, a.data(), n);
+  syrk_lower_notrans(n, n, 1.0, b.data(), n, 0.0, a.data(), n);
   symmetrize_from_lower<double>(n, a.data(), n);
   for (std::size_t i = 0; i < n; ++i) a(i, i) += double(n);
   return a;
@@ -98,7 +96,7 @@ TEST(Blas, SyrkMatchesGemmWithTranspose) {
   for (std::size_t j = 0; j < k; ++j)
     for (std::size_t i = 0; i < n; ++i) a(i, j) = rng.uniform(-1, 1);
   Matrix<double> c1(n, n), c2(n, n);
-  syrk_lower_notrans<double>(n, k, 1.0, a.data(), n, 0.0, c1.data(), n);
+  syrk_lower_notrans(n, k, 1.0, a.data(), n, 0.0, c1.data(), n);
   symmetrize_from_lower<double>(n, c1.data(), n);
   gemm<double>('N', 'T', n, n, k, 1.0, a.data(), n, a.data(), n, 0.0,
                c2.data(), n);
@@ -130,14 +128,8 @@ TEST(Blas, FloatInstantiationWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// TRSM and SYRK variants vs their textbook loops, bit for bit
+// TRSM, SYRK and POTRF variants vs their scalar loops, bit for bit
 // ---------------------------------------------------------------------------
-
-template <class T>
-bool same_bits(T a, T b) {
-  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 /// The TRSM textbook loop: v = alpha*b; v = v - x(i,p)*L(j,p), p ascending;
 /// x(i,j) = v / L(j,j).
@@ -157,14 +149,13 @@ void trsm_oracle(std::size_t m, std::size_t n, T alpha, const T* l,
 }
 
 /// The SYRK textbook loop over the lower triangle.
-template <class T>
-void syrk_oracle(std::size_t n, std::size_t k, T alpha, const T* a,
-                 std::size_t lda, T beta, T* c, std::size_t ldc) {
+void syrk_oracle(std::size_t n, std::size_t k, double alpha, const double* a,
+                 std::size_t lda, double beta, double* c, std::size_t ldc) {
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t i = j; i < n; ++i) {
-      T acc = 0;
+      double acc = 0;
       for (std::size_t p = 0; p < k; ++p) {
-        const T prod = a[i + p * lda] * a[j + p * lda];
+        const double prod = a[i + p * lda] * a[j + p * lda];
         acc = acc + prod;
       }
       c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
@@ -172,13 +163,12 @@ void syrk_oracle(std::size_t n, std::size_t k, T alpha, const T* a,
   }
 }
 
-std::vector<KernelVariant> available_variants() {
-  std::vector<KernelVariant> out{KernelVariant::Portable};
-  if (kernel_variant_available(KernelVariant::Avx2)) {
-    out.push_back(KernelVariant::Avx2);
-  }
-  return out;
-}
+// Ragged shapes around every variant's blocks: rows straddle the 8/16-row
+// AVX2 and 24/48-row AVX-512 blocks (double/float), columns the 4- and
+// 8-column panels.
+constexpr std::size_t kRaggedRows[] = {1,  7,  8,  16, 17, 23, 24,
+                                       25, 33, 47, 48, 49, 256};
+constexpr std::size_t kRaggedCols[] = {1, 7, 8, 9, 15, 16, 17, 33, 256};
 
 /// Random value of magnitude ~`scale` with a random significand and sign.
 template <class T>
@@ -207,13 +197,7 @@ std::size_t check_trsm(std::size_t m, std::size_t n, double scale, Rng& rng) {
   std::size_t bad = 0;
   for (const KernelVariant v : available_variants()) {
     std::vector<T> got = b;
-    if (v == KernelVariant::Avx2) {
-      avx2::trsm_right_lower_trans(m, n, alpha, l.data(), ldl, got.data(),
-                                   ldb);
-    } else {
-      portable::trsm_right_lower_trans(m, n, alpha, l.data(), ldl, got.data(),
-                                       ldb);
-    }
+    trsm_right_lower_trans(v, m, n, alpha, l.data(), ldl, got.data(), ldb);
     for (std::size_t i = 0; i < got.size(); ++i) {
       if (!same_bits(got[i], want[i]) && ++bad <= 3) {
         ADD_FAILURE() << to_string(v) << " m=" << m << " n=" << n
@@ -226,11 +210,10 @@ std::size_t check_trsm(std::size_t m, std::size_t n, double scale, Rng& rng) {
 }
 
 TEST(BlasVariants, TrsmMatchesTextbookLoopBitForBit) {
-  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
   Rng rng(91);
   std::size_t bad = 0;
-  for (const std::size_t m : dims) {
-    for (const std::size_t n : dims) {
+  for (const std::size_t m : kRaggedRows) {
+    for (const std::size_t n : kRaggedCols) {
       bad += check_trsm<double>(m, n, 1.0, rng);
       bad += check_trsm<float>(m, n, 1.0, rng);
     }
@@ -247,27 +230,18 @@ TEST(BlasVariants, TrsmMatchesTextbookLoopBitForBit) {
 
 /// Every variant of syrk_lower_notrans against the textbook loop, with
 /// padded leading dimensions; the strict upper triangle must stay untouched.
-template <class T>
 std::size_t check_syrk(std::size_t n, std::size_t k, double scale, Rng& rng) {
   const std::size_t lda = n + 1, ldc = n + 5;
-  std::vector<T> a(lda * k), c(ldc * n);
-  for (auto& x : a) x = draw<T>(rng, scale);
-  for (auto& x : c) x = draw<T>(rng, 1.0);
-  std::vector<T> want = c;
-  const T alpha = T(-1), beta = T(1);
+  std::vector<double> a(lda * k), c(ldc * n);
+  for (auto& x : a) x = draw<double>(rng, scale);
+  for (auto& x : c) x = draw<double>(rng, 1.0);
+  std::vector<double> want = c;
+  const double alpha = -1, beta = 1;
   syrk_oracle(n, k, alpha, a.data(), lda, beta, want.data(), ldc);
   std::size_t bad = 0;
   for (const KernelVariant v : available_variants()) {
-    std::vector<T> got = c;
-    if (v == KernelVariant::Portable) {
-      portable::syrk_lower_notrans(n, k, alpha, a.data(), lda, beta,
-                                   got.data(), ldc);
-    } else if constexpr (std::is_same_v<T, double>) {
-      avx2::syrk_lower_notrans(n, k, alpha, a.data(), lda, beta, got.data(),
-                               ldc);
-    } else {
-      continue;  // no float AVX2 SYRK
-    }
+    std::vector<double> got = c;
+    syrk_lower_notrans(v, n, k, alpha, a.data(), lda, beta, got.data(), ldc);
     for (std::size_t i = 0; i < got.size(); ++i) {
       if (!same_bits(got[i], want[i]) && ++bad <= 3) {
         ADD_FAILURE() << to_string(v) << " n=" << n << " k=" << k << " elem "
@@ -279,20 +253,72 @@ std::size_t check_syrk(std::size_t n, std::size_t k, double scale, Rng& rng) {
 }
 
 TEST(BlasVariants, SyrkMatchesTextbookLoopBitForBit) {
-  // Float SYRK has only the portable variant (the tile Cholesky's SYRK is
-  // FP64); it is checked all the same.
-  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
+  // n is both the row and the column count, so it takes every ragged size.
   Rng rng(92);
   std::size_t bad = 0;
-  for (const std::size_t n : dims) {
-    for (const std::size_t k : dims) {
-      bad += check_syrk<double>(n, k, 1.0, rng);
-      bad += check_syrk<float>(n, k, 1.0, rng);
+  for (const std::size_t n :
+       {1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33, 47, 48, 49, 256}) {
+    for (const std::size_t k : {1, 7, 8, 16, 17, 33, 256}) {
+      bad += check_syrk(n, k, 1.0, rng);
     }
   }
   for (const double scale : {std::ldexp(1.0, -540), std::ldexp(1.0, 510)}) {
-    bad += check_syrk<double>(33, 17, scale, rng);
+    bad += check_syrk(33, 17, scale, rng);
   }
+  EXPECT_EQ(bad, 0u);
+}
+
+/// Every variant of potrf_lower against the scalar loop (the Portable
+/// variant) on an n x n matrix with a padded leading dimension, whose strict
+/// upper triangle and padding hold values no variant may touch. With
+/// `bad_pivot` < n, that diagonal entry is made negative so the
+/// factorization breaks down there. Returns the mismatch count: info, and
+/// every byte of the buffer.
+std::size_t check_potrf(std::size_t n, std::size_t bad_pivot, Rng& rng) {
+  const std::size_t lda = n + 3;
+  std::vector<double> a(lda * n);
+  for (auto& x : a) x = rng.uniform(-1.0, 1.0);
+  // Symmetric and diagonally dominant: SPD, with random significands.
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j + 1; i < n; ++i) a[i + j * lda] /= double(n);
+    a[j + j * lda] = rng.uniform(1.0, 2.0);
+  }
+  if (bad_pivot < n) a[bad_pivot + bad_pivot * lda] = -0.5;
+  std::vector<double> want = a;
+  const int want_info =
+      potrf_lower(KernelVariant::Portable, n, want.data(), lda);
+  EXPECT_EQ(want_info, bad_pivot < n ? int(bad_pivot) + 1 : 0);
+  std::size_t bad = 0;
+  for (const KernelVariant v : available_variants()) {
+    std::vector<double> got = a;
+    const int info = potrf_lower(v, n, got.data(), lda);
+    if (info != want_info && ++bad <= 3) {
+      ADD_FAILURE() << to_string(v) << " n=" << n << ": info " << info
+                    << " want " << want_info;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!same_bits(got[i], want[i]) && ++bad <= 3) {
+        ADD_FAILURE() << to_string(v) << " n=" << n << " elem " << i
+                      << ": got " << got[i] << " want " << want[i];
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(BlasVariants, PotrfMatchesScalarLoopBitForBit) {
+  Rng rng(93);
+  std::size_t bad = 0;
+  for (const std::size_t n : {1, 7, 8, 9, 31, 32, 33, 128, 256}) {
+    bad += check_potrf(n, n, rng);
+  }
+  // Breakdowns at the first column, inside a panel, on a panel's first
+  // column and in a ragged last block: the columns before the pivot are
+  // factored, the rest untouched, as in the scalar loop.
+  for (const std::size_t pivot : {0, 3, 8, 19, 24, 36}) {
+    bad += check_potrf(37, pivot, rng);
+  }
+  bad += check_potrf(256, 200, rng);
   EXPECT_EQ(bad, 0u);
 }
 

@@ -7,13 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "kernel_test_util.hpp"
 #include "precision/convert.hpp"
 #include "precision/float16.hpp"
 #include "precision/mixed_gemm.hpp"
@@ -201,10 +202,9 @@ TEST_P(MixedGemmErrorTest, RelativeErrorScalesWithUnitRoundoff) {
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0), c_ref(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(-1.0, 1.0);
   for (auto& x : b) x = rng.uniform(-1.0, 1.0);
-  mixed_gemm(Precision::FP64, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
-             0.0, c_ref.data(), n);
-  mixed_gemm(prec, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-             c.data(), n);
+  packed_product(Precision::FP64, n, n, n, a.data(), b.data(), 0.0,
+                 c_ref.data());
+  packed_product(prec, n, n, n, a.data(), b.data(), 0.0, c.data());
   double num = 0, den = 0;
   for (std::size_t i = 0; i < n * n; ++i) {
     num += (c[i] - c_ref[i]) * (c[i] - c_ref[i]);
@@ -232,12 +232,11 @@ TEST(MixedGemm, AccuracyOrderingFollowsFig1) {
   std::vector<double> a(n * n), b(n * n), ref(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(0.0, 1.0);
   for (auto& x : b) x = rng.uniform(0.0, 1.0);
-  mixed_gemm(Precision::FP64, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
-             0.0, ref.data(), n);
+  packed_product(Precision::FP64, n, n, n, a.data(), b.data(), 0.0,
+                 ref.data());
   auto err = [&](Precision p) {
     std::vector<double> c(n * n, 0.0);
-    mixed_gemm(p, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-               c.data(), n);
+    packed_product(p, n, n, n, a.data(), b.data(), 0.0, c.data());
     double num = 0, den = 0;
     for (std::size_t i = 0; i < n * n; ++i) {
       num += (c[i] - ref[i]) * (c[i] - ref[i]);
@@ -264,12 +263,29 @@ TEST(MixedGemm, TransposedOperandsMatchManualTranspose) {
     for (std::size_t p = 0; p < k; ++p) at[i + p * m] = a[p + i * k];
   for (std::size_t p = 0; p < k; ++p)
     for (std::size_t j = 0; j < n; ++j) bt[p + j * k] = b[j + p * n];
+  // C = op(A) op(B) with op(A) = A^T, op(B) = B^T, against At * Bt. GEMM
+  // reads op(A) and op(B)^T: A packed with 'T' or At with 'N', and B packed
+  // with 'N' or Bt with 'T'.
+  std::vector<double> a1, a2, b1, b2;
+  pack_gemm_operand('T', m, k, a.data(), k, Precision::FP64, a1);
+  pack_gemm_operand('N', m, k, at.data(), m, Precision::FP64, a2);
+  pack_gemm_operand('N', n, k, b.data(), n, Precision::FP64, b1);
+  pack_gemm_operand('T', n, k, bt.data(), k, Precision::FP64, b2);
+  EXPECT_EQ(a1, a2);
+  EXPECT_EQ(b1, b2);
   std::vector<double> c1(m * n, 1.0), c2(m * n, 1.0);
-  mixed_gemm(Precision::FP64, 'T', 'T', m, n, k, 2.0, a.data(), k, b.data(), n,
-             0.5, c1.data(), m);
-  mixed_gemm(Precision::FP64, 'N', 'N', m, n, k, 2.0, at.data(), m, bt.data(),
-             k, 0.5, c2.data(), m);
+  mixed_gemm_packed(Precision::FP64, m, n, k, 2.0, a1.data(), b1.data(), 0.5,
+                    c1.data(), m);
+  mixed_gemm_packed(Precision::FP64, m, n, k, 2.0, a2.data(), b2.data(), 0.5,
+                    c2.data(), m);
   for (std::size_t i = 0; i < m * n; ++i) EXPECT_NEAR(c1[i], c2[i], 1e-14);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      double dot = 0.0;
+      for (std::size_t p = 0; p < k; ++p) dot += at[i + p * m] * bt[p + j * k];
+      EXPECT_NEAR(c1[i + j * m], 2.0 * dot + 0.5, 1e-14);
+    }
+  }
 }
 
 TEST(MixedGemm, BetaZeroOverwritesGarbage) {
@@ -280,18 +296,20 @@ TEST(MixedGemm, BetaZeroOverwritesGarbage) {
   // The BLAS convention is that beta == 0 means "do not read C"; verify we
   // honour the arithmetic contract instead and document via a clean buffer.
   std::fill(c.begin(), c.end(), 123.0);
-  mixed_gemm(Precision::FP64, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
-             0.0, c.data(), n);
+  packed_product(Precision::FP64, n, n, n, a.data(), b.data(), 0.0, c.data());
   for (double v : c) EXPECT_DOUBLE_EQ(v, 3.0);
 }
 
 TEST(MixedGemm, RejectsBadArguments) {
-  std::vector<double> a(4), b(4), c(4);
-  EXPECT_THROW(mixed_gemm(Precision::FP64, 'X', 'N', 2, 2, 2, 1.0, a.data(), 2,
-                          b.data(), 2, 0.0, c.data(), 2),
-               Error);
-  EXPECT_THROW(mixed_gemm(Precision::FP64, 'N', 'N', 2, 2, 2, 1.0, a.data(), 1,
-                          b.data(), 2, 0.0, c.data(), 2),
+  std::vector<double> a(4), c(4), packed;
+  EXPECT_THROW(
+      pack_gemm_operand('X', 2, 2, a.data(), 2, Precision::FP64, packed),
+      Error);
+  EXPECT_THROW(
+      pack_gemm_operand('N', 2, 2, a.data(), 1, Precision::FP64, packed),
+      Error);
+  EXPECT_THROW(mixed_gemm_packed(Precision::FP64, 2, 2, 2, 1.0, a.data(),
+                                 a.data(), 0.0, c.data(), 1),
                Error);
 }
 
@@ -306,21 +324,6 @@ TEST(MixedGemm, FlopCountFormula) {
 constexpr Precision kAllPrecisions[] = {
     Precision::FP64,    Precision::FP32,    Precision::TF32,
     Precision::BF16_32, Precision::FP16_32, Precision::FP16};
-
-std::vector<KernelVariant> available_variants() {
-  std::vector<KernelVariant> out{KernelVariant::Portable};
-  if (kernel_variant_available(KernelVariant::Avx2)) {
-    out.push_back(KernelVariant::Avx2);
-  }
-  return out;
-}
-
-bool same_bits(double a, double b) {
-  // NaN payloads are not part of the documented rounding (F16C and the
-  // software binary16 converter quiet NaNs differently).
-  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 bool representable(Precision prec, double v) {
   if (std::isnan(v) || prec == Precision::FP64) return true;
@@ -382,21 +385,10 @@ std::vector<double> oracle_gemm(Precision prec, std::size_t m, std::size_t n,
   return c;
 }
 
-template <class T>
-void run_variant(KernelVariant v, Precision prec, std::size_t m,
-                 std::size_t n, std::size_t k, double alpha, const T* a,
-                 const T* b, double beta, double* c) {
-  if (v == KernelVariant::Avx2) {
-    avx2::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, m);
-  } else {
-    portable::mixed_gemm_packed(prec, m, n, k, alpha, a, b, beta, c, m);
-  }
-}
-
 /// Pack a and b (m x k and n x k, column-major) for `prec`, then require
-/// every variant — and the dispatching mixed_gemm — to reproduce the oracle
-/// bit for bit with every sub-FP64 output representable in its format.
-/// Returns the number of mismatching outputs.
+/// every variant — and the dispatching mixed_gemm_packed — to reproduce the
+/// oracle bit for bit with every sub-FP64 output representable in its
+/// format. Returns the number of mismatching outputs.
 template <class T>
 std::size_t check_against_oracle(Precision prec, std::size_t m, std::size_t n,
                                  std::size_t k, double alpha,
@@ -422,16 +414,14 @@ std::size_t check_against_oracle(Precision prec, std::size_t m, std::size_t n,
   };
   for (const KernelVariant v : available_variants()) {
     std::vector<double> c = c0;
-    run_variant(v, prec, m, n, k, alpha, ap.data(), bp.data(), beta,
-                c.data());
+    mixed_gemm_packed(v, prec, m, n, k, alpha, ap.data(), bp.data(), beta,
+                      c.data(), m);
     compare(c, to_string(v));
   }
-  // The dispatching entry point on unpacked operands (B stored n x k, so
-  // op(B) = B^T).
   std::vector<double> c = c0;
-  mixed_gemm(prec, 'N', 'T', m, n, k, alpha, a.data(), m, b.data(), n, beta,
-             c.data(), m);
-  compare(c, "mixed_gemm");
+  mixed_gemm_packed(prec, m, n, k, alpha, ap.data(), bp.data(), beta,
+                    c.data(), m);
+  compare(c, "mixed_gemm_packed");
   return bad;
 }
 
@@ -449,14 +439,19 @@ std::size_t check_precision(Precision prec, std::size_t m, std::size_t n,
 
 TEST(MixedGemmRounding, EveryVariantMatchesOracleOnRaggedShapes) {
   // Ragged in every dimension, including k mod 4 != 0 (FP16's trailing
-  // partial block) and the factorization's 256 tile.
-  const std::size_t dims[] = {1, 7, 8, 16, 17, 33, 256};
+  // partial block) and the factorization's 256 tile. Rows straddle the
+  // 8/16-row AVX2 and 24/48-row AVX-512 blocks (double/float lanes), columns
+  // the 4- and 8-column panels.
+  const std::size_t rows[] = {1,  7,  8,  16, 17, 23, 24,
+                              25, 33, 47, 48, 49, 256};
+  const std::size_t cols[] = {1, 7, 8, 9, 15, 16, 17, 33, 256};
+  const std::size_t depths[] = {1, 7, 8, 16, 17, 33, 256};
   Rng rng(2024);
   for (const Precision prec : kAllPrecisions) {
     std::size_t bad = 0;
-    for (const std::size_t m : dims) {
-      for (const std::size_t n : dims) {
-        for (const std::size_t k : dims) {
+    for (const std::size_t m : rows) {
+      for (const std::size_t n : cols) {
+        for (const std::size_t k : depths) {
           std::vector<double> a(m * k), b(n * k), c(m * n);
           for (auto& x : a) x = rng.uniform(-1.0, 1.0);
           for (auto& x : b) x = rng.uniform(-1.0, 1.0);
@@ -533,8 +528,7 @@ TEST(MixedGemmRounding, SubFp64OutputsRepresentableAtTileSize) {
   for (const Precision prec : kAllPrecisions) {
     if (prec == Precision::FP64) continue;
     std::vector<double> c(n * n, 0.0);
-    mixed_gemm(prec, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-               c.data(), n);
+    packed_product(prec, n, n, n, a.data(), b.data(), 0.0, c.data());
     std::size_t unrounded = 0;
     for (const double v : c) unrounded += !representable(prec, v);
     EXPECT_EQ(unrounded, 0u) << to_string(prec);
@@ -555,12 +549,34 @@ TEST(MixedGemmRounding, PackedKernelsRejectMismatchedPackType) {
 TEST(KernelVariants, ActiveVariantIsAvailableAndNamed) {
   EXPECT_TRUE(kernel_variant_available(KernelVariant::Portable));
   EXPECT_TRUE(kernel_variant_available(active_kernel_variant()));
-  EXPECT_EQ(active_kernel_variant(),
-            kernel_variant_available(KernelVariant::Avx2)
-                ? KernelVariant::Avx2
-                : KernelVariant::Portable);
+  // The widest available variant runs; AVX-512 implies AVX2 here.
+  const KernelVariant want =
+      kernel_variant_available(KernelVariant::Avx512) ? KernelVariant::Avx512
+      : kernel_variant_available(KernelVariant::Avx2) ? KernelVariant::Avx2
+                                                      : KernelVariant::Portable;
+  EXPECT_EQ(active_kernel_variant(), want);
+  if (kernel_variant_available(KernelVariant::Avx512)) {
+    EXPECT_TRUE(kernel_variant_available(KernelVariant::Avx2));
+  }
   EXPECT_STREQ(to_string(KernelVariant::Portable), "portable");
   EXPECT_STREQ(to_string(KernelVariant::Avx2), "avx2");
+  EXPECT_STREQ(to_string(KernelVariant::Avx512), "avx512");
+  std::string ran;
+  for (const KernelVariant v : available_variants()) {
+    ran += std::string(ran.empty() ? "" : ", ") + to_string(v);
+  }
+  std::cout << "active kernel variant: " << to_string(active_kernel_variant())
+            << " (variants tested: " << ran << ")\n";
+}
+
+TEST(KernelVariants, Avx512RunsWhereTheCpuHasIt) {
+  if (!kernel_variant_available(KernelVariant::Avx512)) {
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/DQ/VL: the avx512 kernel "
+                    "variant was not exercised";
+  }
+  EXPECT_EQ(active_kernel_variant(), KernelVariant::Avx512);
+  const std::vector<KernelVariant> v = available_variants();
+  EXPECT_NE(std::find(v.begin(), v.end(), KernelVariant::Avx512), v.end());
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 #include "core/precision_map.hpp"
 #include "core/sim_graph.hpp"
 #include "gpusim/sim_executor.hpp"
+#include "kernel_test_util.hpp"
 #include "precision/convert.hpp"
-#include "precision/mixed_gemm.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/task_graph.hpp"
@@ -187,12 +187,11 @@ TEST_P(RandomRoundTripProperty, MixedGemmMonotoneInPrecision) {
   std::vector<double> a(n * n), b(n * n), ref(n * n, 0.0);
   for (auto& x : a) x = rng.uniform(0.0, 1.0);
   for (auto& x : b) x = rng.uniform(0.0, 1.0);
-  mixed_gemm(Precision::FP64, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
-             0.0, ref.data(), n);
+  packed_product(Precision::FP64, n, n, n, a.data(), b.data(), 0.0,
+                 ref.data());
   auto err = [&](Precision p) {
     std::vector<double> c(n * n, 0.0);
-    mixed_gemm(p, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-               c.data(), n);
+    packed_product(p, n, n, n, a.data(), b.data(), 0.0, c.data());
     double acc = 0;
     for (std::size_t i = 0; i < n * n; ++i) {
       acc += (c[i] - ref[i]) * (c[i] - ref[i]);
