@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/cholesky_tasks.hpp"
 
 namespace mpgeo {
 namespace {

@@ -105,9 +105,9 @@ std::size_t broadcast_payload_bytes(const PrecisionMap& pmap,
 /// width clamped to the tile's storage width (the codec never widens on
 /// the wire).
 ///
-/// Built on the same cholesky_consumer_ranks helper the SEND/RECV
-/// materialization uses, so measured wire.bytes must reconcile exactly —
-/// bench_data_motion asserts it.
+/// Built on cholesky_consumer_ranks (core/cholesky_tasks.hpp), the helper
+/// the SEND/RECV materialization uses, so measured wire.bytes must
+/// reconcile exactly — bench_data_motion asserts it.
 std::size_t expected_wire_bytes(const PrecisionMap& pmap, const CommMap& cmap,
                                 const OwnerMap& owners, std::size_t n,
                                 std::size_t nb);

@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "core/cholesky_tasks.hpp"
 #include "core/shared_pager.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/operand_cache.hpp"
@@ -148,9 +149,6 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
     tile_index_of_datum.push_back(tile_idx);
     return id;
   };
-  auto did = [&](std::size_t m, std::size_t k) {
-    return data[m * (m + 1) / 2 + k];
-  };
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
       DataInfo info;
@@ -174,12 +172,11 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
 
   // The tile (+ datum) a task running on `rank` must read for tile (m, k):
   // the original when the rank owns it, the rank's replica otherwise.
-  auto view = [&](std::size_t m, std::size_t k,
-                  int rank) -> std::pair<const AnyTile*, DataId> {
-    if (!dist || dist->owners.owner(m, k) == rank) {
-      return {&a.tile(m, k), did(m, k)};
+  auto view = [&](TileIndex t, int rank) -> std::pair<const AnyTile*, DataId> {
+    if (!dist || dist->owners.owner(t.m, t.k) == rank) {
+      return {&a.tile(t.m, t.k), data[t.packed()]};
     }
-    const auto& per_rank = dist->replica_of[m * (m + 1) / 2 + k];
+    const auto& per_rank = dist->replica_of[t.packed()];
     const auto it = per_rank.find(rank);
     MPGEO_ASSERT(it != per_rank.end());
     return it->second;
@@ -227,7 +224,9 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
     const bool compress = options.compress_wire;
     const TaskId stid = TaskId(graph.num_tasks());
     graph.add_task(
-        si, {{did(m, k), AccessMode::Read}, {pdid, AccessMode::Write}},
+        si,
+        {{data[m * (m + 1) / 2 + k], AccessMode::Read},
+         {pdid, AccessMode::Write}},
         [ds, tile, wire_fmt, src, consumers, pdid, inj, stid, compress, m, k] {
           WirePayload payload = serialize_tile(*tile, wire_fmt);
           // WireCorrupt fault: flip mantissa bits of the serialized bytes —
@@ -325,126 +324,85 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
   // Algorithm 1, right-looking tile Cholesky. Every compute task is pinned
   // to its output tile's owner rank; cross-rank reads go through replicas
   // fed by the SEND/RECV broadcasts inserted right after each producer.
-  for (std::size_t k = 0; k < nt; ++k) {
-    {
-      TaskInfo ti;
-      ti.name = "POTRF(" + std::to_string(k) + ")";
-      ti.kind = KernelKind::POTRF;
-      ti.prec = Precision::FP64;
-      ti.tm = ti.tn = int(k);
-      if (dist) ti.rank = owner(k, k);
-      AnyTile* ckk = &a.tile(k, k);
-      // Conversion-fault hook: corrupt the diagonal before factoring (the
-      // id of the task being inserted is the current task count).
-      FaultInjector* inj = options.fault_injector;
-      const TaskId tid = TaskId(graph.num_tasks());
-      graph.add_task(ti, {{did(k, k), AccessMode::ReadWrite}},
-                     [ckk, inj, tid, k] {
-        if (inj) {
-          if (const auto bad = inj->corruption(tid, KernelKind::POTRF)) {
-            ckk->set(0, 0, *bad);
-          }
-        }
-        const int info = potrf_tile(*ckk);
-        if (info != 0) throw NotPositiveDefinite{info, int(k)};
-      });
+  FaultInjector* inj = options.fault_injector;
+  for_each_cholesky_task(nt, [&](const CholeskyTask& t) {
+    TaskInfo ti = t.info();
+    ti.name = t.name();
+    ti.prec = t.precision(pmap);
+    const int rank = owner(t.out.m, t.out.k);
+    if (dist) ti.rank = rank;
+    // Inputs bind to this rank's view of each tile at the version the task
+    // observes: insertion order is the graph's sequential order.
+    TileOperand in[2];
+    for (int i = 0; i < t.num_inputs; ++i) {
+      const auto [tile, d] = view(t.in[i], rank);
+      in[i] = TileOperand{tile, graph.data_version(d)};
     }
-    // Broadcast the factored diagonal to the TRSM ranks of column k. The
+    AnyTile* out = &a.tile(t.out.m, t.out.k);
+    // Fault hooks key on the id of the task being inserted: the task count.
+    const TaskId tid = TaskId(graph.num_tasks());
+    std::function<void()> body;
+    switch (t.kind) {
+      case KernelKind::POTRF:
+        body = [out, inj, tid, k = t.k] {
+          // Conversion fault: corrupt the diagonal before factoring.
+          if (inj) {
+            if (const auto bad = inj->corruption(tid, KernelKind::POTRF)) {
+              out->set(0, 0, *bad);
+            }
+          }
+          const int info = potrf_tile(*out);
+          if (info != 0) throw NotPositiveDefinite{info, int(k)};
+        };
+        break;
+      case KernelKind::TRSM:
+        body = [ckk = in[0], out, prec = ti.prec,
+                stc = cmap.uses_stc(t.out.m, t.out.k, pmap),
+                wire = wire_storage(cmap.comm(t.out.m, t.out.k)), cache_ptr,
+                stc_roundings, inj, tid] {
+          trsm_tile(prec, ckk, *out, cache_ptr);
+          if (stc) {
+            stc_roundings.add();
+            // STC: the broadcast payload is the wire-rounded panel; all
+            // consumers (including the FP64 SYRK) see these values. The
+            // rounding happens in the tile's own storage format — no double
+            // round trip — with identical resulting bits. It also makes the
+            // dist SEND's narrow serialization value-exact.
+            out->round_through_wire(wire);
+          }
+          // Conversion fault: a panel entry leaves this task NaN or
+          // FP16-overflowed, so the dependent SYRK drives the diagonal
+          // non-SPD and POTRF reports a genuine breakdown downstream.
+          if (inj) {
+            if (const auto bad = inj->corruption(tid, KernelKind::TRSM)) {
+              out->set(0, 0, *bad);
+            }
+          }
+        };
+        break;
+      case KernelKind::SYRK:
+        body = [cmk = in[0], out, cache_ptr] {
+          syrk_tile(cmk, *out, cache_ptr);
+        };
+        break;
+      default:
+        body = [cmk = in[0], cnk = in[1], out, prec = ti.prec, cache_ptr] {
+          gemm_tile(prec, cmk, cnk, *out, cache_ptr);
+        };
+        break;
+    }
+    graph.add_task(std::move(ti),
+                   cholesky_accesses(
+                       t, [&](TileIndex x) { return view(x, rank).second; }),
+                   std::move(body));
+    // Broadcast a finished diagonal or panel to its reader ranks. A diagonal
     // payload may travel at FP32 (Algorithm 2's diagonal rule); that is
     // value-lossy on an FP64 diagonal, but the rule only picks FP32 when no
     // FP64 TRSM consumes it — and a sub-FP64 TRSM rounds its inputs through
     // FP32 anyway, so the replica-fed result is bit-identical to the
     // shared-memory path.
-    broadcast(k, k);
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo ti;
-      ti.name = "TRSM(" + std::to_string(m) + "," + std::to_string(k) + ")";
-      ti.kind = KernelKind::TRSM;
-      ti.prec = pmap.trsm_precision(m, k);
-      ti.tm = int(m);
-      ti.tk = int(k);
-      if (dist) ti.rank = owner(m, k);
-      const auto [ckk, dkk] = view(k, k, owner(m, k));
-      AnyTile* cmk = &a.tile(m, k);
-      const Precision trsm_prec = ti.prec;
-      const bool stc = cmap.uses_stc(m, k, pmap);
-      const Storage wire = wire_storage(cmap.comm(m, k));
-      const std::uint64_t vkk = graph.data_version(dkk);
-      FaultInjector* inj = options.fault_injector;
-      const TaskId tid = TaskId(graph.num_tasks());
-      graph.add_task(
-          ti,
-          {{dkk, AccessMode::Read}, {did(m, k), AccessMode::ReadWrite}},
-          [ckk, cmk, trsm_prec, stc, wire, vkk, cache_ptr, stc_roundings, inj,
-           tid] {
-            trsm_tile(trsm_prec, TileOperand{ckk, vkk}, *cmk, cache_ptr);
-            if (stc) {
-              stc_roundings.add();
-              // STC: the broadcast payload is the wire-rounded panel; all
-              // consumers (including the FP64 SYRK) see these values. The
-              // rounding happens in the tile's own storage format — no
-              // double round trip — with identical resulting bits. It also
-              // makes the dist SEND's narrow serialization value-exact.
-              cmk->round_through_wire(wire);
-            }
-            // Conversion-fault hook: a panel entry leaves this task NaN or
-            // FP16-overflowed, so the dependent SYRK drives the diagonal
-            // non-SPD and POTRF reports a genuine breakdown downstream.
-            if (inj) {
-              if (const auto bad = inj->corruption(tid, KernelKind::TRSM)) {
-                cmk->set(0, 0, *bad);
-              }
-            }
-          });
-      // Broadcast the finished panel to its SYRK/GEMM consumer ranks.
-      broadcast(m, k);
-    }
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo ti;
-      ti.name = "SYRK(" + std::to_string(m) + "," + std::to_string(k) + ")";
-      ti.kind = KernelKind::SYRK;
-      ti.prec = Precision::FP64;
-      ti.tm = int(m);
-      ti.tk = int(k);
-      if (dist) ti.rank = owner(m, m);
-      const auto [cmk, dmk] = view(m, k, owner(m, m));
-      AnyTile* cmm = &a.tile(m, m);
-      const std::uint64_t vmk = graph.data_version(dmk);
-      graph.add_task(
-          ti,
-          {{dmk, AccessMode::Read}, {did(m, m), AccessMode::ReadWrite}},
-          [cmk, cmm, vmk, cache_ptr] {
-            syrk_tile(TileOperand{cmk, vmk}, *cmm, cache_ptr);
-          });
-    }
-    for (std::size_t m = k + 2; m < nt; ++m) {
-      for (std::size_t n = k + 1; n < m; ++n) {
-        TaskInfo ti;
-        ti.name = "GEMM(" + std::to_string(m) + "," + std::to_string(n) + "," +
-                  std::to_string(k) + ")";
-        ti.kind = KernelKind::GEMM;
-        ti.prec = pmap.kernel(m, n);
-        ti.tm = int(m);
-        ti.tn = int(n);
-        ti.tk = int(k);
-        if (dist) ti.rank = owner(m, n);
-        const auto [cmk, dmk] = view(m, k, owner(m, n));
-        const auto [cnk, dnk] = view(n, k, owner(m, n));
-        AnyTile* cmn = &a.tile(m, n);
-        const Precision prec = ti.prec;
-        const std::uint64_t vmk = graph.data_version(dmk);
-        const std::uint64_t vnk = graph.data_version(dnk);
-        graph.add_task(ti,
-                       {{dmk, AccessMode::Read},
-                        {dnk, AccessMode::Read},
-                        {did(m, n), AccessMode::ReadWrite}},
-                       [cmk, cnk, cmn, prec, vmk, vnk, cache_ptr] {
-                         gemm_tile(prec, TileOperand{cmk, vmk},
-                                   TileOperand{cnk, vnk}, *cmn, cache_ptr);
-                       });
-      }
-    }
-  }
+    if (t.writes_final()) broadcast(t.out.m, t.out.k);
+  });
 
   MpCholeskyResult result;
   result.pmap = std::move(pmap);

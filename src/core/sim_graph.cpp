@@ -1,28 +1,15 @@
 #include "core/sim_graph.hpp"
 
-#include <cmath>
-#include <string>
-
 #include "common/error.hpp"
+#include "core/cholesky_tasks.hpp"
+#include "dist/owner_map.hpp"
 
 namespace mpgeo {
-namespace {
-
-/// Bytes/element a kernel of precision `p` wants its 16/32/64-bit inputs in.
-std::size_t input_bpe(Precision p) { return bytes_per_element(wire_storage(p)); }
-
-}  // namespace
-
-std::pair<int, int> process_grid(int devices) {
-  MPGEO_REQUIRE(devices >= 1, "process_grid: need at least one device");
-  int p = static_cast<int>(std::sqrt(double(devices)));
-  while (p > 1 && devices % p != 0) --p;
-  return {p, devices / p};
-}
 
 int tile_owner(std::size_t m, std::size_t k, int devices) {
-  const auto [p, q] = process_grid(devices);
-  return int(m % std::size_t(p)) + int(k % std::size_t(q)) * p;
+  MPGEO_REQUIRE(devices >= 1, "tile_owner: need at least one device");
+  const auto [p, q] = process_grid(std::size_t(devices));
+  return int(m % p + (k % q) * p);
 }
 
 double cholesky_flops(std::size_t n) {
@@ -38,23 +25,19 @@ TaskGraph build_cholesky_sim_graph(const PrecisionMap& pmap, const CommMap& cmap
   const std::size_t b = options.tile;
   const double b3 = double(b) * double(b) * double(b);
   const double elems = double(b) * double(b);
-  const int devices = cluster.total_gpus();
 
   TaskGraph graph;
+  // Datum and owner device per packed lower-triangle tile.
   std::vector<DataId> data(nt * (nt + 1) / 2);
-  auto did = [&](std::size_t m, std::size_t k) {
-    return data[m * (m + 1) / 2 + k];
+  std::vector<int> device(data.size());
+  const auto datum = [&](TileIndex t) { return data[t.packed()]; };
+  auto storage_bytes = [&](TileIndex t) {
+    return std::size_t(elems) * bytes_per_element(pmap.storage(t.m, t.k));
   };
-  auto storage_bytes = [&](std::size_t m, std::size_t k) {
-    return std::size_t(elems) * bytes_per_element(pmap.storage(m, k));
-  };
-  auto wire_bytes = [&](std::size_t m, std::size_t k) {
-    return std::size_t(elems) * cmap.wire_bytes_per_element(m, k);
-  };
-  // Wire format a consumer of tile (m, k) receives it in.
-  auto arriving = [&](std::size_t m, std::size_t k) {
-    return cmap.uses_stc(m, k, pmap) ? wire_storage(cmap.comm(m, k))
-                                     : pmap.storage(m, k);
+  // Wire format a consumer of tile t receives it in.
+  auto arriving = [&](TileIndex t) {
+    return cmap.uses_stc(t.m, t.k, pmap) ? wire_storage(cmap.comm(t.m, t.k))
+                                         : pmap.storage(t.m, t.k);
   };
   // Fold one logical conversion into a task: HBM streaming bytes plus one
   // launch-overhead unit (TaskInfo::extra_conv_count) so the cost model
@@ -64,114 +47,63 @@ TaskGraph build_cholesky_sim_graph(const PrecisionMap& pmap, const CommMap& cmap
     ti.extra_conv_bytes += bytes;
     ti.extra_conv_count += 1;
   };
-  // Receiver-side conversion traffic when `need` differs from what arrives.
-  auto conv_bytes = [&](Storage from, Storage need) {
-    if (from == need) return 0.0;
-    return elems * double(bytes_per_element(from) + bytes_per_element(need));
-  };
 
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
+      const std::size_t t = TileIndex{m, k}.packed();
       DataInfo info;
-      info.bytes = storage_bytes(m, k);
-      data[m * (m + 1) / 2 + k] = graph.add_data(info);
+      info.bytes = storage_bytes({m, k});
+      data[t] = graph.add_data(info);
+      device[t] = tile_owner(m, k, cluster.total_gpus());
+      if (!options.device_side_generation) continue;
+      TaskInfo ti;
+      ti.kind = KernelKind::GENERATE;
+      ti.device = device[t];
+      ti.wire_bytes = info.bytes;
+      graph.add_task(ti, {{data[t], AccessMode::Write}});
     }
   }
 
-  if (options.device_side_generation) {
-    for (std::size_t m = 0; m < nt; ++m) {
-      for (std::size_t k = 0; k <= m; ++k) {
-        TaskInfo ti;
-        ti.kind = KernelKind::GENERATE;
-        ti.device = tile_owner(m, k, devices);
-        ti.wire_bytes = storage_bytes(m, k);
-        graph.add_task(ti, {{did(m, k), AccessMode::Write}});
+  // Every task runs on its output tile's owner.
+  for_each_cholesky_task(nt, [&](const CholeskyTask& t) {
+    TaskInfo ti = t.info();
+    ti.prec = t.precision(pmap);
+    ti.flops = t.kind == KernelKind::POTRF ? b3 / 3.0
+               : t.kind == KernelKind::GEMM ? 2.0 * b3
+                                            : b3;
+    ti.device = device[t.out.packed()];
+    // Receiver-side conversion: the kernel wants every input in the wire
+    // format of its own precision.
+    const Storage need = wire_storage(ti.prec);
+    for (int i = 0; i < t.num_inputs; ++i) {
+      const Storage from = arriving(t.in[i]);
+      if (from != need) {
+        fold_conv(ti, elems * double(bytes_per_element(from) +
+                                     bytes_per_element(need)));
       }
     }
-  }
-
-  for (std::size_t k = 0; k < nt; ++k) {
-    {  // POTRF(k, k), always FP64 on the diagonal's owner.
-      TaskInfo ti;
-      ti.kind = KernelKind::POTRF;
-      ti.prec = Precision::FP64;
-      ti.tm = ti.tn = int(k);
-      ti.flops = b3 / 3.0;
-      ti.device = tile_owner(k, k, devices);
-      if (cmap.uses_stc(k, k, pmap)) {
-        // Sender-side conversion: the communication engine down-casts the
-        // payload once as part of the broadcast. Modelled as HBM traffic on
-        // the producer plus a narrower wire — not as a separate task, which
-        // would (wrongly) also gate same-device consumers.
-        ti.wire_bytes = wire_bytes(k, k);
-        fold_conv(ti, elems * double(bytes_per_element(pmap.storage(k, k)) +
-                                     cmap.wire_bytes_per_element(k, k)));
-      } else {
-        ti.wire_bytes = storage_bytes(k, k);
-      }
-      graph.add_task(ti, {{did(k, k), AccessMode::ReadWrite}});
+    if (ti.prec == Precision::FP16) {
+      // Pure-FP16 GEMM also round-trips its FP32-stored C operand through
+      // binary16 (down before, up after the tensor-core call): two
+      // conversions, each with its own launch.
+      fold_conv(ti, elems * (4.0 + 2.0));
+      fold_conv(ti, elems * (4.0 + 2.0));
     }
-    for (std::size_t m = k + 1; m < nt; ++m) {  // panel TRSMs
-      TaskInfo ti;
-      ti.kind = KernelKind::TRSM;
-      ti.prec = pmap.trsm_precision(m, k);
-      ti.tm = int(m);
-      ti.tk = int(k);
-      ti.flops = b3;
-      ti.device = tile_owner(m, k, devices);
-      fold_conv(ti, conv_bytes(arriving(k, k), wire_storage(ti.prec)));
-      if (cmap.uses_stc(m, k, pmap)) {
-        ti.wire_bytes = wire_bytes(m, k);
-        fold_conv(ti, elems * double(bytes_per_element(pmap.storage(m, k)) +
-                                     cmap.wire_bytes_per_element(m, k)));
-      } else {
-        ti.wire_bytes = storage_bytes(m, k);
-      }
-      graph.add_task(
-          ti, {{did(k, k), AccessMode::Read}, {did(m, k), AccessMode::ReadWrite}});
+    const TileIndex o = t.out;
+    if (t.writes_final() && cmap.uses_stc(o.m, o.k, pmap)) {
+      // Sender-side conversion: the communication engine down-casts the
+      // payload once as part of the broadcast. Modelled as HBM traffic on
+      // the producer plus a narrower wire — not as a separate task, which
+      // would (wrongly) also gate same-device consumers.
+      const std::size_t wire_bpe = cmap.wire_bytes_per_element(o.m, o.k);
+      ti.wire_bytes = std::size_t(elems) * wire_bpe;
+      fold_conv(ti, elems * double(bytes_per_element(pmap.storage(o.m, o.k)) +
+                                   wire_bpe));
+    } else {
+      ti.wire_bytes = storage_bytes(o);
     }
-    for (std::size_t m = k + 1; m < nt; ++m) {  // diagonal SYRKs (FP64)
-      TaskInfo ti;
-      ti.kind = KernelKind::SYRK;
-      ti.prec = Precision::FP64;
-      ti.tm = int(m);
-      ti.tk = int(k);
-      ti.flops = b3;
-      ti.device = tile_owner(m, m, devices);
-      ti.wire_bytes = storage_bytes(m, m);
-      fold_conv(ti, conv_bytes(arriving(m, k), Storage::FP64));
-      graph.add_task(
-          ti, {{did(m, k), AccessMode::Read}, {did(m, m), AccessMode::ReadWrite}});
-    }
-    for (std::size_t m = k + 2; m < nt; ++m) {  // trailing GEMMs
-      for (std::size_t n = k + 1; n < m; ++n) {
-        TaskInfo ti;
-        ti.kind = KernelKind::GEMM;
-        ti.prec = pmap.kernel(m, n);
-        ti.tm = int(m);
-        ti.tn = int(n);
-        ti.tk = int(k);
-        ti.flops = 2.0 * b3;
-        ti.device = tile_owner(m, n, devices);
-        ti.wire_bytes = storage_bytes(m, n);
-        const auto need = Storage(input_bpe(ti.prec) == 8   ? Storage::FP64
-                                  : input_bpe(ti.prec) == 4 ? Storage::FP32
-                                                            : Storage::FP16);
-        fold_conv(ti, conv_bytes(arriving(m, k), need));
-        fold_conv(ti, conv_bytes(arriving(n, k), need));
-        if (ti.prec == Precision::FP16) {
-          // Pure-FP16 GEMM also round-trips its FP32-stored C operand
-          // through binary16 (down before, up after the tensor-core call):
-          // two conversions, each with its own launch.
-          fold_conv(ti, elems * (4.0 + 2.0));
-          fold_conv(ti, elems * (4.0 + 2.0));
-        }
-        graph.add_task(ti, {{did(m, k), AccessMode::Read},
-                            {did(n, k), AccessMode::Read},
-                            {did(m, n), AccessMode::ReadWrite}});
-      }
-    }
-  }
+    graph.add_task(std::move(ti), cholesky_accesses(t, datum));
+  });
   return graph;
 }
 

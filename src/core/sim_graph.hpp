@@ -1,11 +1,14 @@
 // Builder of simulation-only Cholesky task graphs at cluster scale.
 //
-// Produces the DAG of Algorithm 1 annotated for the discrete-event backend:
-// no numeric bodies, but per-task devices (2D block-cyclic tile-owner
-// mapping, the paper's "process grid P x Q as square as possible"), flop
-// counts, wire formats from the comm map, explicit sender-side CONVERT
-// tasks where STC applies, and receiver-side conversion traffic folded into
-// consumer kernels where TTC applies. This is the graph behind Figs 8-12.
+// Produces the DAG of Algorithm 1 (the enumerator in core/cholesky_tasks.hpp)
+// annotated for the discrete-event backend: no numeric bodies, but per-task
+// devices (2D block-cyclic tile-owner mapping, the paper's "process grid
+// P x Q as square as possible"), flop counts and wire formats from the comm
+// map. Conversions are folded into kernels, never separate tasks: where STC
+// applies, the sender-side down-cast is charged to the producing POTRF or
+// TRSM, which then broadcasts the narrower payload; receiver-side conversion
+// traffic is charged to each consumer whose input arrives in another format.
+// This is the graph behind Figs 8-12.
 #pragma once
 
 #include <cstddef>
@@ -25,11 +28,10 @@ struct SimGraphOptions {
 };
 
 /// The owner device of tile (m, k) under a P x Q block-cyclic grid covering
-/// `devices` GPUs, P <= Q, as square as possible (paper Section VII-A).
+/// `devices` GPUs, P <= Q, as square as possible (paper Section VII-A;
+/// process_grid in dist/owner_map.hpp). Devices are numbered m mod P +
+/// (k mod Q) * P, which decides the node each one sits on.
 int tile_owner(std::size_t m, std::size_t k, int devices);
-
-/// Decompose `devices` into the paper's process grid {P, Q}, P <= Q.
-std::pair<int, int> process_grid(int devices);
 
 /// Build the annotated Cholesky DAG for `nt` x `nt` tiles of dimension
 /// options.tile, with kernel precisions from `pmap` and communication

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "core/cholesky_tasks.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/reference.hpp"
 #include "runtime/executor.hpp"
@@ -100,143 +101,107 @@ TlrCholeskyResult tlr_cholesky(TlrFactor& a,
   TlrCholeskyResult result;
   const double tol = a.tolerance();
 
-  // One logical datum per tile; the runtime's dependence analysis turns the
-  // loop nest below into the same DAG the dense tile Cholesky runs on.
+  // One logical datum per tile; the runtime's dependence analysis turns
+  // Algorithm 1's tasks into the same DAG the dense tile Cholesky runs on.
   TaskGraph graph;
-  std::vector<DataId> ddiag(nt);
-  std::vector<DataId> doff(nt * (nt - 1) / 2);
-  auto off_id = [&](std::size_t m, std::size_t k) {
-    return doff[m * (m - 1) / 2 + k];
-  };
+  std::vector<DataId> data(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
     DataInfo info;
     info.name = "D(" + std::to_string(m) + ")";
     info.bytes = a.diagonal(m).size() * sizeof(double);
-    ddiag[m] = graph.add_data(info);
+    data[TileIndex{m, m}.packed()] = graph.add_data(info);
     for (std::size_t k = 0; k < m; ++k) {
       DataInfo oinfo;
       oinfo.name = "U(" + std::to_string(m) + "," + std::to_string(k) + ")";
       oinfo.bytes = a.off(m, k).bytes(Storage::FP64);
-      doff[m * (m - 1) / 2 + k] = graph.add_data(oinfo);
+      data[TileIndex{m, k}.packed()] = graph.add_data(oinfo);
     }
   }
 
-  for (std::size_t k = 0; k < nt; ++k) {
-    {
-      // POTRF on the dense diagonal.
-      TaskInfo ti;
-      ti.name = "POTRF(" + std::to_string(k) + ")";
-      ti.kind = KernelKind::POTRF;
-      ti.tm = ti.tn = int(k);
-      const std::size_t nb_k = a.tile_rows(k);
-      const std::size_t nb = a.nb();
-      graph.add_task(ti, {{ddiag[k], AccessMode::ReadWrite}},
-                     [&a, k, nb_k, nb] {
-                       std::vector<double>& ckk = a.diagonal(k);
-                       const int info = potrf_lower(nb_k, ckk.data(), nb_k);
-                       if (info != 0) {
-                         throw TlrNotPositiveDefinite{int(k * nb) + info};
-                       }
-                       for (std::size_t j = 0; j < nb_k; ++j) {
-                         for (std::size_t i = 0; i < j; ++i) {
-                           ckk[i + j * nb_k] = 0.0;
-                         }
-                       }
-                     });
+  const auto datum = [&](TileIndex x) { return data[x.packed()]; };
+  for_each_cholesky_task(nt, [&](const CholeskyTask& t) {
+    TaskInfo ti = t.info();
+    ti.name = t.name();
+    const std::size_t m = t.out.m, n = t.out.k, k = t.k;
+    std::function<void()> body;
+    switch (t.kind) {
+      case KernelKind::POTRF:
+        // POTRF on the dense diagonal.
+        body = [&a, k] {
+          const std::size_t nb_k = a.tile_rows(k);
+          std::vector<double>& ckk = a.diagonal(k);
+          const int info = potrf_lower(nb_k, ckk.data(), nb_k);
+          if (info != 0) {
+            throw TlrNotPositiveDefinite{int(k * a.nb()) + info};
+          }
+          for (std::size_t j = 0; j < nb_k; ++j) {
+            for (std::size_t i = 0; i < j; ++i) ckk[i + j * nb_k] = 0.0;
+          }
+        };
+        break;
+      case KernelKind::TRSM:
+        // TRSM on a low-rank panel: only the V factor is solved,
+        // V := L^{-1} V (right-solve of U V^T against L^T).
+        body = [&a, m, k] {
+          const std::size_t nb_k = a.tile_rows(k);
+          LowRankFactor& cmk = a.off(m, k);
+          trsm_left_lower_notrans<double>(nb_k, cmk.rank, 1.0,
+                                          a.diagonal(k).data(), nb_k,
+                                          cmk.v.data(), cmk.n);
+        };
+        break;
+      case KernelKind::SYRK:
+        // C_mm -= U (V^T V) U^T, a rank-r dense update.
+        body = [&a, m, k] {
+          const LowRankFactor& cmk = a.off(m, k);
+          std::vector<double>& cmm = a.diagonal(m);
+          const std::size_t rows = a.tile_rows(m);
+          const std::size_t r = cmk.rank;
+          // G = V^T V (r x r), W = U G (rows x r), C -= W U^T.
+          // Grow-only per-worker scratch: these bodies run once per task on
+          // a pool thread, and per-task allocation dominated small-rank
+          // updates. Both products write with beta = 0, so stale contents
+          // never leak.
+          thread_local std::vector<double> g, w;
+          g.resize(r * r);
+          gemm<double>('T', 'N', r, r, cmk.n, 1.0, cmk.v.data(), cmk.n,
+                       cmk.v.data(), cmk.n, 0.0, g.data(), r);
+          w.resize(rows * r);
+          gemm<double>('N', 'N', rows, r, r, 1.0, cmk.u.data(), rows,
+                       g.data(), r, 0.0, w.data(), rows);
+          gemm<double>('N', 'T', rows, rows, r, -1.0, w.data(), rows,
+                       cmk.u.data(), rows, 1.0, cmm.data(), rows);
+        };
+        break;
+      default:
+        // C_mn -= U_m (V_m^T V_n) U_n^T, folded by truncated addition.
+        body = [&a, m, n, k, tol] {
+          const LowRankFactor& cmk = a.off(m, k);
+          const LowRankFactor& cnk = a.off(n, k);
+          // Product factor: Unew = U_m (V_m^T V_n) (rows_m x r_n), V = U_n.
+          LowRankFactor prod;
+          prod.m = cmk.m;
+          prod.n = cnk.m;
+          prod.rank = cnk.rank;
+          // Grow-only per-worker scratch (beta = 0 overwrite); prod.u stays
+          // owned — lowrank_add keeps it.
+          thread_local std::vector<double> cross;
+          cross.resize(cmk.rank * cnk.rank);
+          gemm<double>('T', 'N', cmk.rank, cnk.rank, cmk.n, 1.0,
+                       cmk.v.data(), cmk.n, cnk.v.data(), cnk.n, 0.0,
+                       cross.data(), cmk.rank);
+          prod.u.resize(prod.m * prod.rank);
+          gemm<double>('N', 'N', prod.m, prod.rank, cmk.rank, 1.0,
+                       cmk.u.data(), prod.m, cross.data(), cmk.rank, 0.0,
+                       prod.u.data(), prod.m);
+          prod.v = cnk.u;
+          a.off(m, n) = lowrank_add(a.off(m, n), -1.0, prod, tol);
+        };
+        break;
     }
-
-    // TRSM on each low-rank panel: only the V factor is solved,
-    // V := L^{-1} V (right-solve of U V^T against L^T).
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo ti;
-      ti.name = "TRSM(" + std::to_string(m) + "," + std::to_string(k) + ")";
-      ti.kind = KernelKind::TRSM;
-      ti.tm = int(m);
-      ti.tk = int(k);
-      const std::size_t nb_k = a.tile_rows(k);
-      graph.add_task(
-          ti,
-          {{ddiag[k], AccessMode::Read}, {off_id(m, k), AccessMode::ReadWrite}},
-          [&a, m, k, nb_k] {
-            LowRankFactor& cmk = a.off(m, k);
-            trsm_left_lower_notrans<double>(nb_k, cmk.rank, 1.0,
-                                            a.diagonal(k).data(), nb_k,
-                                            cmk.v.data(), cmk.n);
-          });
-    }
-
-    // SYRK: C_mm -= U (V^T V) U^T, a rank-r dense update.
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo ti;
-      ti.name = "SYRK(" + std::to_string(m) + "," + std::to_string(k) + ")";
-      ti.kind = KernelKind::SYRK;
-      ti.tm = int(m);
-      ti.tk = int(k);
-      graph.add_task(
-          ti,
-          {{off_id(m, k), AccessMode::Read}, {ddiag[m], AccessMode::ReadWrite}},
-          [&a, m, k] {
-            const LowRankFactor& cmk = a.off(m, k);
-            std::vector<double>& cmm = a.diagonal(m);
-            const std::size_t rows = a.tile_rows(m);
-            const std::size_t r = cmk.rank;
-            // G = V^T V (r x r), W = U G (rows x r), C -= W U^T.
-            // Grow-only per-worker scratch: these bodies run once per task on
-            // a pool thread, and per-task allocation dominated small-rank
-            // updates. Both products write with beta = 0, so stale contents
-            // never leak.
-            thread_local std::vector<double> g, w;
-            g.resize(r * r);
-            gemm<double>('T', 'N', r, r, cmk.n, 1.0, cmk.v.data(), cmk.n,
-                         cmk.v.data(), cmk.n, 0.0, g.data(), r);
-            w.resize(rows * r);
-            gemm<double>('N', 'N', rows, r, r, 1.0, cmk.u.data(), rows,
-                         g.data(), r, 0.0, w.data(), rows);
-            gemm<double>('N', 'T', rows, rows, r, -1.0, w.data(), rows,
-                         cmk.u.data(), rows, 1.0, cmm.data(), rows);
-          });
-    }
-
-    // GEMM: C_mn -= U_m (V_m^T V_n) U_n^T, folded by truncated addition.
-    for (std::size_t m = k + 2; m < nt; ++m) {
-      for (std::size_t n = k + 1; n < m; ++n) {
-        TaskInfo ti;
-        ti.name = "GEMM(" + std::to_string(m) + "," + std::to_string(n) + "," +
-                  std::to_string(k) + ")";
-        ti.kind = KernelKind::GEMM;
-        ti.tm = int(m);
-        ti.tn = int(n);
-        ti.tk = int(k);
-        graph.add_task(ti,
-                       {{off_id(m, k), AccessMode::Read},
-                        {off_id(n, k), AccessMode::Read},
-                        {off_id(m, n), AccessMode::ReadWrite}},
-                       [&a, m, n, k, tol] {
-                         const LowRankFactor& cmk = a.off(m, k);
-                         const LowRankFactor& cnk = a.off(n, k);
-                         // Product factor: Unew = U_m (V_m^T V_n)
-                         // (rows_m x r_n), V = U_n.
-                         LowRankFactor prod;
-                         prod.m = cmk.m;
-                         prod.n = cnk.m;
-                         prod.rank = cnk.rank;
-                         // Grow-only per-worker scratch (beta = 0 overwrite);
-                         // prod.u stays owned — lowrank_add keeps it.
-                         thread_local std::vector<double> cross;
-                         cross.resize(cmk.rank * cnk.rank);
-                         gemm<double>('T', 'N', cmk.rank, cnk.rank, cmk.n, 1.0,
-                                      cmk.v.data(), cmk.n, cnk.v.data(), cnk.n,
-                                      0.0, cross.data(), cmk.rank);
-                         prod.u.resize(prod.m * prod.rank);
-                         gemm<double>('N', 'N', prod.m, prod.rank, cmk.rank,
-                                      1.0, cmk.u.data(), prod.m, cross.data(),
-                                      cmk.rank, 0.0, prod.u.data(), prod.m);
-                         prod.v = cnk.u;
-                         a.off(m, n) = lowrank_add(a.off(m, n), -1.0, prod, tol);
-                       });
-      }
-    }
-  }
+    graph.add_task(std::move(ti), cholesky_accesses(t, datum),
+                   std::move(body));
+  });
 
   ExecutorOptions opts;
   opts.num_threads = options.num_threads;

@@ -1,6 +1,5 @@
 #include "dist/owner_map.hpp"
 
-#include <algorithm>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -40,33 +39,6 @@ std::vector<std::pair<std::size_t, std::size_t>> OwnerMap::tiles_of(
     }
   }
   return out;
-}
-
-std::vector<int> cholesky_consumer_ranks(const OwnerMap& owners,
-                                         std::size_t m, std::size_t k) {
-  const std::size_t nt = owners.nt();
-  std::vector<int> ranks;
-  if (m == k) {
-    // Diagonal: TRSM consumers down column k.
-    for (std::size_t i = k + 1; i < nt; ++i) {
-      ranks.push_back(owners.owner(i, k));
-    }
-  } else {
-    // Panel (m, k), m > k: SYRK at (m, m), GEMMs at (m, n) k < n < m
-    // (as the B operand) and (n, m) n > m (as the A operand).
-    ranks.push_back(owners.owner(m, m));
-    for (std::size_t n = k + 1; n < m; ++n) {
-      ranks.push_back(owners.owner(m, n));
-    }
-    for (std::size_t n = m + 1; n < nt; ++n) {
-      ranks.push_back(owners.owner(n, m));
-    }
-  }
-  std::sort(ranks.begin(), ranks.end());
-  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-  const int self = owners.owner(m, k);
-  ranks.erase(std::remove(ranks.begin(), ranks.end(), self), ranks.end());
-  return ranks;
 }
 
 }  // namespace mpgeo

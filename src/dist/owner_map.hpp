@@ -7,6 +7,8 @@
 // accounting are exactly what a real multi-node run over MPI would use, so
 // the sharded path measures the paper's STC/TTC wire behaviour on real
 // bytes while staying deterministic and bit-identical to single-rank.
+// Which ranks read a tile is Algorithm 1's business: cholesky_consumer_ranks
+// in core/cholesky_tasks.hpp derives it from the task enumerator.
 #pragma once
 
 #include <cstddef>
@@ -59,19 +61,5 @@ class OwnerMap {
   std::size_t ranks_;
   std::size_t p_, q_;
 };
-
-/// Consumer ranks of tile (m, k)'s panel/diagonal broadcast in the tile
-/// Cholesky DAG, excluding the owner itself (those edges are rank-local and
-/// ship nothing). Sorted, deduplicated.
-///
-///   diagonal (k, k): consumed by the TRSMs of column k — tiles (m, k),
-///     m > k;
-///   panel (m, k), m > k: consumed by SYRK at (m, m) and by the GEMMs of
-///     every trailing tile (m, n) for k < n < m and (n, m) for n > m.
-///
-/// Shared by the run_cholesky SEND/RECV materialization and the analytic
-/// expected_wire_bytes fold in comm_map.cpp so the two cannot drift.
-std::vector<int> cholesky_consumer_ranks(const OwnerMap& owners,
-                                         std::size_t m, std::size_t k);
 
 }  // namespace mpgeo

@@ -23,8 +23,10 @@ std::vector<double>& c_scratch(std::size_t n) {
 int potrf_tile(AnyTile& ckk) {
   MPGEO_REQUIRE(ckk.rows() == ckk.cols(), "potrf_tile: tile must be square");
   const std::size_t n = ckk.rows();
-  std::vector<double> a = ckk.to_double();
+  auto& a = c_scratch(n * n);
+  ckk.to_double(a);
   const int info = potrf_lower(n, a.data(), n);
+  // On a breakdown the tile keeps its input values.
   if (info != 0) return info;
   // Zero the strictly-upper part so downstream consumers see a clean factor.
   for (std::size_t j = 0; j < n; ++j)

@@ -14,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/cholesky_tasks.hpp"
 #include "core/mle.hpp"
 #include "core/mp_cholesky.hpp"
 #include "core/tiled_covariance.hpp"
@@ -105,6 +106,9 @@ TEST(OwnerMapTest, ProcessGridPrefersSquarest) {
   EXPECT_EQ(process_grid(8), (std::pair<std::size_t, std::size_t>{2, 4}));
   EXPECT_EQ(process_grid(7), (std::pair<std::size_t, std::size_t>{1, 7}));
   EXPECT_EQ(process_grid(12), (std::pair<std::size_t, std::size_t>{3, 4}));
+  EXPECT_EQ(process_grid(16), (std::pair<std::size_t, std::size_t>{4, 4}));
+  // 64 Summit nodes x 6 GPUs: the grid of the simulated multi-node figures.
+  EXPECT_EQ(process_grid(384), (std::pair<std::size_t, std::size_t>{16, 24}));
 }
 
 TEST(OwnerMapTest, BlockCyclicPartitionsTheLowerTriangle) {

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/cholesky_tasks.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
@@ -20,67 +21,29 @@
 namespace mpgeo {
 namespace {
 
-/// The dependency skeleton of a right-looking tile Cholesky (the same
-/// insertion loop as mp_cholesky, bodies replaced by a thread-safe counter)
-/// — a real multi-depth DAG whose ids match the numeric factorization's.
+/// The dependency skeleton of a right-looking tile Cholesky: Algorithm 1's
+/// tasks from the enumerator mp_cholesky builds from, bodies replaced by a
+/// thread-safe counter — a real multi-depth DAG whose ids match the numeric
+/// factorization's.
 TaskGraph make_cholesky_shape_graph(std::size_t nt,
                                     std::atomic<int>* bodies_run = nullptr) {
   TaskGraph g;
   std::vector<DataId> data(nt * (nt + 1) / 2);
-  auto did = [&](std::size_t m, std::size_t k) {
-    return data[m * (m + 1) / 2 + k];
-  };
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
       DataInfo info;
       info.name = "C(" + std::to_string(m) + "," + std::to_string(k) + ")";
       info.bytes = 64;
-      data[m * (m + 1) / 2 + k] = g.add_data(info);
+      data[TileIndex{m, k}.packed()] = g.add_data(info);
     }
   }
   const auto body = [bodies_run] {
     if (bodies_run) bodies_run->fetch_add(1, std::memory_order_relaxed);
   };
-  for (std::size_t k = 0; k < nt; ++k) {
-    TaskInfo ti;
-    ti.kind = KernelKind::POTRF;
-    ti.tm = ti.tn = int(k);
-    g.add_task(ti, {{did(k, k), AccessMode::ReadWrite}}, body);
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo tt;
-      tt.kind = KernelKind::TRSM;
-      tt.tm = int(m);
-      tt.tk = int(k);
-      g.add_task(tt,
-                 {{did(k, k), AccessMode::Read},
-                  {did(m, k), AccessMode::ReadWrite}},
-                 body);
-    }
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      TaskInfo ts;
-      ts.kind = KernelKind::SYRK;
-      ts.tm = int(m);
-      ts.tk = int(k);
-      g.add_task(ts,
-                 {{did(m, k), AccessMode::Read},
-                  {did(m, m), AccessMode::ReadWrite}},
-                 body);
-    }
-    for (std::size_t m = k + 2; m < nt; ++m) {
-      for (std::size_t n = k + 1; n < m; ++n) {
-        TaskInfo tg;
-        tg.kind = KernelKind::GEMM;
-        tg.tm = int(m);
-        tg.tn = int(n);
-        tg.tk = int(k);
-        g.add_task(tg,
-                   {{did(m, k), AccessMode::Read},
-                    {did(n, k), AccessMode::Read},
-                    {did(m, n), AccessMode::ReadWrite}},
-                   body);
-      }
-    }
-  }
+  const auto datum = [&](TileIndex x) { return data[x.packed()]; };
+  for_each_cholesky_task(nt, [&](const CholeskyTask& t) {
+    g.add_task(t.info(), cholesky_accesses(t, datum), body);
+  });
   return g;
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -465,6 +466,38 @@ TEST_F(TileKernelTest, GemmTileMatchesManualUpdate) {
   std::vector<double> got = c11_.to_double();
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(got[i], expect[i], 1e-11);
+}
+
+TEST_F(TileKernelTest, PotrfTileBreakdownLeavesTileUntouched) {
+  // The 2nb x 2nb SPD matrix with a negative entry on its diagonal: the
+  // factorization stops partway, after writing leading columns of scratch.
+  const std::size_t n = 2 * nb_;
+  std::vector<double> vals(n * n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) vals[i + j * n] = dense_(i, j);
+  vals[20 + 20 * n] = -1.0;
+  AnyTile bad(n, n, Storage::FP64);
+  bad.from_double(vals);
+  const std::vector<std::byte> before(bad.raw_bytes().begin(),
+                                      bad.raw_bytes().end());
+  std::vector<double> oracle = vals;
+  const int info = potrf_lower(n, oracle.data(), n);
+  ASSERT_EQ(info, 21);
+  EXPECT_EQ(potrf_tile(bad), info);
+  ASSERT_EQ(bad.raw_bytes().size(), before.size());
+  EXPECT_EQ(std::memcmp(bad.raw_bytes().data(), before.data(), before.size()),
+            0);
+
+  // A smaller SPD tile next on the same thread: nothing the failed call left
+  // in the scratch may reach its factor.
+  std::vector<double> expect = c00_.to_double();
+  ASSERT_EQ(potrf_lower(nb_, expect.data(), nb_), 0);
+  for (std::size_t j = 0; j < nb_; ++j)
+    for (std::size_t i = 0; i < j; ++i) expect[i + j * nb_] = 0.0;
+  ASSERT_EQ(potrf_tile(c00_), 0);
+  const std::vector<double> got = c00_.to_double();
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size() * sizeof(double)),
+            0);
 }
 
 TEST_F(TileKernelTest, KernelShapeValidation) {

@@ -1,13 +1,19 @@
 // Tests for the simulation graph builder: task counts of Algorithm 1,
-// block-cyclic mapping, STC conversion tasks and wire annotations, and
-// end-to-end simulated invariants (STC <= TTC time, MP <= FP64 time).
+// block-cyclic mapping, folded STC/TTC conversions and wire annotations, a
+// digest that pins whole graphs, and end-to-end simulated invariants
+// (STC <= TTC time, MP <= FP64 time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <utility>
 
 #include "core/comm_map.hpp"
 #include "core/precision_map.hpp"
 #include "core/sim_graph.hpp"
+#include "dist/owner_map.hpp"
 #include "gpusim/sim_executor.hpp"
 
 namespace mpgeo {
@@ -26,13 +32,16 @@ std::map<KernelKind, int> kind_counts(const TaskGraph& g) {
   return counts;
 }
 
+// tile_owner lays devices out on the dist process grid; pin the grid shapes
+// the simulated figures rely on (384 = 64 Summit nodes x 6 GPUs).
 TEST(ProcessGrid, AsSquareAsPossible) {
-  EXPECT_EQ(process_grid(1), (std::pair{1, 1}));
-  EXPECT_EQ(process_grid(6), (std::pair{2, 3}));
-  EXPECT_EQ(process_grid(8), (std::pair{2, 4}));
-  EXPECT_EQ(process_grid(16), (std::pair{4, 4}));
-  EXPECT_EQ(process_grid(384), (std::pair{16, 24}));
-  EXPECT_EQ(process_grid(7), (std::pair{1, 7}));  // prime: 1 x 7
+  using Grid = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(process_grid(1), (Grid{1, 1}));
+  EXPECT_EQ(process_grid(6), (Grid{2, 3}));
+  EXPECT_EQ(process_grid(8), (Grid{2, 4}));
+  EXPECT_EQ(process_grid(16), (Grid{4, 4}));
+  EXPECT_EQ(process_grid(384), (Grid{16, 24}));
+  EXPECT_EQ(process_grid(7), (Grid{1, 7}));  // prime: 1 x 7
   const auto [p, q] = process_grid(384);
   EXPECT_LE(p, q);
 }
@@ -63,7 +72,7 @@ TEST(SimGraph, TaskCountsMatchAlgorithmOne) {
   EXPECT_EQ(counts.at(KernelKind::TRSM), int(nt * (nt - 1) / 2));
   EXPECT_EQ(counts.at(KernelKind::SYRK), int(nt * (nt - 1) / 2));
   EXPECT_EQ(counts.at(KernelKind::GEMM), int(nt * (nt - 1) * (nt - 2) / 6));
-  EXPECT_EQ(counts.count(KernelKind::CONVERT), 0u);  // all-FP64: no STC
+  EXPECT_EQ(counts.count(KernelKind::CONVERT), 0u);  // conversions fold
   g.validate();
 }
 
@@ -134,6 +143,74 @@ TEST(SimGraph, DevicesAssignedWithinCluster) {
     ASSERT_GE(g.task(t).info.device, 0);
     ASSERT_LT(g.task(t).info.device, cluster.total_gpus());
   }
+}
+
+// FNV-1a over every task's cost annotations and every edge: pins the whole
+// simulated graph, so a builder rewrite that changes any device, byte count
+// or dependency fails here before it shifts a figure.
+std::uint64_t sim_digest(const TaskGraph& g) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto add_int = [&add](long long v) { add(std::uint64_t(v)); };
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const TaskInfo& i = g.task(t).info;
+    add_int(int(i.kind));
+    add_int(int(i.prec));
+    add_int(i.tm);
+    add_int(i.tn);
+    add_int(i.tk);
+    add_int(i.device);
+    add(i.wire_bytes);
+    add_int(i.extra_conv_count);
+    add(std::bit_cast<std::uint64_t>(i.flops));
+    add(std::bit_cast<std::uint64_t>(i.extra_conv_bytes));
+  }
+  for (const Edge& e : g.edges()) {
+    add(e.from);
+    add(e.to);
+    add(e.data);
+  }
+  return h;
+}
+
+TEST(SimGraph, DigestUnchanged) {
+  const std::size_t nt = 9;
+  SimGraphOptions opts;
+  opts.tile = 1024;
+  opts.device_side_generation = false;
+  const PrecisionMap fp16 = uniform_map(nt, Precision::FP16);
+  CommMapOptions ttc;
+  ttc.strategy = ConversionStrategy::AllTTC;
+  const ClusterConfig v100 = single_gpu(GpuModel::V100);
+  EXPECT_EQ(sim_digest(build_cholesky_sim_graph(fp16, build_comm_map(fp16),
+                                                v100, opts)),
+            0x66206d789d674c2dull);
+  EXPECT_EQ(sim_digest(build_cholesky_sim_graph(
+                fp16, build_comm_map(fp16, ttc), v100, opts)),
+            0x0283818eec4a582dull);
+  const PrecisionMap fp16_32 = uniform_map(nt, Precision::FP16_32);
+  EXPECT_EQ(sim_digest(build_cholesky_sim_graph(
+                fp16_32, build_comm_map(fp16_32), summit_cluster(2), opts)),
+            0x9fdbd9f06d11573dull);
+  // Precision falls with distance from the diagonal, so every rung, STC
+  // and TTC panels and FP32 storage meet in one graph.
+  PrecisionMap mixed(nt, Precision::FP64);
+  const Precision rungs[] = {Precision::FP64, Precision::FP32,
+                             Precision::FP16_32, Precision::FP16};
+  for (std::size_t m = 0; m < nt; ++m) {
+    for (std::size_t k = 0; k < m; ++k) {
+      mixed.set_kernel(m, k, rungs[std::min<std::size_t>((m - k) / 2, 3)]);
+    }
+  }
+  opts.device_side_generation = true;
+  EXPECT_EQ(sim_digest(build_cholesky_sim_graph(mixed, build_comm_map(mixed),
+                                                guyot_node(4), opts)),
+            0x8515a29dbba91a60ull);
 }
 
 TEST(SimGraph, FlopsSumToCholeskyTotal) {
