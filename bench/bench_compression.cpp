@@ -108,8 +108,11 @@ bool codec_table(std::size_t n, std::size_t nb, double nugget,
     const LocationSet locs = generate_locations(n, app.dim, rng);
     const Covariance cov(app.kind);
     TileMatrix a = build_tiled_covariance(cov, locs, app.theta, nb, nugget);
-    const PrecisionMap pmap =
-        build_precision_map(a, app.u_req, ladder, app.fp16_32_eps);
+    // One norm pass feeds both maps, as in mp_cholesky.
+    const TileNorms norms = a.norms();
+    const PrecisionMap pmap = build_precision_map_from_norms(
+        a.num_tiles(), norms.tiles, norms.global, app.u_req, ladder,
+        app.fp16_32_eps);
     for (std::size_t m = 0; m < a.num_tiles(); ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
         AnyTile& tl = a.tile(m, k);
@@ -123,7 +126,7 @@ bool codec_table(std::size_t n, std::size_t nb, double nugget,
 
     // Truncate to the Higham–Mary slack (what mp_cholesky does when
     // TruncationOptions::enabled), then compress the now-sparse mantissas.
-    const std::vector<int> keep = build_truncation_map(a, pmap, app.u_req);
+    const std::vector<int> keep = build_truncation_map(norms, pmap, app.u_req);
     for (std::size_t m = 0; m < a.num_tiles(); ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
         AnyTile& tl = a.tile(m, k);

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     parallel.num_threads = threads;
     const double parallel_seconds =
         time_fills(a, cov, locs, kc.theta, parallel, fills);
-    // Parallel assembly must be bit-identical to the serial fill, always.
+    // Parallel assembly must be bit-identical to the one-worker fill, always.
     identical = identical && tiles_identical(serial_ref, a);
 
     table.add_row({kc.name, Table::num(seed_seconds, 4),

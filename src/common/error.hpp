@@ -35,14 +35,4 @@ class Error : public std::runtime_error {
     if (!(cond)) ::mpgeo::assert_fail(__FILE__, __LINE__, #cond);  \
   } while (0)
 
-/// Narrowing cast that validates the value survives the conversion.
-template <class To, class From>
-constexpr To checked_cast(From v) {
-  const To r = static_cast<To>(v);
-  if (static_cast<From>(r) != v || ((r < To{}) != (v < From{}))) {
-    throw Error("checked_cast: value does not fit target type");
-  }
-  return r;
-}
-
 }  // namespace mpgeo

@@ -51,9 +51,9 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   // Sigma(theta). The theta-invariant tile distances are computed once per
   // fit and one reused buffer is refilled; after mp_cholesky re-stored
   // tiles per the precision map, fill_tiled_covariance resets them to FP64.
-  // Generation runs as parallel GENERATE tasks on the same pool size the
-  // factorization uses (num_threads == 1 stays serial, e.g. under
-  // replica-level parallelism in run_monte_carlo).
+  // Generation runs as GENERATE tasks on the session, or else on a pool of
+  // the size the factorization uses (one worker under replica-level
+  // parallelism in run_monte_carlo).
   const bool ooc = options.ooc.enabled;
   if (!workspace.geometry || workspace.geometry->n() != n ||
       workspace.geometry->nb() != options.tile) {
@@ -65,17 +65,16 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
     workspace.sigma = std::make_unique<TileMatrix>(n, options.tile);
   }
   if (ooc && !workspace.sigma->spill_enabled()) {
-    // Start the fit fully spilled (zero tiles compress to almost nothing),
-    // so the covgen pager attaches with an empty resident set instead of
-    // spiking the global ledger with a fresh resident matrix.
+    // The fill spills every resident tile before it attaches to the pager
+    // (zero tiles compress to almost nothing), so it never spikes the
+    // global ledger with a fresh resident matrix.
     SpillOptions sp;
     sp.enabled = true;
     sp.metrics = options.metrics;
     workspace.sigma->enable_spill(sp);
-    workspace.sigma->spill_all();
   }
   CovGenOptions gen;  // shared with the escalation regenerate callback
-  gen.parallel = options.num_threads != 1;
+  gen.parallel = true;
   gen.num_threads = options.num_threads;
   gen.session = options.session;
   gen.geometry = workspace.geometry.get();
@@ -112,8 +111,8 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
     // A mid-factorization throw (injected fault, kernel invariant) leaves
     // tiles re-stored per the precision map; the workspace outlives this
     // evaluation, so restore FP64 storage before propagating or the caller
-    // inherits a degraded Sigma buffer. Spilled tiles stay spilled (the next
-    // fill overwrites every value anyway).
+    // inherits a degraded Sigma buffer. Spilled tiles stay spilled and are
+    // only relabelled (the next fill overwrites every value anyway).
     sigma.reset_storage(Storage::FP64);
     throw;
   }

@@ -40,7 +40,7 @@ struct NotPositiveDefinite {
 /// run after execute() returns.
 struct DistState {
   DistState(std::size_t nt, const DistOptions& opts, MetricsRegistry* reg)
-      : owners(nt, opts.ranks, opts.grid_p, opts.grid_q),
+      : owners(nt, opts.ranks),
         mail(opts.ranks),
         replica_of(nt * (nt + 1) / 2) {
     if (!reg) return;
@@ -80,53 +80,49 @@ struct DistState {
 };
 
 MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
-                              PrecisionMap pmap) {
+                              PrecisionMap pmap, const TileNorms& norms) {
   const std::size_t nt = a.num_tiles();
   CommMap cmap = build_comm_map(pmap, options.comm);
-  // Out-of-core mode: leave spilled tiles spilled, stream the storage
-  // passes one tile at a time, and page residency during execution.
+  // Out-of-core mode: leave spilled tiles spilled, prepare storage one tile
+  // at a time, and page residency during execution.
   const bool ooc_mode = options.ooc.enabled && a.spill_enabled();
 
-  // Fig 2b: move each tile into its storage format (FP64 generation already
-  // happened; sub-FP32 kernels get FP32-stored tiles). Out of core, a
-  // spilled tile that needs conversion is restored, converted and re-spilled
-  // immediately, so the resident set grows by one tile at a time.
+  // Storage preparation, one visit per tile: Fig 2b's storage format (FP64
+  // generation already happened; sub-FP32 kernels get FP32-stored tiles),
+  // then sub-ladder truncation (DESIGN.md 5h), which zeroes the mantissa
+  // bits the Higham–Mary slack says carry no information. Both happen
+  // before any task — and in particular before any serialization — so
+  // every rank computes on (and ships) identical values. The keep depths
+  // come from the FP64 norms the precision map was built from; escalation
+  // re-enters run_cholesky with pristine values and a promoted map, so the
+  // depths are re-derived per attempt. Out of core, a spilled tile that
+  // changes is restored, prepared and re-spilled at once, so the resident
+  // set grows by one tile at a time.
+  std::vector<int> keep;
+  if (options.truncation.enabled) {
+    keep = build_truncation_map(norms, pmap, options.u_req);
+  }
+  std::uint64_t truncated = 0;
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {
+      const Storage s = pmap.storage(m, k);
+      const int bits =
+          keep.empty() ? mantissa_bits(s) : keep[m * (m + 1) / 2 + k];
+      const bool truncate = bits < mantissa_bits(s);
       AnyTile& t = a.tile(m, k);
-      if (t.storage() == pmap.storage(m, k)) continue;
+      if (t.storage() == s && !truncate) continue;
       const bool was_spilled = a.spilled(m, k);
       if (was_spilled) a.restore(m, k);
-      t.convert_storage(pmap.storage(m, k));
+      t.convert_storage(s);
+      if (truncate) {
+        truncate_mantissa(t.raw_bytes(), s, bits);
+        ++truncated;
+      }
       if (was_spilled) a.spill(m, k);
     }
   }
-
-  // Sub-ladder truncation (DESIGN.md 5h): zero the mantissa bits the
-  // Higham–Mary slack says carry no information, before any task — and in
-  // particular before any serialization — so every rank computes on (and
-  // ships) identical truncated values. Escalation re-enters run_cholesky
-  // with pristine values and a promoted map, so the depth is re-derived per
-  // attempt. The norm pass reads spilled tiles in place, bit-exactly, so
-  // the keep map is residency-independent.
-  if (options.truncation.enabled) {
-    const std::vector<int> keep = build_truncation_map(a, pmap, options.u_req);
-    std::uint64_t truncated = 0;
-    for (std::size_t m = 0; m < nt; ++m) {
-      for (std::size_t k = 0; k <= m; ++k) {
-        AnyTile& t = a.tile(m, k);
-        const int bits = keep[m * (m + 1) / 2 + k];
-        if (bits >= mantissa_bits(t.storage())) continue;
-        const bool was_spilled = a.spilled(m, k);
-        if (was_spilled) a.restore(m, k);
-        truncate_mantissa(t.raw_bytes(), t.storage(), bits);
-        ++truncated;
-        if (was_spilled) a.spill(m, k);
-      }
-    }
-    if (options.metrics) {
-      options.metrics->counter("cholesky.truncated_tiles").add(truncated);
-    }
+  if (options.truncation.enabled && options.metrics) {
+    options.metrics->counter("cholesky.truncated_tiles").add(truncated);
   }
 
   // Register one logical datum per tile. The graph lives in a shared_ptr so
@@ -491,7 +487,8 @@ MpCholeskyResult run_cholesky(TileMatrix& a, const MpCholeskyOptions& options,
 /// precision map, restore the pristine values, re-factor.
 MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
                                           const MpCholeskyOptions& options,
-                                          PrecisionMap pmap) {
+                                          PrecisionMap pmap,
+                                          const TileNorms& norms) {
   MetricsRegistry::Counter breakdowns_c;
   MetricsRegistry::Counter escalations_c;
   if (options.metrics) {
@@ -510,7 +507,7 @@ MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
   int breakdowns = 0;
   int escalations = 0;
   for (int attempt = 0;; ++attempt) {
-    result = run_cholesky(a, options, PrecisionMap(pmap));
+    result = run_cholesky(a, options, PrecisionMap(pmap), norms);
     if (result.info == 0) break;
     ++breakdowns;
     breakdowns_c.add();
@@ -542,25 +539,29 @@ MpCholeskyResult cholesky_with_escalation(TileMatrix& a,
 
 MpCholeskyResult mp_cholesky(TileMatrix& a, const MpCholeskyOptions& options) {
   MPGEO_REQUIRE(!options.ladder.empty(), "mp_cholesky: empty precision ladder");
-  // Out of core, spilled tiles stay spilled and the Higham–Mary rule reads
-  // their norms in place, bit-identical to the resident norms. Otherwise the
+  // Out of core, spilled tiles stay spilled and the one norm pass reads
+  // them in place, bit-identical to the resident norms. Otherwise the
   // factorization touches every tile, so a spill-enabled matrix is made
   // fully resident up front and its spill tier stays idle for the run.
   if (a.spill_enabled() && !options.ooc.enabled) a.restore_all();
-  PrecisionMap pmap = build_precision_map(a, options.u_req, options.ladder,
-                                          options.fp16_32_rule_eps);
-  return cholesky_with_escalation(a, options, std::move(pmap));
+  // The FP64 norms drive both the precision map and the truncation depths.
+  const TileNorms norms = a.norms();
+  PrecisionMap pmap = build_precision_map_from_norms(
+      a.num_tiles(), norms.tiles, norms.global, options.u_req, options.ladder,
+      options.fp16_32_rule_eps);
+  return cholesky_with_escalation(a, options, std::move(pmap), norms);
 }
 
 MpCholeskyResult fp64_cholesky(TileMatrix& a,
                                const MpCholeskyOptions& options) {
   MpCholeskyOptions opts = options;
   opts.ladder = {Precision::FP64};
-  // The map is all-FP64 by construction — no norms needed, so the only
-  // out-of-core question is whether to restore up front.
+  // The map is all-FP64 by construction: the norms are read only for the
+  // truncation depths.
   if (a.spill_enabled() && !opts.ooc.enabled) a.restore_all();
   PrecisionMap pmap(a.num_tiles(), Precision::FP64);
-  return cholesky_with_escalation(a, opts, std::move(pmap));
+  const TileNorms norms = opts.truncation.enabled ? a.norms() : TileNorms{};
+  return cholesky_with_escalation(a, opts, std::move(pmap), norms);
 }
 
 double logdet_tiled(const TileMatrix& l, SharedOocPager* shared) {

@@ -3,9 +3,11 @@
 // accuracy experiments.
 //
 // Pipeline:
-//   1. derive the kernel-precision map from the tile norms (Higham–Mary
-//      rule, Section V) and the communication map (Algorithm 2, Section VI);
-//   2. re-store tiles per the storage map (Fig 2b);
+//   1. read the tile norms once and derive the kernel-precision map from
+//      them (Higham–Mary rule, Section V) and the communication map
+//      (Algorithm 2, Section VI);
+//   2. re-store tiles per the storage map (Fig 2b), truncating each one
+//      in the same visit when truncation is on;
 //   3. insert POTRF/TRSM/SYRK/GEMM tasks with read/write accesses; the
 //      runtime's dependence analysis reproduces the dataflow of Fig 3;
 //   4. execute asynchronously on a worker pool.
@@ -54,13 +56,14 @@ struct EscalationOptions {
 };
 
 /// Sub-ladder storage truncation (DESIGN.md 5h — the GDAL RFC 99 idea one
-/// level below the precision ladder): right after storage mapping, zero the
-/// mantissa bits of every tile beyond what the Higham–Mary slack requires
-/// (build_truncation_map), so at-rest compression and spill bite much
-/// harder. This perturbs values within the factorization's own error budget
-/// — the accuracy suite bounds the theta-hat impact — and is applied on the
-/// owner's tile before any serialization, so rank-sharded runs remain
-/// bit-identical to single-rank runs.
+/// level below the precision ladder): in the same per-tile visit that
+/// re-stores a tile in its storage format, zero its mantissa bits beyond
+/// what the Higham–Mary slack requires (build_truncation_map over the FP64
+/// norms the precision map came from), so at-rest compression and spill
+/// bite much harder. This perturbs values within the factorization's own
+/// error budget — the accuracy suite bounds the theta-hat impact — and is
+/// applied on the owner's tile before any serialization, so rank-sharded
+/// runs remain bit-identical to single-rank runs.
 struct TruncationOptions {
   bool enabled = false;
 };
@@ -125,9 +128,11 @@ struct MpCholeskyOptions {
   TruncationOptions truncation;
   /// Out-of-core execution against the spill tier (core/ooc_pager.hpp).
   /// With ooc.enabled and a spill-enabled matrix, the up-front restore_all
-  /// is dropped: the precision and truncation maps read spilled tiles in
-  /// place (TileMatrix::read_tile), storage conversion touches one tile at a
-  /// time, and during the factorization the pager keeps residency at the
+  /// is dropped: the one norm pass behind the precision and truncation maps
+  /// reads spilled tiles in place (TileMatrix::read_tile), storage
+  /// preparation (conversion and truncation) restores and re-spills each
+  /// tile that changes once, one tile at a time, and during the
+  /// factorization the pager keeps residency at the
   /// working set (budgeted; each worker restores and spills the tiles its
   /// own tasks need). Factors are bit-identical to the fully-resident run at
   /// every budget — spill/restore is bit-exact and the task graph is

@@ -154,11 +154,11 @@ PrecisionMap build_precision_map(const TileMatrix& a, double u_req,
                                         fp16_32_eps);
 }
 
-std::vector<int> build_truncation_map(const TileMatrix& a,
+std::vector<int> build_truncation_map(const TileNorms& norms,
                                       const PrecisionMap& pmap, double u_req) {
-  const std::size_t nt = a.num_tiles();
-  MPGEO_REQUIRE(pmap.nt() == nt, "build_truncation_map: map size mismatch");
-  const TileNorms norms = a.norms();
+  const std::size_t nt = pmap.nt();
+  MPGEO_REQUIRE(norms.tiles.size() == nt * (nt + 1) / 2,
+                "build_truncation_map: tile norm count mismatch");
   std::vector<int> keep(nt * (nt + 1) / 2);
   for (std::size_t m = 0; m < nt; ++m) {
     for (std::size_t k = 0; k <= m; ++k) {

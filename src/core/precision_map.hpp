@@ -89,10 +89,11 @@ PrecisionMap build_precision_map_from_norms(std::size_t nt,
 /// keep_bits_for_roundoff(u_allowed) plus two guard bits (clamped to the
 /// tile's storage format) therefore stays within the factorization's own
 /// error budget while zeroing the bits lossless compression feeds on.
-/// Zero-norm tiles keep full precision. Indexed m*(m+1)/2+k (packed lower
-/// triangle), like the maps. Like build_precision_map, it reads spilled
-/// tiles in place.
-std::vector<int> build_truncation_map(const TileMatrix& a,
+/// The tile's storage format is pmap.storage(m, k); the norms are the FP64
+/// matrix's (TileMatrix::norms() before storage conversion, the same read
+/// the precision map comes from). Zero-norm tiles keep full precision.
+/// Indexed m*(m+1)/2+k (packed lower triangle), like the maps.
+std::vector<int> build_truncation_map(const TileNorms& norms,
                                       const PrecisionMap& pmap, double u_req);
 
 // --- Precision escalation (breakdown recovery, DESIGN.md 5e) ---

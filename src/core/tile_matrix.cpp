@@ -134,17 +134,9 @@ void TileMatrix::set_storage(std::size_t m, std::size_t k, Storage s) {
 }
 
 void TileMatrix::reset_storage(Storage s) {
-  for (std::size_t m = 0; m < nt_; ++m) {
-    for (std::size_t k = 0; k <= m; ++k) {
-      if (tile(m, k).storage() == s) continue;
-      if (spilled(m, k)) {
-        discard_spilled(m, k, s);
-        spill(m, k);
-      } else {
-        set_storage(m, k, s);
-      }
-    }
-  }
+  // A spilled tile is released, so convert_storage only relabels it: its
+  // blob stays in its slot and whatever decodes it next widens it.
+  for (AnyTile& t : tiles_) t.convert_storage(s);
 }
 
 std::size_t TileMatrix::bytes() const {

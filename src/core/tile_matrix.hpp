@@ -111,11 +111,15 @@ class TileMatrix {
   /// The tile must be resident when the spill tier is enabled.
   void set_storage(std::size_t m, std::size_t k, Storage s);
 
-  /// Re-allocate every tile whose storage differs from `s` (contents of the
-  /// reset tiles are zeroed — callers refill before use). A spilled tile is
-  /// re-targeted without decompressing (discard_spilled) and spilled again,
-  /// so residency is unchanged. Used to repair a matrix left in
-  /// mixed-precision storage by an aborted factorization.
+  /// Re-store every tile in `s` (values widened; callers refill before
+  /// use). A resident tile converts in place (AnyTile::convert_storage). A
+  /// spilled tile is only relabelled, so `s` must be at least as wide as
+  /// its storage: its blob stays in its slot, nothing is read or written,
+  /// and a later restore or read_tile widens it, so a spilled matrix and
+  /// its resident twin still agree bit for bit.
+  /// Residency and spill_stats() are unchanged. Used to repair a matrix
+  /// left in mixed-precision storage by an aborted factorization, and by
+  /// the out-of-core fill before it attaches to the pager.
   void reset_storage(Storage s);
 
   /// Total bytes at rest across all stored tiles (the paper's storage-cost
@@ -161,8 +165,8 @@ class TileMatrix {
   void install(std::size_t m, std::size_t k, AnyTile&& restored);
   /// Replace spilled tile (m, k) with a fresh zeroed payload in storage `s`,
   /// freeing its slot without decompressing the blob — the pager's write
-  /// elision (a pure-Write task overwrites every value anyway) and
-  /// reset_storage's re-targeting of a degraded spilled tile.
+  /// elision (a pure-Write task overwrites every value anyway) and the
+  /// fill of a spill-enabled matrix without the pager.
   /// Not counted as a restore; requires the tier and the tile spilled.
   void discard_spilled(std::size_t m, std::size_t k, Storage s);
   bool spilled(std::size_t m, std::size_t k) const;

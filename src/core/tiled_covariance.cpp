@@ -17,16 +17,11 @@ namespace {
 
 // Fill one tile: distances (cached or computed) -> one batched covariance
 // evaluation -> nugget on the global diagonal -> store. Scratch is
-// thread_local so parallel assembly allocates once per worker, not per tile.
+// thread_local so assembly allocates once per worker, not per tile.
 void fill_one_tile(TileMatrix& a, const Covariance& cov,
                    const LocationSet& locs, std::span<const double> theta,
                    double nugget, const CovGenOptions& options, std::size_t m,
                    std::size_t k) {
-  if (a.spill_enabled() && a.spilled(m, k)) {
-    // The fill overwrites every value: discard the stale blob (no
-    // decompress) and re-target FP64 in place.
-    a.discard_spilled(m, k, Storage::FP64);
-  }
   if (a.tile(m, k).storage() != Storage::FP64) {
     a.set_storage(m, k, Storage::FP64);
   }
@@ -74,71 +69,70 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
   const std::size_t num_tiles = nt * (nt + 1) / 2;
   const bool stream = options.ooc.enabled && a.spill_enabled();
 
-  if (options.parallel && num_tiles > 1) {
-    if (stream) {
-      // Storage normalization before the pager attaches: a mid-task
-      // set_storage would change the tile's byte footprint under the
-      // pager's ledger. Spilled non-FP64 tiles are re-targeted without a
-      // decompress (the fill overwrites everything). Resident tiles — pins
-      // leaked by a failed escalation attempt, or a caller that never
-      // spilled — are spilled too: under a shared global budget an attach
-      // with a resident start position would blow straight past the budget
-      // with nothing the arbiter can do about bytes already in memory, so
-      // the generator always attaches from an empty set.
-      a.reset_storage(Storage::FP64);
-      a.spill_all();
-    }
-    TaskGraph graph;
+  // Spill-tier bookkeeping happens here, on the calling thread, before any
+  // task runs: spill, restore and discard are not thread-safe.
+  if (stream) {
+    // Storage normalization before the pager attaches: a mid-task
+    // set_storage would change the tile's byte footprint under the pager's
+    // ledger. Spilled non-FP64 tiles are relabelled in place (their stale
+    // blobs are never read: every GENERATE access is a pure Write). Resident
+    // tiles — pins leaked by a failed escalation attempt, or a caller that
+    // never spilled — are spilled too: under a shared global budget an
+    // attach with a resident start position would blow straight past the
+    // budget with nothing the arbiter can do about bytes already in memory,
+    // so the generator always attaches from an empty set.
+    a.reset_storage(Storage::FP64);
+    a.spill_all();
+  } else if (a.spill_enabled()) {
+    // Filled without the pager, the matrix ends fully resident: drop the
+    // stale blobs unread.
     for (std::size_t m = 0; m < nt; ++m) {
       for (std::size_t k = 0; k <= m; ++k) {
-        DataInfo d;
-        d.name = "sigma(" + std::to_string(m) + "," + std::to_string(k) + ")";
-        d.bytes = a.tile(m, k).bytes();
-        const DataId id = graph.add_data(d);
-        TaskInfo ti;
-        ti.name = "generate(" + std::to_string(m) + "," + std::to_string(k) +
-                  ")";
-        ti.kind = KernelKind::GENERATE;
-        ti.tm = int(m);
-        ti.tn = int(k);
-        graph.add_task(ti, {{id, AccessMode::Write}}, [&, m, k] {
-          fill_one_tile(a, cov, locs, theta, nugget, options, m, k);
-        });
-      }
-    }
-    ExecutorOptions x;
-    x.num_threads = options.num_threads;
-    x.metrics = options.metrics;
-    x.session = options.session;
-    std::unique_ptr<SharedOocPager> own_pager;
-    std::unique_ptr<SharedOocPager::Tenant> pager;
-    if (stream) {
-      // Data insertion order above matches the packed lower-triangle index,
-      // so tile_of_datum is the identity. Every access is pure Write — the
-      // pager write-installs each tile fresh, and the retiring worker
-      // dead-spills it as soon as its GENERATE task is done.
-      std::vector<std::size_t> tile_of_datum(graph.num_data());
-      for (std::size_t i = 0; i < tile_of_datum.size(); ++i) {
-        tile_of_datum[i] = i;
-      }
-      pager = attach_for_call(options.ooc, options.metrics,
-                              /*capture_residency=*/false, own_pager, a,
-                              graph, std::move(tile_of_datum));
-      x.start_hook = [&pager](const Task& t) { pager->before_task(t); };
-      x.retire_hook = [&pager](const Task& t) { pager->after_task(t); };
-    }
-    execute(graph, x);
-    if (pager) pager->finish();
-  } else {
-    for (std::size_t m = 0; m < nt; ++m) {
-      for (std::size_t k = 0; k <= m; ++k) {
-        fill_one_tile(a, cov, locs, theta, nugget, options, m, k);
-        // Streamed serial fill: hand the tile straight back to its slot so
-        // at most one generated tile is resident at a time.
-        if (stream) a.spill(m, k);
+        if (a.spilled(m, k)) a.discard_spilled(m, k, Storage::FP64);
       }
     }
   }
+
+  TaskGraph graph;
+  for (std::size_t m = 0; m < nt; ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      DataInfo d;
+      d.name = "sigma(" + std::to_string(m) + "," + std::to_string(k) + ")";
+      d.bytes = a.tile(m, k).bytes();
+      const DataId id = graph.add_data(d);
+      TaskInfo ti;
+      ti.name = "generate(" + std::to_string(m) + "," + std::to_string(k) + ")";
+      ti.kind = KernelKind::GENERATE;
+      ti.tm = int(m);
+      ti.tn = int(k);
+      graph.add_task(ti, {{id, AccessMode::Write}}, [&, m, k] {
+        fill_one_tile(a, cov, locs, theta, nugget, options, m, k);
+      });
+    }
+  }
+  ExecutorOptions x;
+  x.num_threads = options.parallel ? options.num_threads : 1;
+  x.metrics = options.metrics;
+  x.session = options.session;
+  std::unique_ptr<SharedOocPager> own_pager;
+  std::unique_ptr<SharedOocPager::Tenant> pager;
+  if (stream) {
+    // Data insertion order above matches the packed lower-triangle index,
+    // so tile_of_datum is the identity. Every access is pure Write — the
+    // pager write-installs each tile fresh, and the retiring worker
+    // dead-spills it as soon as its GENERATE task is done.
+    std::vector<std::size_t> tile_of_datum(graph.num_data());
+    for (std::size_t i = 0; i < tile_of_datum.size(); ++i) {
+      tile_of_datum[i] = i;
+    }
+    pager = attach_for_call(options.ooc, options.metrics,
+                            /*capture_residency=*/false, own_pager, a, graph,
+                            std::move(tile_of_datum));
+    x.start_hook = [&pager](const Task& t) { pager->before_task(t); };
+    x.retire_hook = [&pager](const Task& t) { pager->after_task(t); };
+  }
+  execute(graph, x);
+  if (pager) pager->finish();
 
   if (options.metrics) {
     MetricsRegistry& reg = *options.metrics;

@@ -13,20 +13,15 @@
 
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 namespace mpgeo {
 
 /// Distribution knob for mp_cholesky / fit_mle. ranks == 1 (the default) is
 /// the current zero-copy shared-memory path, bit-identical by construction.
 struct DistOptions {
-  /// Number of ranks (thread-pool shards). 1 = off.
+  /// Number of ranks (thread-pool shards) on the process_grid(ranks) grid.
+  /// 1 = off.
   std::size_t ranks = 1;
-  /// Process grid shape; 0 = choose automatically (p = largest divisor of
-  /// `ranks` with p <= sqrt(ranks), so the grid is as square as possible).
-  /// When set, p * q must equal ranks.
-  std::size_t grid_p = 0;
-  std::size_t grid_q = 0;
 
   bool enabled() const { return ranks > 1; }
 };
@@ -36,12 +31,10 @@ struct DistOptions {
 std::pair<std::size_t, std::size_t> process_grid(std::size_t ranks);
 
 /// Block-cyclic owner map: tile (m, k) of an nt x nt grid belongs to rank
-/// (m mod p) * q + (k mod q) on a p x q process grid.
+/// (m mod p) * q + (k mod q) on the p x q grid process_grid(ranks).
 class OwnerMap {
  public:
-  /// p == q == 0 picks the default grid via process_grid(ranks).
-  OwnerMap(std::size_t nt, std::size_t ranks, std::size_t p = 0,
-           std::size_t q = 0);
+  OwnerMap(std::size_t nt, std::size_t ranks);
 
   std::size_t nt() const { return nt_; }
   std::size_t ranks() const { return ranks_; }
@@ -52,9 +45,6 @@ class OwnerMap {
   int owner(std::size_t m, std::size_t k) const {
     return int((m % p_) * q_ + (k % q_));
   }
-
-  /// All lower-triangle tiles (m >= k) owned by `rank`, row-major order.
-  std::vector<std::pair<std::size_t, std::size_t>> tiles_of(int rank) const;
 
  private:
   std::size_t nt_;

@@ -82,6 +82,13 @@ void AnyTile::from_double(std::span<const double> in) {
 
 void AnyTile::convert_storage(Storage new_storage) {
   if (new_storage == storage_) return;
+  if (!resident()) {
+    // The payload that is decoded into this tile later must fit the label.
+    MPGEO_REQUIRE(bytes_per_element(new_storage) >= bytes_per_element(storage_),
+                  "AnyTile::convert_storage: a released tile can only widen");
+    storage_ = new_storage;
+    return;
+  }
   std::vector<double> tmp = to_double();
   storage_ = new_storage;
   switch (new_storage) {

@@ -52,7 +52,10 @@ class AnyTile {
   void round_through_wire(Storage w);
 
   /// Re-store the tile's payload in a different format (values round through
-  /// the new format; widening does not recover lost bits).
+  /// the new format; widening does not recover lost bits). A released tile
+  /// has no payload to convert, so it is only relabelled, and only to a
+  /// format at least as wide: the payload that is later decoded into it
+  /// (TileMatrix's spill tier) is then widened exactly.
   void convert_storage(Storage new_storage);
 
   /// Frobenius norm of the stored values.

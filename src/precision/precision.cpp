@@ -27,16 +27,6 @@ std::string to_string(Storage s) {
   return {};
 }
 
-Precision precision_from_string(const std::string& name) {
-  if (name == "FP64") return Precision::FP64;
-  if (name == "FP32") return Precision::FP32;
-  if (name == "TF32") return Precision::TF32;
-  if (name == "BF16_32") return Precision::BF16_32;
-  if (name == "FP16_32") return Precision::FP16_32;
-  if (name == "FP16") return Precision::FP16;
-  throw Error("unknown precision name: " + name);
-}
-
 double unit_roundoff(Precision p) {
   switch (p) {
     case Precision::FP64: return 0x1.0p-53;
@@ -100,10 +90,6 @@ bool lower_than(Precision a, Precision b) {
 
 Precision higher_of(Precision a, Precision b) {
   return lower_than(a, b) ? b : a;
-}
-
-Precision lower_of(Precision a, Precision b) {
-  return lower_than(a, b) ? a : b;
 }
 
 }  // namespace mpgeo

@@ -36,9 +36,6 @@ enum class Storage : int {
 std::string to_string(Precision p);
 std::string to_string(Storage s);
 
-/// Parse a precision name as printed by to_string. Throws on unknown names.
-Precision precision_from_string(const std::string& name);
-
 /// Unit roundoff u of the format (2^-53 for FP64 ... 2^-11 for FP16).
 /// For the mixed formats this is the effective block-FMA bound: FP16_32 and
 /// BF16_32 round their inputs to 16 bits but accumulate in FP32, giving an
@@ -63,8 +60,5 @@ bool lower_than(Precision a, Precision b);
 
 /// The more accurate of the two formats.
 Precision higher_of(Precision a, Precision b);
-
-/// The less accurate of the two formats.
-Precision lower_of(Precision a, Precision b);
 
 }  // namespace mpgeo

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,17 +32,19 @@ struct RunMetrics {
   MetricsRegistry::Counter tasks_cancelled;
 };
 
-/// State of one submitted subgraph. Queued items point at it raw, so no
-/// task touches a shared refcount; the run keeps itself alive through
-/// `self` until the worker retiring its last task releases it, so the state
-/// outlives the waiter even if the ticket is dropped.
+/// State of one run. Queued items point at it raw, so no task touches a
+/// shared refcount; the run keeps itself alive through `self` until the
+/// worker retiring its last task releases it, so the state outlives the
+/// caller's return from run() while that worker is still publishing.
 struct SessionRun {
-  SessionRun(const TaskGraph& g, ExecutorSession::SubmitOptions o,
-             double submitted)
+  SessionRun(const TaskGraph& g, const ExecutorOptions& o, double started)
       : graph(&g),
-        opts(std::move(o)),
-        metrics(opts.metrics),
-        submit_seconds(submitted),
+        capture_trace(o.capture_trace),
+        start_hook(o.start_hook),
+        retire_hook(o.retire_hook),
+        fault_injector(o.fault_injector),
+        metrics(o.metrics),
+        start_seconds(started),
         remaining(g.num_tasks()),
         indegree(std::make_unique<std::atomic<std::uint32_t>[]>(g.num_tasks())),
         status(std::make_unique<std::atomic<std::uint8_t>[]>(g.num_tasks())),
@@ -54,9 +58,13 @@ struct SessionRun {
   }
 
   const TaskGraph* graph;
-  ExecutorSession::SubmitOptions opts;
+  // The subgraph-scoped part of the caller's ExecutorOptions.
+  bool capture_trace;
+  std::function<void(const Task&)> start_hook;
+  std::function<void(const Task&)> retire_hook;
+  FaultInjector* fault_injector;
   RunMetrics metrics;
-  double submit_seconds = 0.0;  ///< on the session clock
+  double start_seconds = 0.0;  ///< on the session clock
   std::atomic<std::size_t> remaining;
   std::unique_ptr<std::atomic<std::uint32_t>[]> indegree;
   /// Terminal TaskStatus per task, written once by the retiring worker.
@@ -64,12 +72,12 @@ struct SessionRun {
   /// Cancellation flags; set by failed/cancelled predecessors before their
   /// releasing indegree decrement, read by the successor's claimer.
   std::unique_ptr<std::atomic<std::uint8_t>[]> poisoned;
-  std::shared_ptr<SessionRun> self;  ///< set at submit, released at finish
+  std::shared_ptr<SessionRun> self;  ///< set at start, released at finish
 
   std::mutex err_mu;
   std::exception_ptr first_error;
   std::mutex trace_mu;
-  std::vector<TaskTraceEntry> trace;  ///< timestamps relative to submit
+  std::vector<TaskTraceEntry> trace;  ///< timestamps relative to the start
 
   /// Completion latch: the worker retiring the run's last task publishes
   /// `report` under done_mu and flips `done`.
@@ -175,7 +183,7 @@ struct ExecutorSession::Impl {
     shards = std::vector<ShardState>(nshards);
   }
 
-  /// Spawn the workers, once. Called by the first submission after its
+  /// Spawn the workers, once. Called by the first run() after its
   /// roots are queued, so the workers of a per-call session find work at
   /// once instead of parking and waiting to be woken.
   void start() {
@@ -279,7 +287,7 @@ struct ExecutorSession::Impl {
     return false;
   }
 
-  /// Producer-side injection of a submission's roots: untagged roots spread
+  /// Producer-side injection of a run's roots: untagged roots spread
   /// round-robin over the pool, rank-tagged ones round-robin over their
   /// shard. Each worker's share is queued under one lock acquisition, then
   /// up to one sleeper per root of its shard is woken.
@@ -401,7 +409,7 @@ struct ExecutorSession::Impl {
     const TaskId id = item.id;
     const Task& task = run.graph->task(id);
     const double t0 =
-        run.opts.capture_trace ? clock.seconds() - run.submit_seconds : 0.0;
+        run.capture_trace ? clock.seconds() - run.start_seconds : 0.0;
     TaskStatus st = TaskStatus::Completed;
     // The poison flag was stored before the predecessor's releasing
     // indegree decrement, so the claimer that observed zero sees it.
@@ -409,23 +417,23 @@ struct ExecutorSession::Impl {
       st = TaskStatus::Cancelled;  // a predecessor failed: body never runs
     } else {
       try {
-        if (run.opts.start_hook) run.opts.start_hook(task);
-        if (run.opts.fault_injector) {
-          run.opts.fault_injector->on_task_start(id, task.info.kind);
+        if (run.start_hook) run.start_hook(task);
+        if (run.fault_injector) {
+          run.fault_injector->on_task_start(id, task.info.kind);
         }
         if (task.body) task.body();
         // Retire hook runs before the indegree decrements release successors.
-        if (run.opts.retire_hook) run.opts.retire_hook(task);
+        if (run.retire_hook) run.retire_hook(task);
       } catch (...) {
         st = TaskStatus::Failed;
         std::lock_guard lk(run.err_mu);
         if (!run.first_error) run.first_error = std::current_exception();
       }
     }
-    if (run.opts.capture_trace) {
+    if (run.capture_trace) {
       std::lock_guard lk(run.trace_mu);
       run.trace.push_back(TaskTraceEntry{
-          id, self, t0, clock.seconds() - run.submit_seconds, st});
+          id, self, t0, clock.seconds() - run.start_seconds, st});
     }
     run.status[id].store(std::uint8_t(st), std::memory_order_relaxed);
     run.metrics.tasks_retired.add_sharded(1, self);
@@ -477,12 +485,12 @@ struct ExecutorSession::Impl {
 
   /// Build the run's report and release its waiter. Called by the worker
   /// that retired the run's last task; the self-reference taken here keeps
-  /// the state alive through the publish even if the waiter returns and
-  /// drops its ticket at once.
+  /// the state alive through the publish even if the waiting run() call
+  /// returns at once.
   void finish_run(detail::SessionRun& run) {
     const std::shared_ptr<detail::SessionRun> keep = std::move(run.self);
     ExecutionReport report;
-    report.wall_seconds = clock.seconds() - run.submit_seconds;
+    report.wall_seconds = clock.seconds() - run.start_seconds;
     std::size_t completed = 0;
     for (TaskId t = 0; t < run.graph->num_tasks(); ++t) {
       switch (TaskStatus(run.status[t].load(std::memory_order_relaxed))) {
@@ -493,7 +501,7 @@ struct ExecutorSession::Impl {
     }
     report.tasks_run = completed;
     report.report.first_error = run.first_error;
-    if (run.opts.capture_trace) {
+    if (run.capture_trace) {
       std::lock_guard lk(run.trace_mu);
       report.trace = std::move(run.trace);
     }
@@ -525,40 +533,20 @@ ExecutorSession::ExecutorSession(const ExecutorSessionOptions& options)
 
 ExecutorSession::~ExecutorSession() = default;
 
-ExecutorSession::Ticket ExecutorSession::submit(const TaskGraph& graph,
-                                                SubmitOptions options) {
-  Ticket ticket;
-  ticket.run_ = std::make_shared<detail::SessionRun>(
-      graph, std::move(options), impl_->clock.seconds());
-  if (graph.num_tasks() == 0) {
-    // Nothing to schedule: complete the run inline.
-    std::lock_guard lk(ticket.run_->done_mu);
-    ticket.run_->done = true;
-    return ticket;
-  }
-  ticket.run_->self = ticket.run_;
-  impl_->inject(ticket.run_.get(), graph.roots());
-  impl_->start();
-  return ticket;
-}
-
-ExecutionReport ExecutorSession::wait(Ticket ticket) {
-  MPGEO_REQUIRE(bool(ticket), "ExecutorSession::wait: empty ticket");
-  detail::SessionRun& run = *ticket.run_;
-  std::unique_lock lk(run.done_mu);
-  run.done_cv.wait(lk, [&run] { return run.done; });
-  return std::move(run.report);
-}
-
 ExecutionReport ExecutorSession::run(const TaskGraph& graph,
                                      const ExecutorOptions& options) {
-  SubmitOptions sub;
-  sub.capture_trace = options.capture_trace;
-  sub.start_hook = options.start_hook;
-  sub.retire_hook = options.retire_hook;
-  sub.fault_injector = options.fault_injector;
-  sub.metrics = options.metrics;
-  ExecutionReport report = wait(submit(graph, std::move(sub)));
+  if (graph.num_tasks() == 0) return {};
+  const auto run = std::make_shared<detail::SessionRun>(
+      graph, options, impl_->clock.seconds());
+  run->self = run;
+  impl_->inject(run.get(), graph.roots());
+  impl_->start();
+  ExecutionReport report;
+  {
+    std::unique_lock lk(run->done_mu);
+    run->done_cv.wait(lk, [&run] { return run->done; });
+    report = std::move(run->report);
+  }
   if (options.rethrow_errors && report.report.first_error) {
     std::rethrow_exception(report.report.first_error);
   }

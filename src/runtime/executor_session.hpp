@@ -18,14 +18,13 @@
 // its last dependency retires. Each worker owns kind-class priority buckets
 // (panel kinds preempt trailing updates); the owner pops LIFO, thieves take
 // FIFO. Dependency retirement is lock-free (atomic indegrees), and each
-// submission is tracked by a Ticket whose completion is signalled
-// independently of every other run in flight. Numerics never depend on the
-// schedule: conflicting accesses within a graph are ordered by its dataflow
-// edges, and distinct submissions share no data.
+// run's completion is signalled to its caller independently of every other
+// run in flight. Numerics never depend on the schedule: conflicting accesses
+// within a graph are ordered by its dataflow edges, and distinct runs share
+// no data.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 
 #include "runtime/executor.hpp"
@@ -34,11 +33,6 @@
 namespace mpgeo {
 
 class MetricsRegistry;
-class FaultInjector;
-
-namespace detail {
-struct SessionRun;
-}
 
 struct ExecutorSessionOptions {
   std::size_t num_threads = 0;  ///< pool size; 0 = hardware concurrency
@@ -54,62 +48,27 @@ struct ExecutorSessionOptions {
   /// Session-lifetime scheduler counters (executor.steals, executor.parks,
   /// executor.wakeups, executor.max_queue_depth). Per-run counters
   /// (tasks_retired/failed/cancelled) are reported into the registry given
-  /// at submit() so callers can keep per-tenant registries.
+  /// to run() so callers can keep per-tenant registries.
   MetricsRegistry* metrics = nullptr;
 };
 
 class ExecutorSession {
  public:
   explicit ExecutorSession(const ExecutorSessionOptions& options = {});
-  /// Joins the pool. Every submitted run must have been wait()ed first.
+  /// Joins the pool. Every run() call must have returned first.
   ~ExecutorSession();
   ExecutorSession(const ExecutorSession&) = delete;
   ExecutorSession& operator=(const ExecutorSession&) = delete;
 
-  /// Per-submission knobs, the subgraph-scoped subset of ExecutorOptions.
-  struct SubmitOptions {
-    bool capture_trace = false;
-    /// Runs on the claiming worker before the task body (skipped for
-    /// cancelled tasks), exactly like ExecutorOptions::start_hook.
-    std::function<void(const Task&)> start_hook;
-    /// Runs on the retiring worker before successors are released, exactly
-    /// like ExecutorOptions::retire_hook.
-    std::function<void(const Task&)> retire_hook;
-    FaultInjector* fault_injector = nullptr;
-    /// Per-run counters (executor.tasks_retired/failed/cancelled).
-    MetricsRegistry* metrics = nullptr;
-  };
-
-  /// Handle to one in-flight submission.
-  class Ticket {
-   public:
-    Ticket() = default;
-    explicit operator bool() const { return run_ != nullptr; }
-
-   private:
-    friend class ExecutorSession;
-    std::shared_ptr<detail::SessionRun> run_;
-  };
-
-  /// Enqueue `graph`'s roots and return immediately. The graph (and the
-  /// state its task bodies reference) must stay alive until wait() returns.
-  /// Never blocks, so task bodies may themselves submit follow-up graphs —
-  /// but must not wait() on them from a session worker (the wait would
-  /// occupy the worker the nested run needs).
-  Ticket submit(const TaskGraph& graph, SubmitOptions options);
-  Ticket submit(const TaskGraph& graph) {
-    return submit(graph, SubmitOptions{});
-  }
-
-  /// Block until the run quiesces and return its report. Body failures are
-  /// surfaced in report.report (never rethrown here); trace timestamps are
-  /// relative to the run's submission.
-  ExecutionReport wait(Ticket ticket);
-
-  /// execute()-compatible entry: submit + wait, honoring capture_trace,
-  /// start_hook, retire_hook, fault_injector, metrics and the rethrow_errors
-  /// contract from `options`. num_threads and rank_shards are ignored — the
-  /// session owns the pool.
+  /// Run `graph` on the pool and block until it quiesces; the one entry
+  /// point, which execute() also goes through. Honors capture_trace,
+  /// start_hook, retire_hook, fault_injector, metrics (per-run counters) and
+  /// the rethrow_errors contract from `options`; with rethrow_errors false,
+  /// body failures come back in report.report. Trace timestamps are
+  /// relative to the run's start. num_threads, rank_shards and session are
+  /// ignored — the session owns the pool. Many threads may run graphs at
+  /// once, but never from a task body of this session (the caller would
+  /// occupy a worker the nested run needs).
   ExecutionReport run(const TaskGraph& graph, const ExecutorOptions& options);
 
   std::size_t num_threads() const;

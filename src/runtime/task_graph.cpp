@@ -83,12 +83,6 @@ std::vector<TaskId> TaskGraph::roots() const {
   return out;
 }
 
-std::size_t TaskGraph::edge_bytes(const Edge& e) const {
-  MPGEO_ASSERT(e.from < tasks_.size() && e.data < data_.size());
-  const std::size_t declared = tasks_[e.from].info.wire_bytes;
-  return declared ? declared : data_[e.data].bytes;
-}
-
 void TaskGraph::validate() const {
   std::vector<std::uint32_t> indeg(tasks_.size(), 0);
   std::set<std::pair<TaskId, TaskId>> seen;

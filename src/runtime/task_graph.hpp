@@ -147,10 +147,6 @@ class TaskGraph {
   /// Tasks with no predecessors (the frontier the executor starts from).
   std::vector<TaskId> roots() const;
 
-  /// Bytes a consumer must pull for edge `e`: the producer's declared wire
-  /// format if set, else the datum's at-rest size.
-  std::size_t edge_bytes(const Edge& e) const;
-
   /// Current version of a datum (number of writes inserted so far). A task
   /// inserted next that reads `id` observes exactly this version.
   std::uint64_t data_version(DataId id) const { return state_.at(id).version; }

@@ -150,12 +150,6 @@ TEST(Cli, CheckUnusedFlagsTypos) {
   EXPECT_THROW(cli.check_unused(), Error);
 }
 
-TEST(Error, CheckedCastRoundTrips) {
-  EXPECT_EQ(checked_cast<int>(std::size_t{42}), 42);
-  EXPECT_THROW(checked_cast<std::uint8_t>(300), Error);
-  EXPECT_THROW(checked_cast<unsigned>(-1), Error);
-}
-
 TEST(Error, RequireThrowsWithLocation) {
   try {
     MPGEO_REQUIRE(false, "broken invariant");

@@ -114,25 +114,6 @@ TEST(TaskGraph, RootsAreTasksWithoutPredecessors) {
   EXPECT_EQ(roots, (std::vector<TaskId>{a, b}));
 }
 
-TEST(TaskGraph, EdgeBytesPrefersProducerWireFormat) {
-  TaskGraph g;
-  const DataId x = g.add_data(datum("x", 800));
-  TaskInfo info = named("w");
-  info.wire_bytes = 200;  // e.g. FP16 wire for an FP64 datum
-  g.add_task(info, {{x, AccessMode::Write}});
-  g.add_task(named("r"), {{x, AccessMode::Read}});
-  ASSERT_EQ(g.edges().size(), 1u);
-  EXPECT_EQ(g.edge_bytes(g.edges()[0]), 200u);
-}
-
-TEST(TaskGraph, EdgeBytesFallsBackToDatumSize) {
-  TaskGraph g;
-  const DataId x = g.add_data(datum("x", 800));
-  g.add_task(named("w"), {{x, AccessMode::Write}});
-  g.add_task(named("r"), {{x, AccessMode::Read}});
-  EXPECT_EQ(g.edge_bytes(g.edges()[0]), 800u);
-}
-
 TEST(TaskGraph, UnknownDataIdRejected) {
   TaskGraph g;
   EXPECT_THROW(g.add_task(named("bad"), {{42, AccessMode::Read}}), Error);
@@ -581,10 +562,10 @@ TEST(ExecutorSession, CrossShardChainWithSingleWorkerShards) {
     info.rank = i % 2;
     g.add_task(info, {{x, AccessMode::ReadWrite}});
   }
-  ExecutorSession::SubmitOptions sub;
-  sub.capture_trace = true;
+  ExecutorOptions opts;
+  opts.capture_trace = true;
   for (int rep = 0; rep < 200; ++rep) {
-    const ExecutionReport r = session.wait(session.submit(g, sub));
+    const ExecutionReport r = session.run(g, opts);
     ASSERT_EQ(r.tasks_run, 64u) << "rep " << rep;
     ASSERT_EQ(r.trace.size(), 64u) << "rep " << rep;
     for (const TaskTraceEntry& e : r.trace) {

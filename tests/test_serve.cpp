@@ -89,7 +89,7 @@ TEST(ExecutorSession, RunsAGraphToCompletion) {
   ExecutorSession session(ExecutorSessionOptions{.num_threads = 2});
   std::atomic<int> counter{0};
   TaskGraph g = make_chain(10, &counter);
-  const ExecutionReport rep = session.wait(session.submit(g));
+  const ExecutionReport rep = session.run(g, ExecutorOptions{});
   EXPECT_EQ(rep.tasks_run, 10u);
   EXPECT_TRUE(rep.report.ok());
   EXPECT_EQ(counter.load(), 10);
@@ -107,7 +107,7 @@ TEST(ExecutorSession, ManyProducersShareOnePool) {
       for (int i = 0; i < kGraphsEach; ++i) {
         std::atomic<int> local{0};
         TaskGraph g = make_chain(kChain, &local);
-        const ExecutionReport rep = session.wait(session.submit(g));
+        const ExecutionReport rep = session.run(g, ExecutorOptions{});
         EXPECT_EQ(rep.tasks_run, std::size_t(kChain));
         counter.fetch_add(local.load());
       }
@@ -130,15 +130,17 @@ TEST(ExecutorSession, BodyFailureSurfacesInReportAndPoisonsDependents) {
                                 [] { throw std::runtime_error("boom"); });
   const TaskId poisoned = g.add_task(ti, {{d, AccessMode::ReadWrite}},
                                      [&] { ran.fetch_add(1); });
-  // wait() never rethrows: failures come back structured.
-  const ExecutionReport rep = session.wait(session.submit(g));
+  // Without rethrow_errors, failures come back structured.
+  ExecutorOptions structured;
+  structured.rethrow_errors = false;
+  const ExecutionReport rep = session.run(g, structured);
   EXPECT_EQ(rep.tasks_run, 1u);
   EXPECT_EQ(ran.load(), 1);
   ASSERT_EQ(rep.report.failed, std::vector<TaskId>{bad});
   EXPECT_EQ(rep.report.cancelled, std::vector<TaskId>{poisoned});
   EXPECT_TRUE(rep.report.first_error != nullptr);
   (void)ok;
-  // run() honors the legacy rethrow contract.
+  // With rethrow_errors (the default) run() rethrows the first failure.
   ExecutorOptions opts;
   opts.rethrow_errors = true;
   EXPECT_THROW(session.run(g, opts), std::runtime_error);

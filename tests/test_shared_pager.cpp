@@ -22,6 +22,7 @@
 #include "core/mle.hpp"
 #include "core/shared_pager.hpp"
 #include "core/tile_matrix.hpp"
+#include "core/tiled_covariance.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/task_graph.hpp"
@@ -394,6 +395,55 @@ TEST(SharedPagerStressTest, EightTenantsUnderTightGlobalBudgetBitIdentical) {
   }
   // The fits genuinely paged under contention.
   EXPECT_GT(s.demand_faults + s.write_installs, 0u);
+}
+
+/// A fill with parallel = false is still a GENERATE graph, so out of core it
+/// attaches to the shared pager like every other tenant: each tile is
+/// write-installed through the pager's ledger, and the matrix ends fully
+/// spilled and bit-equal to a resident fill.
+TEST(SharedPagerFillTest, SerialOutOfCoreFillPagesThroughThePager) {
+  Rng rng(91);
+  const LocationSet locs = generate_locations(80, 2, rng);
+  const Covariance cov(CovKind::SqExp);
+  const std::vector<double> theta{1.0, 0.1};
+  const TileMatrix resident = build_tiled_covariance(cov, locs, theta, kNb);
+
+  TileMatrix a(locs.size(), kNb);
+  SpillOptions sopts;
+  sopts.enabled = true;
+  a.enable_spill(sopts);
+  a.spill_all();
+
+  SharedPagerOptions popts;
+  popts.resident_byte_budget = 2 * kTileBytes;
+  popts.check_invariants = true;
+  SharedOocPager pager(popts);
+  CovGenOptions gen;
+  gen.parallel = false;
+  gen.ooc.enabled = true;
+  gen.ooc.shared = &pager;
+  fill_tiled_covariance(a, cov, locs, theta, 1e-8, gen);
+
+  const SharedPagerStats s = pager.stats();
+  EXPECT_EQ(s.tenants_attached, 1u);
+  EXPECT_EQ(s.write_installs, packed_tiles(locs.size()));
+  EXPECT_EQ(s.resident_bytes, 0u);
+  EXPECT_EQ(pager.first_invariant_violation(), "");
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      EXPECT_TRUE(a.spilled(m, k)) << "(" << m << "," << k << ")";
+    }
+  }
+  a.restore_all();
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      const auto x = a.tile(m, k).raw_bytes();
+      const auto y = resident.tile(m, k).raw_bytes();
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0)
+          << "(" << m << "," << k << ")";
+    }
+  }
 }
 
 /// Regression for the OocStats aggregation split: on a pooled workspace the
