@@ -118,13 +118,15 @@ int main(int argc, char** argv) {
   cli.check_unused();
 
   // The closed-form Matérn orders are the headline (they drop Bessel-K
-  // entirely); a general nu and the exp-family kinds round out the sweep.
+  // entirely); two general nu (one and three upward recurrence steps) and
+  // the exp-family kinds round out the sweep.
   const std::vector<KindConfig> kinds = {
       {"sqexp", CovKind::SqExp, {1.0, 0.1}},
       {"matern-0.5", CovKind::Matern, {1.0, 0.1, 0.5}},
       {"matern-1.5", CovKind::Matern, {1.0, 0.1, 1.5}},
       {"matern-2.5", CovKind::Matern, {1.0, 0.1, 2.5}},
       {"matern-0.9", CovKind::Matern, {1.0, 0.1, 0.9}},
+      {"matern-2.7", CovKind::Matern, {1.0, 0.1, 2.7}},  // 3 recurrence steps
       {"powexp-1.0", CovKind::PowExp, {1.0, 0.1, 1.0}},
   };
 

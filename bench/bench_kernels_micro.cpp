@@ -3,9 +3,9 @@
 // conversions, Bessel K_nu, covariance tile generation and the task-graph
 // machinery. These measure *this library's* throughput (the numeric path
 // accuracy experiments run through), not the simulated GPUs. Kernel rows
-// report FLOP/s as items_per_second, run once per kernel variant the CPU
-// offers (precision/simd_kernels.hpp) and are named and labelled with it;
-// nb = 256 is the factor-sqexp tile.
+// report FLOP/s as items_per_second (BM_MaternBatch: entries per second),
+// run once per kernel variant the CPU offers (precision/simd_kernels.hpp)
+// and are named and labelled with it; nb = 256 is the factor-sqexp tile.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -129,6 +129,46 @@ void BM_Potrf(benchmark::State& state, KernelVariant v) {
   state.SetLabel(to_string(v));
 }
 
+// The general-nu Matérn batch (covariance_batch, Bessel-K through
+// log_bessel_k_batch) on one distance vector per regime: every argument in
+// the Temme series (x <= 2), every one in CF2 (x > 2), and a tile of
+// fit-matern's geometry (1024 Morton-sorted 2D locations, tile 128) at
+// beta 0.13, where 29% take the series (the label gives the share). Items
+// are entries, so 1e9 / items_per_second is ns per entry.
+enum class BesselRegime { Temme, Cf2, Mix };
+
+void BM_MaternBatch(benchmark::State& state, KernelVariant v,
+                    BesselRegime regime) {
+  std::vector<double> h;
+  double beta = 1.0;
+  if (regime == BesselRegime::Mix) {
+    Rng rng(1);
+    const LocationSet locs = generate_locations(1024, 2, rng);
+    h.resize(128 * 128);
+    distance_block(locs, 128, 0, 128, 128, h.data(), 128);
+    beta = 0.13;
+  } else {
+    // Smoothly varying arguments, as along a tile column.
+    const double lo = regime == BesselRegime::Temme ? 0.01 : 2.01;
+    const double hi = regime == BesselRegime::Temme ? 2.0 : 100.0;
+    for (int i = 0; i < 4096; ++i) h.push_back(lo + (hi - lo) * i / 4095.0);
+  }
+  const Covariance cov(CovKind::Matern);
+  const std::vector<double> theta = {1.0, beta, 0.73};
+  std::vector<double> out(h.size());
+  for (auto _ : state) {
+    covariance_batch(v, cov, theta, h, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(h.size()));
+  std::size_t series = 0;
+  for (const double d : h) series += d / beta <= 2.0;
+  const std::string share = std::to_string(double(series) / double(h.size()));
+  state.SetLabel(std::string(to_string(v)) + " temme_share=" +
+                 share.substr(0, 4));
+}
+
 void register_kernel_benchmarks() {
   for (const KernelVariant v : {KernelVariant::Portable, KernelVariant::Avx2,
                                 KernelVariant::Avx512}) {
@@ -156,6 +196,14 @@ void register_kernel_benchmarks() {
     benchmark::RegisterBenchmark(("BM_Potrf/" + tag).c_str(), BM_Potrf, v)
         ->Arg(128)
         ->Arg(256);
+    for (const auto& [name, regime] :
+         {std::pair{"temme", BesselRegime::Temme},
+          std::pair{"cf2", BesselRegime::Cf2},
+          std::pair{"mix", BesselRegime::Mix}}) {
+      benchmark::RegisterBenchmark(
+          ("BM_MaternBatch/" + tag + "/" + name).c_str(), BM_MaternBatch, v,
+          regime);
+    }
   }
 }
 

@@ -81,7 +81,15 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   gen.metrics = options.metrics;
   gen.ooc = options.ooc;
   TileMatrix& sigma = *workspace.sigma;
-  fill_tiled_covariance(sigma, cov, locs, theta, options.nugget, gen);
+  // Out of core, every fill and factorization is a pager tenant; its stats
+  // count toward the fit's and the workspace's lifetime totals.
+  const auto count_paging = [ooc, &workspace](const OocStats& st) {
+    if (!ooc) return;
+    workspace.ooc_run.accumulate(st);
+    workspace.ooc.accumulate(st);
+  };
+  count_paging(
+      fill_tiled_covariance(sigma, cov, locs, theta, options.nugget, gen));
 
   MpCholeskyOptions chol;
   chol.u_req = options.u_req;
@@ -101,8 +109,10 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
   // refill reuses the cached tile distances, and it copes with the tiles
   // the failed attempt left spilled (covgen discards stale blobs in place),
   // so retries stay under the residency budget.
-  chol.regenerate = [&cov, &locs, theta, &options, &gen](TileMatrix& s) {
-    fill_tiled_covariance(s, cov, locs, theta, options.nugget, gen);
+  chol.regenerate = [&cov, &locs, theta, &options, &gen,
+                      &count_paging](TileMatrix& s) {
+    count_paging(
+        fill_tiled_covariance(s, cov, locs, theta, options.nugget, gen));
   };
   MpCholeskyResult res;
   try {
@@ -116,10 +126,7 @@ double mp_log_likelihood(const Covariance& cov, const LocationSet& locs,
     sigma.reset_storage(Storage::FP64);
     throw;
   }
-  if (ooc) {
-    workspace.ooc_run.accumulate(res.ooc);
-    workspace.ooc.accumulate(res.ooc);
-  }
+  count_paging(res.ooc);
   if (res.info != 0) return kFailedLogLik;
 
   // Out of core the factor stays spilled: both passes decode one tile at a

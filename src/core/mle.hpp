@@ -101,8 +101,9 @@ struct MleWorkspace {
   std::shared_ptr<const TileGeometry> geometry;
   std::unique_ptr<TileMatrix> sigma;
   std::uint64_t locs_fingerprint = 0;  ///< 0 = not yet bound
-  /// Lifetime paging stats: every out-of-core factorization this workspace
-  /// ever ran accumulates here, across fits and re-leases.
+  /// Lifetime paging stats: every out-of-core covariance fill (escalation
+  /// refills included) and factorization this workspace ever ran accumulates
+  /// here, across fits and re-leases.
   OocStats ooc;
   /// Paging stats of the current fit only. fit_mle zeroes this at fit start
   /// and snapshots it into MleResult::ooc at fit end, so per-fit gates
@@ -116,8 +117,9 @@ struct MleResult {
   double loglik = 0.0;
   int evaluations = 0;
   bool converged = false;
-  /// Paging stats summed over this fit's evaluations (MleOptions::ooc);
-  /// all-zero when the fit ran fully resident.
+  /// Paging stats summed over this fit's evaluations, covariance fills and
+  /// factorizations alike (MleOptions::ooc); all-zero when the fit ran fully
+  /// resident.
   OocStats ooc;
 };
 

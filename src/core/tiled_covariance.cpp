@@ -1,6 +1,7 @@
 #include "core/tiled_covariance.hpp"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,8 +17,10 @@ namespace mpgeo {
 namespace {
 
 // Fill one tile: distances (cached or computed) -> one batched covariance
-// evaluation -> nugget on the global diagonal -> store. Scratch is
-// thread_local so assembly allocates once per worker, not per tile.
+// evaluation -> nugget on the global diagonal -> store. A diagonal tile is
+// symmetric, and so is its distance block (a - b = -(b - a) exactly), so its
+// lower triangle is evaluated once and mirrored. Scratch is thread_local so
+// assembly allocates once per worker, not per tile.
 void fill_one_tile(TileMatrix& a, const Covariance& cov,
                    const LocationSet& locs, std::span<const double> theta,
                    double nugget, const CovGenOptions& options, std::size_t m,
@@ -42,8 +45,27 @@ void fill_one_tile(TileMatrix& a, const Covariance& cov,
     distance_block(locs, m * a.nb(), k * a.nb(), mb, kb, hbuf.data(), mb);
     h = {hbuf.data(), count};
   }
-  covariance_batch(cov, theta, h, vbuf);
-  if (m == k) {
+  if (m != k) {
+    covariance_batch(cov, theta, h, vbuf);
+  } else {
+    // Column j's rows j..mb-1 are contiguous in the block: pack them into
+    // hbuf (unused with a cached geometry; otherwise each run only moves
+    // down), map them in place, then write each value to (i, j) and (j, i).
+    const std::size_t packed = mb * (mb + 1) / 2;
+    if (hbuf.size() < packed) hbuf.resize(packed);
+    for (std::size_t j = 0, at = 0; j < mb; at += mb - j, ++j) {
+      std::memmove(hbuf.data() + at, h.data() + j * mb + j,
+                   (mb - j) * sizeof(double));
+    }
+    const std::span<double> lower(hbuf.data(), packed);
+    covariance_batch(cov, theta, lower, lower);
+    const double* v = lower.data();
+    for (std::size_t j = 0; j < mb; ++j) {
+      for (std::size_t i = j; i < mb; ++i, ++v) {
+        vbuf[i + j * mb] = *v;
+        vbuf[j + i * mb] = *v;
+      }
+    }
     const double shift = nugget * theta[0];
     for (std::size_t i = 0; i < mb; ++i) vbuf[i + i * mb] += shift;
   }
@@ -52,10 +74,10 @@ void fill_one_tile(TileMatrix& a, const Covariance& cov,
 
 }  // namespace
 
-void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
-                           const LocationSet& locs,
-                           std::span<const double> theta, double nugget,
-                           const CovGenOptions& options) {
+OocStats fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
+                               const LocationSet& locs,
+                               std::span<const double> theta, double nugget,
+                               const CovGenOptions& options) {
   cov.check_params(theta);
   MPGEO_REQUIRE(a.n() == locs.size(),
                 "fill_tiled_covariance: matrix/location size mismatch");
@@ -132,7 +154,11 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
     x.retire_hook = [&pager](const Task& t) { pager->after_task(t); };
   }
   execute(graph, x);
-  if (pager) pager->finish();
+  OocStats paging;
+  if (pager) {
+    pager->finish();
+    paging = pager->stats();
+  }
 
   if (options.metrics) {
     MetricsRegistry& reg = *options.metrics;
@@ -152,6 +178,7 @@ void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
     }
     reg.counter("covgen.nanos").add(std::uint64_t(sw.seconds() * 1e9));
   }
+  return paging;
 }
 
 TileMatrix build_tiled_covariance(const Covariance& cov,

@@ -64,11 +64,13 @@ struct CovGenOptions {
 /// place, so a likelihood loop reuses one buffer instead of reallocating
 /// Sigma per evaluation. A spill-enabled matrix filled without `options.ooc`
 /// ends fully resident; the blobs of its spilled tiles are dropped unread.
-void fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
-                           const LocationSet& locs,
-                           std::span<const double> theta,
-                           double nugget = 1e-8,
-                           const CovGenOptions& options = {});
+/// Returns the paging stats of the fill's pager tenant (write installs,
+/// dead spills, cold evictions); all-zero when the fill ran resident.
+OocStats fill_tiled_covariance(TileMatrix& a, const Covariance& cov,
+                               const LocationSet& locs,
+                               std::span<const double> theta,
+                               double nugget = 1e-8,
+                               const CovGenOptions& options = {});
 
 /// Build the lower triangle of Sigma(theta) as an FP64 TileMatrix with tile
 /// size `nb`. The overload without options fills with default CovGenOptions

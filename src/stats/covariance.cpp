@@ -1,6 +1,8 @@
 #include "stats/covariance.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "stats/besselk.hpp"
@@ -102,21 +104,37 @@ void batch_matern_half(double nu, double sigma2, double beta, const double* h,
   }
 }
 
-void batch_matern_general(double nu, double sigma2, double beta,
-                          const double* h, double* out, std::size_t n) {
+void batch_matern_general(KernelVariant v, double nu, double sigma2,
+                          double beta, const double* h, double* out,
+                          std::size_t n) {
   // sigma2 * 2^{1-nu}/Gamma(nu) * r^nu * K_nu(r), computed in log space so
   // that large r underflows smoothly instead of producing 0 * inf. The
   // normalizer is theta-only, hoisted here; the summation order matches the
-  // seed per-entry formula, so results are unchanged bit for bit.
+  // seed per-entry formula, so results are unchanged bit for bit. The
+  // entries with r > 0 go through log_bessel_k_batch a chunk at a time,
+  // which keeps the per-worker scratch small.
+  constexpr std::size_t kChunk = 2048;
+  thread_local std::vector<double> log_k;
   const double log_norm = (1.0 - nu) * std::log(2.0) - log_gamma(nu);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (h[i] < 1e-14) {
-      out[i] = sigma2;
-      continue;
+  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::size_t i1 = std::min(n, i0 + kChunk);
+    log_k.resize(i1 - i0);
+    std::size_t m = 0;
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (!(h[i] < 1e-14)) log_k[m++] = h[i] / beta;
     }
-    const double r = h[i] / beta;
-    const double log_c = log_norm + nu * std::log(r) + log_bessel_k(nu, r);
-    out[i] = sigma2 * std::exp(log_c);
+    const std::span<double> chunk(log_k.data(), m);
+    log_bessel_k_batch(v, nu, chunk, chunk);
+    // out may alias h: entry i is read before it is written.
+    for (std::size_t i = i0, j = 0; i < i1; ++i) {
+      if (h[i] < 1e-14) {
+        out[i] = sigma2;
+        continue;
+      }
+      const double r = h[i] / beta;
+      const double log_c = log_norm + nu * std::log(r) + log_k[j++];
+      out[i] = sigma2 * std::exp(log_c);
+    }
   }
 }
 
@@ -125,8 +143,9 @@ bool is_half_integer_matern(double nu) {
 }
 
 // Dispatch after validation: theta checked, h[i] >= 0.
-void batch_unchecked(CovKind kind, std::span<const double> theta,
-                     const double* h, double* out, std::size_t n) {
+void batch_unchecked(KernelVariant v, CovKind kind,
+                     std::span<const double> theta, const double* h,
+                     double* out, std::size_t n) {
   const double sigma2 = theta[0];
   const double beta = theta[1];
   switch (kind) {
@@ -140,7 +159,7 @@ void batch_unchecked(CovKind kind, std::span<const double> theta,
       if (is_half_integer_matern(theta[2])) {
         batch_matern_half(theta[2], sigma2, beta, h, out, n);
       } else {
-        batch_matern_general(theta[2], sigma2, beta, h, out, n);
+        batch_matern_general(v, theta[2], sigma2, beta, h, out, n);
       }
       return;
   }
@@ -153,18 +172,26 @@ double Covariance::value(double h, std::span<const double> theta) const {
   check_params(theta);
   MPGEO_REQUIRE(h >= 0.0, "covariance: negative distance");
   double out;
-  batch_unchecked(kind_, theta, &h, &out, 1);
+  batch_unchecked(active_kernel_variant(), kind_, theta, &h, &out, 1);
   return out;
 }
 
 void covariance_batch(const Covariance& cov, std::span<const double> theta,
                       std::span<const double> h, std::span<double> out) {
+  covariance_batch(active_kernel_variant(), cov, theta, h, out);
+}
+
+void covariance_batch(KernelVariant v, const Covariance& cov,
+                      std::span<const double> theta, std::span<const double> h,
+                      std::span<double> out) {
+  MPGEO_REQUIRE(kernel_variant_available(v),
+                "covariance_batch: kernel variant not available on this CPU");
   cov.check_params(theta);
   MPGEO_REQUIRE(h.size() == out.size(), "covariance_batch: size mismatch");
   for (std::size_t i = 0; i < h.size(); ++i) {
     MPGEO_REQUIRE(h[i] >= 0.0, "covariance: negative distance");
   }
-  batch_unchecked(cov.kind(), theta, h.data(), out.data(), h.size());
+  batch_unchecked(v, cov.kind(), theta, h.data(), out.data(), h.size());
 }
 
 double reference_covariance_value(const Covariance& cov, double h,
@@ -206,7 +233,7 @@ void covariance_tile(const Covariance& cov, const LocationSet& locs,
     const std::size_t gj = c0 + j;
     double* col = out + j * ld;
     distance_block(locs, r0, gj, mb, 1, col, mb);
-    batch_unchecked(cov.kind(), theta, col, col, mb);
+    batch_unchecked(active_kernel_variant(), cov.kind(), theta, col, col, mb);
     if (gj >= r0 && gj < r0 + mb) col[gj - r0] += nugget * theta[0];
   }
 }

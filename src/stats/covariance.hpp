@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "precision/simd_kernels.hpp"
 #include "stats/locations.hpp"
 
 namespace mpgeo {
@@ -37,7 +38,9 @@ class Covariance {
 
   /// C(h; theta) for distance h >= 0. Continuous at h = 0 (returns sigma2).
   /// Evaluates through the same per-element kernels as covariance_batch, so
-  /// scalar and batched results are bit-identical by construction.
+  /// scalar and batched results are bit-identical by construction; for
+  /// general-nu Matérn one entry runs the scalar Bessel loops, which the
+  /// batch's vector lanes reproduce bit for bit.
   double value(double h, std::span<const double> theta) const;
 
   /// Validate a parameter vector (arity, positivity). Throws mpgeo::Error.
@@ -50,11 +53,20 @@ class Covariance {
 /// Batched evaluation out[i] = C(h[i]; theta): parameters are checked once
 /// and per-family constants hoisted out of a tight per-element loop. The
 /// Matérn half-integer smoothnesses the paper's applications use (nu = 0.5,
-/// 1.5, 2.5) take closed forms — one exp per entry, no Bessel-K — and the
-/// general-nu path hoists the 2^{1-nu}/Gamma(nu) normalizer. In-place
-/// evaluation (out == h) is allowed: the map is elementwise.
+/// 1.5, 2.5) take closed forms — one exp per entry, no Bessel-K. General nu
+/// hoists the 2^{1-nu}/Gamma(nu) normalizer and evaluates K_nu through
+/// log_bessel_k_batch (stats/besselk.hpp), whose vector lanes run on
+/// active_kernel_variant(); every entry is bit-identical to
+/// Covariance::value and to the scalar Bessel path. In-place evaluation
+/// (out == h) is allowed: the map is elementwise.
 void covariance_batch(const Covariance& cov, std::span<const double> theta,
                       std::span<const double> h, std::span<double> out);
+
+/// The same on kernel variant `v` (it must be kernel_variant_available), so
+/// tests and benchmarks can run every variant the CPU offers.
+void covariance_batch(KernelVariant v, const Covariance& cov,
+                      std::span<const double> theta, std::span<const double> h,
+                      std::span<double> out);
 
 /// The seed per-entry evaluation this repo started from: parameter checks on
 /// every call and the log-space Bessel-K Matérn for *every* order, including

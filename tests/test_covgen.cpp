@@ -1,12 +1,15 @@
 // Covariance-generation fast path (DESIGN.md 5d): batched kernels vs the
-// scalar evaluation, closed-form half-integer Matérn vs the Bessel-K seed
-// formula, the theta-invariant distance cache, parallel-vs-serial tile
-// assembly bit-identity, and Sigma-buffer/workspace reuse through the MLE.
+// scalar evaluation on every kernel variant, closed-form half-integer Matérn
+// vs the Bessel-K seed formula, the theta-invariant distance cache,
+// parallel-vs-serial tile assembly bit-identity, mirrored diagonal tiles, and
+// Sigma-buffer/workspace reuse through the MLE.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,6 +19,7 @@
 #include "core/sampled_norms.hpp"
 #include "core/tile_geometry.hpp"
 #include "core/tiled_covariance.hpp"
+#include "kernel_test_util.hpp"
 #include "obs/metrics.hpp"
 #include "optim/optimizer.hpp"
 #include "stats/covariance.hpp"
@@ -122,6 +126,110 @@ TEST(CovarianceBatch, MatchesScalarBitwise) {
       EXPECT_TRUE(same_bits(batch[i], cov.value(h[i], c.theta)))
           << to_string(c.kind) << " nu/alpha-case h=" << h[i];
     }
+  }
+}
+
+// The general-nu distances of EveryVariantMatchesScalarBitwise. With beta = 1
+// each distance is the Bessel argument itself: x = 2 +- 1..40 ulps around
+// the switch from the Temme series to CF2, a geometric sweep over
+// [1e-6, 800], and h < 1e-14 entries (the diagonal guard) interleaved.
+std::vector<double> bessel_distances() {
+  std::vector<double> h;
+  for (int k = 0; k < 120; ++k) {
+    h.push_back(1e-6 * std::pow(800.0 / 1e-6, k / 119.0));
+    if (k % 9 == 4) h.push_back(k % 2 ? 0.0 : 5e-15);
+  }
+  double up = 2.0, down = 2.0;
+  for (int u = 1; u <= 40; ++u) {
+    up = std::nextafter(up, 3.0);
+    down = std::nextafter(down, 1.0);
+    h.push_back(up);
+    h.push_back(down);
+  }
+  h.push_back(2.0);
+  return h;
+}
+
+TEST(CovarianceBatch, EveryVariantMatchesScalarBitwise) {
+  // nu on a grid over (0, 6), plus each half-integer +- 1 ulp (the closed
+  // forms take 0.5, 1.5 and 2.5 exactly; their neighbours take Bessel-K).
+  std::vector<double> nus;
+  for (double nu = 0.07; nu < 6.0; nu += 0.41) nus.push_back(nu);
+  for (double half = 0.5; half < 6.0; half += 1.0) {
+    nus.push_back(std::nextafter(half, 0.0));
+    nus.push_back(std::nextafter(half, 6.0));
+  }
+  const std::vector<double> h = bessel_distances();
+  const Covariance cov(CovKind::Matern);
+  std::string ran;
+  for (const KernelVariant v : available_variants()) {
+    ran += std::string(ran.empty() ? "" : ", ") + to_string(v);
+  }
+  for (const double nu : nus) {
+    const std::vector<double> theta = {1.3, 1.0, nu};
+    std::vector<double> scalar(h.size());
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      scalar[i] = cov.value(h[i], theta);
+      ASSERT_TRUE(
+          same_bits(scalar[i], reference_covariance_value(cov, h[i], theta)))
+          << "nu=" << nu << " h=" << h[i];
+    }
+    for (const KernelVariant v : available_variants()) {
+      std::vector<double> batch(h.size());
+      covariance_batch(v, cov, theta, h, batch);
+      for (std::size_t i = 0; i < h.size(); ++i) {
+        ASSERT_TRUE(same_bits(batch[i], scalar[i]))
+            << to_string(v) << " nu=" << nu << " h=" << h[i];
+      }
+      // Batch lengths 0..17 at shifting offsets: every vector tail length
+      // occurs in both regimes.
+      for (std::size_t len = 0; len <= 17; ++len) {
+        const std::size_t off = (len * 37 + std::size_t(nu * 10)) %
+                                (h.size() - len);
+        std::vector<double> part(len);
+        covariance_batch(v, cov, theta, {h.data() + off, len}, part);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_TRUE(same_bits(part[i], scalar[off + i]))
+              << to_string(v) << " nu=" << nu << " len=" << len;
+        }
+      }
+    }
+  }
+  std::cout << "Bessel-K batch variants tested: " << ran << "\n";
+}
+
+TEST(CovarianceBatch, NonConvergingValueThrowsTheScalarError) {
+  // h / beta overflows to +inf: CF2 runs into NaN and never converges. The
+  // value sits among finite ones, inside a whole vector on the lanes.
+  const Covariance cov(CovKind::Matern);
+  const std::vector<double> theta = {1.0, 1e-10, 0.8};
+  const double bad = 1e300;
+  std::string scalar_error;
+  try {
+    (void)cov.value(bad, theta);
+  } catch (const Error& e) {
+    scalar_error = e.what();
+  }
+  ASSERT_NE(scalar_error.find("failed to converge"), std::string::npos);
+  std::string reference_error;
+  try {
+    (void)reference_covariance_value(cov, bad, theta);
+  } catch (const Error& e) {
+    reference_error = e.what();
+  }
+  EXPECT_EQ(reference_error, scalar_error);
+  std::vector<double> h(16);
+  for (std::size_t i = 0; i < h.size(); ++i) h[i] = 1e-10 * (1.0 + i);
+  h[5] = bad;
+  for (const KernelVariant v : available_variants()) {
+    std::vector<double> out(h.size());
+    std::string batch_error;
+    try {
+      covariance_batch(v, cov, theta, h, out);
+    } catch (const Error& e) {
+      batch_error = e.what();
+    }
+    EXPECT_EQ(batch_error, scalar_error) << to_string(v);
   }
 }
 
@@ -315,6 +423,43 @@ TEST(FillTiledCovariance, AllVariantsBitIdenticalToBuild) {
                                to_string(c.kind) +
                                    (parallel ? "+parallel" : "+serial") +
                                    (cached ? "+cached" : ""));
+      }
+    }
+  }
+}
+
+TEST(FillTiledCovariance, DiagonalTilesMirrorTheirLowerTriangle) {
+  // General-nu Matérn with a ragged last tile (150 = 3 * 40 + 30): every
+  // tile equals covariance_tile over its block, which evaluates both
+  // triangles, and every diagonal tile is bitwise symmetric.
+  Rng rng(45);
+  const LocationSet locs = generate_locations(150, 2, rng);
+  const std::size_t nb = 40;
+  const Covariance cov(CovKind::Matern);
+  const std::vector<double> theta = {1.2, 0.09, 1.3};
+  const TileGeometry geo(locs, nb);
+  CovGenOptions opts;
+  opts.geometry = &geo;
+  TileMatrix a(locs.size(), nb);
+  fill_tiled_covariance(a, cov, locs, theta, 1e-8, opts);
+  for (std::size_t m = 0; m < a.num_tiles(); ++m) {
+    for (std::size_t k = 0; k <= m; ++k) {
+      const std::size_t mb = a.tile_rows(m), kb = a.tile_rows(k);
+      std::vector<double> want(mb * kb);
+      covariance_tile(cov, locs, theta, m * nb, k * nb, mb, kb, want.data(),
+                      mb, 1e-8);
+      const std::vector<double> got = a.tile(m, k).to_double();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_bits(got[i], want[i]))
+            << "tile (" << m << "," << k << ") entry " << i;
+      }
+      if (m != k) continue;
+      for (std::size_t j = 0; j < mb; ++j) {
+        for (std::size_t i = j + 1; i < mb; ++i) {
+          ASSERT_TRUE(same_bits(got[i + j * mb], got[j + i * mb]))
+              << "tile " << m << " (" << i << "," << j << ")";
+        }
       }
     }
   }

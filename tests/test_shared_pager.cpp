@@ -449,7 +449,8 @@ TEST(SharedPagerFillTest, SerialOutOfCoreFillPagesThroughThePager) {
 /// Regression for the OocStats aggregation split: on a pooled workspace the
 /// MleResult reports THIS run's paging counters while the workspace keeps
 /// the lifetime view — the old single-counter scheme made the second fit's
-/// result look like it paged twice as much.
+/// result look like it paged twice as much. Both views count the fill's
+/// pager tenant as well as the factorization's.
 TEST(OocStatsSplitTest, PerRunCountersResetWhileLifetimeAccumulates) {
   Rng rng(77);
   const LocationSet locs = generate_locations(64, 2, rng);
@@ -470,6 +471,12 @@ TEST(OocStatsSplitTest, PerRunCountersResetWhileLifetimeAccumulates) {
   const MleResult r1 = fit_mle(cov, locs, z, opts, workspace);
   EXPECT_GT(r1.ooc.uses, 0u);
   EXPECT_EQ(workspace.ooc.uses, r1.ooc.uses);
+  // Each evaluation pages through two tenants, the covariance fill and the
+  // factorization, and the result counts both: the fill writes every tile
+  // fresh, so it write-installs all 10 packed tiles per evaluation.
+  EXPECT_GE(r1.ooc.write_installs,
+            std::uint64_t(r1.evaluations) * packed_tiles(locs.size()));
+  EXPECT_LE(r1.ooc.demand_faults, r1.ooc.uses);
   const std::size_t file_after_r1 = workspace.sigma->spill_stats().file_bytes;
 
   const MleResult r2 = fit_mle(cov, locs, z, opts, workspace);
